@@ -8,21 +8,12 @@ roundoff level, far below the working tolerance.
 """
 
 import argparse
-import itertools
 import sys
 import time
 
+from arborzeta.hoffman import compositions
 from arborzeta.words import y_word
 from arborzeta.zeta import check_bmz
-
-
-def compositions(total):
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in compositions(total - first):
-            yield (first,) + rest
 
 
 def main() -> int:

@@ -6,187 +6,4 @@ theta-regularized zeta characters with the exponential correction operator,
 and certified numerical evaluation of the resulting nested sums.
 """
 
-from .lincomb import LinComb, NEG_INF, Rational, TensorPair, ThetaPoly, bilinear
-from .words import (
-    EMPTY_WORD,
-    Letter,
-    ParseError,
-    Word,
-    X0,
-    X1,
-    XLetter,
-    YLetter,
-    concat,
-    deconcat,
-    format_comb,
-    is_convergent_x,
-    is_convergent_y,
-    letter_weight,
-    merge_y,
-    parse_word,
-    quasi_shuffle,
-    s_inverse,
-    s_map,
-    shuffle,
-    weight,
-    x_word,
-    y_word,
-)
-from .forests import (
-    EMPTY_FOREST,
-    Forest,
-    Tree,
-    bplus,
-    coproduct,
-    counit,
-    enumerate_forests,
-    enumerate_trees,
-    forest_of,
-    forest_product,
-    forest_weight,
-    grade,
-    make_forest,
-    make_tree,
-    parse_forest,
-    parse_tree,
-    print_forest,
-    print_tree,
-    size,
-    tree_weight,
-    vertex,
-)
-from .arborify import (
-    arborify_x,
-    arborify_y,
-    divergence_reason_x,
-    divergence_reason_y,
-    is_convergent_tree_x,
-    is_convergent_tree_y,
-    ladder,
-    s_tree,
-)
-from .hoffman import (
-    apply_composition,
-    compositions,
-    exp_comb,
-    exp_word,
-    log_comb,
-    log_word,
-)
-from .zeta import (
-    NumericRegValue,
-    ZetaProvider,
-    brute_tree_sum,
-    check_bmz,
-    eval_mzv,
-    eval_mzv_bounded,
-    eval_reg,
-    hoffman_reg_relation,
-    mzv_truncation_bound,
-    naive_mzv,
-    reg_qsh,
-    reg_sh,
-    rho,
-    tree_truncation_bound,
-    zeta_comb_x,
-    zeta_comb_y,
-    zeta_tree_x,
-    zeta_tree_y,
-    zeta_word_x,
-    zeta_word_y,
-)
-from .verify import CheckRow, SUITE_NAMES, all_passed, format_rows, run_suite
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "LinComb",
-    "NEG_INF",
-    "Rational",
-    "TensorPair",
-    "ThetaPoly",
-    "bilinear",
-    "EMPTY_WORD",
-    "Letter",
-    "ParseError",
-    "Word",
-    "X0",
-    "X1",
-    "XLetter",
-    "YLetter",
-    "concat",
-    "deconcat",
-    "format_comb",
-    "is_convergent_x",
-    "is_convergent_y",
-    "letter_weight",
-    "merge_y",
-    "parse_word",
-    "quasi_shuffle",
-    "s_inverse",
-    "s_map",
-    "shuffle",
-    "weight",
-    "x_word",
-    "y_word",
-    "EMPTY_FOREST",
-    "Forest",
-    "Tree",
-    "bplus",
-    "coproduct",
-    "counit",
-    "enumerate_forests",
-    "enumerate_trees",
-    "forest_of",
-    "forest_product",
-    "forest_weight",
-    "grade",
-    "make_forest",
-    "make_tree",
-    "parse_forest",
-    "parse_tree",
-    "print_forest",
-    "print_tree",
-    "size",
-    "tree_weight",
-    "vertex",
-    "arborify_x",
-    "arborify_y",
-    "divergence_reason_x",
-    "divergence_reason_y",
-    "is_convergent_tree_x",
-    "is_convergent_tree_y",
-    "ladder",
-    "s_tree",
-    "apply_composition",
-    "compositions",
-    "exp_comb",
-    "exp_word",
-    "log_comb",
-    "log_word",
-    "NumericRegValue",
-    "ZetaProvider",
-    "brute_tree_sum",
-    "check_bmz",
-    "eval_mzv",
-    "eval_mzv_bounded",
-    "eval_reg",
-    "hoffman_reg_relation",
-    "mzv_truncation_bound",
-    "naive_mzv",
-    "reg_qsh",
-    "reg_sh",
-    "rho",
-    "tree_truncation_bound",
-    "zeta_comb_x",
-    "zeta_comb_y",
-    "zeta_tree_x",
-    "zeta_tree_y",
-    "zeta_word_x",
-    "zeta_word_y",
-    "CheckRow",
-    "SUITE_NAMES",
-    "all_passed",
-    "format_rows",
-    "run_suite",
-]

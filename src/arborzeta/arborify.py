@@ -20,7 +20,7 @@ level substitution applied to the contracting expansion.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from .lincomb import LinComb
 from .forests import EMPTY_FOREST, Forest, Tree, make_tree
@@ -102,8 +102,7 @@ def s_tree(f: Forest) -> LinComb:
     return arborify_y(f).map_basis(to_ladder_forest)
 
 
-def _leaves_and_roots(t: Tree):
-    roots = [t]
+def _leaves(t: Tree):
     leaves = []
     stack = [t]
     while stack:
@@ -111,7 +110,7 @@ def _leaves_and_roots(t: Tree):
         if not node.children:
             leaves.append(node)
         stack.extend(node.children)
-    return leaves, roots
+    return leaves
 
 
 def is_convergent_tree_y(f: Forest) -> bool:
@@ -129,8 +128,7 @@ def is_convergent_tree_x(f: Forest) -> bool:
 def divergence_reason_y(f: Forest) -> Optional[str]:
     """None when convergent, else a message naming the offending vertex."""
     for t in f.trees:
-        leaves, _ = _leaves_and_roots(t)
-        for leaf in leaves:
+        for leaf in _leaves(t):
             d = leaf.decoration
             if not isinstance(d, YLetter):
                 raise ValueError(f"expected y-decorations, found {d}")
@@ -149,8 +147,7 @@ def divergence_reason_x(f: Forest) -> Optional[str]:
             return "a single vertex is both root and leaf, so the tree cannot converge"
         if d != X1:
             return f"root decorated {d} makes the value divergent (root must be x1)"
-        leaves, _ = _leaves_and_roots(t)
-        for leaf in leaves:
+        for leaf in _leaves(t):
             if leaf.decoration != X0:
                 return f"leaf decorated {leaf.decoration} makes the value divergent (leaves must be x0)"
     return None

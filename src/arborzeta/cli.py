@@ -3,20 +3,17 @@
 Verbs: expand (arborification of a forest into words), zeta (exact expansion
 of an arborified value into ordinary zeta values plus a certified numeric),
 verify (identity suites as report tables), enumerate (canonical decorated
-trees of a given size), hoffman (the exp/log isomorphism on one word), and
-selftest (a fixed battery of worked examples).
+trees of a given size), and hoffman (the exp/log isomorphism on one word).
 
-Exit codes: 0 success, 1 verification or selftest failure, 2 usage, parse,
-or precondition error.
+Exit codes: 0 success, 1 verification failure, 2 usage, parse, or
+precondition error.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .arborify import (
     arborify_x,
@@ -24,32 +21,17 @@ from .arborify import (
     divergence_reason_x,
     divergence_reason_y,
 )
-from .forests import (
-    EMPTY_FOREST,
-    Forest,
-    ParseError,
-    bplus,
-    coproduct,
-    enumerate_trees,
-    forest_of,
-    parse_forest,
-    parse_tree,
-    print_tree,
-    vertex,
-)
+from .forests import Forest, ParseError, enumerate_trees, parse_forest, print_tree
 from .hoffman import exp_word, log_word
-from .lincomb import LinComb, TensorPair, ThetaPoly
+from .lincomb import LinComb
 from .words import (
-    Word,
     XLetter,
     YLetter,
     is_convergent_x,
     is_convergent_y,
     parse_word,
-    quasi_shuffle,
     s_inverse,
     s_map,
-    shuffle,
 )
 from . import verify as verify_mod
 from . import zeta as zeta_mod
@@ -158,205 +140,6 @@ def _cmd_hoffman(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# selftest
-
-def _close(a: float, b: float, eps: float = 1e-8) -> bool:
-    return abs(a - b) <= eps
-
-
-def _wcomb(*pairs: Tuple[str, object]) -> LinComb:
-    return LinComb((parse_word(t), Fraction(c)) for t, c in pairs)
-
-
-def _selftest_checks() -> List[Tuple[str, Callable[[], bool]]]:
-    half = Fraction(1, 2)
-    dot = vertex(YLetter(1))
-    f_dot = forest_of(dot)
-    l2 = bplus(YLetter(1), f_dot)
-    f_l2 = forest_of(l2)
-    cherry = bplus(YLetter(1), forest_of(dot, dot))
-    f_cherry = forest_of(cherry)
-    f_dotdot = forest_of(dot, dot)
-
-    def pair(a: Forest, b: Forest, c: int = 1) -> LinComb:
-        return LinComb.unit(TensorPair(a, b), Fraction(c))
-
-    checks: List[Tuple[str, Callable[[], bool]]] = [
-        (
-            "depth-one quasi-shuffle product",
-            lambda: quasi_shuffle(parse_word("y2"), parse_word("y3"))
-            == _wcomb(("y2.y3", 1), ("y3.y2", 1), ("y5", 1)),
-        ),
-        (
-            "block substitution of a word",
-            lambda: s_map(parse_word("y2.y3")) == parse_word("x0.x1.x0.x0.x1"),
-        ),
-        (
-            "two-vertex ladder coproduct",
-            lambda: coproduct(f_l2)
-            == pair(f_l2, EMPTY_FOREST) + pair(EMPTY_FOREST, f_l2) + pair(f_dot, f_dot),
-        ),
-        (
-            "cherry coproduct with multiplicity two",
-            lambda: coproduct(f_cherry)
-            == pair(f_cherry, EMPTY_FOREST)
-            + pair(EMPTY_FOREST, f_cherry)
-            + pair(f_dot, f_l2, 2)
-            + pair(f_dotdot, f_dot),
-        ),
-        (
-            "tree census through five vertices",
-            lambda: [len(enumerate_trees(n, (YLetter(1),))) for n in range(1, 6)]
-            == [1, 1, 2, 4, 9],
-        ),
-        (
-            "contracting expansion of the decorated cherry",
-            lambda: arborify_y(Forest((parse_tree("y3(y1,y2)"),)))
-            == _wcomb(("y1.y2.y3", 1), ("y2.y1.y3", 1), ("y3.y3", 1)),
-        ),
-        (
-            "simple expansion with distinct branches",
-            lambda: arborify_x(Forest((parse_tree("x1(x0,x1(x0))"),)))
-            == _wcomb(("x0.x0.x1.x1", 2), ("x0.x1.x0.x1", 1)),
-        ),
-        (
-            "simple expansion with equal branches",
-            lambda: arborify_x(Forest((parse_tree("x1(x0,x0(x0))"),)))
-            == _wcomb(("x0.x0.x0.x1", 3)),
-        ),
-        (
-            "ten-term depth-one shuffle",
-            lambda: shuffle(parse_word("x0.x1"), parse_word("x0.x0.x1"))
-            == _wcomb(("x0.x1.x0.x0.x1", 1), ("x0.x0.x1.x0.x1", 3), ("x0.x0.x0.x1.x1", 6)),
-        ),
-        (
-            "exp of one letter",
-            lambda: exp_word(parse_word("y1")) == _wcomb(("y1", 1)),
-        ),
-        (
-            "log of one letter",
-            lambda: log_word(parse_word("y1")) == _wcomb(("y1", 1)),
-        ),
-        (
-            "exp of a two-letter word",
-            lambda: exp_word(parse_word("y1.y2")) == _wcomb(("y1.y2", 1), ("y3", half)),
-        ),
-        (
-            "log of a two-letter word",
-            lambda: log_word(parse_word("y1.y2")) == _wcomb(("y1.y2", 1), ("y3", -half)),
-        ),
-        (
-            "exp of a three-letter word",
-            lambda: exp_word(parse_word("y1.y2.y3"))
-            == _wcomb(("y1.y2.y3", 1), ("y1.y5", half), ("y3.y3", half), ("y6", Fraction(1, 6))),
-        ),
-        (
-            "log of a three-letter word",
-            lambda: log_word(parse_word("y1.y2.y3"))
-            == _wcomb(("y1.y2.y3", 1), ("y1.y5", -half), ("y3.y3", -half), ("y6", Fraction(1, 3))),
-        ),
-        (
-            "depth-one value at two",
-            lambda: _close(zeta_mod.eval_mzv((2,), 1e-9), math.pi ** 2 / 6.0, 1e-9),
-        ),
-        (
-            "depth-one value at four",
-            lambda: _close(zeta_mod.eval_mzv((4,), 1e-9), math.pi ** 4 / 90.0, 1e-9),
-        ),
-        (
-            "the first double reduces to a depth-one value",
-            lambda: _close(zeta_mod.eval_mzv((2, 1), 1e-9), zeta_mod.eval_mzv((3,), 1e-9), 2e-9),
-        ),
-        (
-            "product identity along the contracted route",
-            lambda: _close(
-                zeta_mod.zeta_comb_y(quasi_shuffle(parse_word("y2"), parse_word("y3")), 1e-9),
-                zeta_mod.eval_mzv((2,), 1e-9) * zeta_mod.eval_mzv((3,), 1e-9),
-            ),
-        ),
-        (
-            "product identity along the simple route",
-            lambda: _close(
-                zeta_mod.zeta_comb_x(shuffle(parse_word("x0.x1"), parse_word("x0.x0.x1")), 1e-9),
-                zeta_mod.eval_mzv((2,), 1e-9) * zeta_mod.eval_mzv((3,), 1e-9),
-            ),
-        ),
-        (
-            "regularized value of the divergent letter",
-            lambda: zeta_mod.reg_qsh(parse_word("y1"))
-            == ThetaPoly.theta(LinComb.unit(Word(()))),
-        ),
-        (
-            "correction operator fixes constants and degree one",
-            lambda: zeta_mod.rho(zeta_mod.NumericRegValue(ThetaPoly.constant(1.0), 1e-9)).poly
-            == ThetaPoly.constant(1.0)
-            and zeta_mod.rho(zeta_mod.NumericRegValue(ThetaPoly.theta(1.0), 1e-9)).poly
-            == ThetaPoly.theta(1.0),
-        ),
-        (
-            "correction operator on a quadratic",
-            lambda: _selftest_rho_quadratic(),
-        ),
-        (
-            "regularization relation at the first word",
-            lambda: zeta_mod.hoffman_reg_relation(parse_word("y2"))
-            == _wcomb(("x0.x1.x1", 1), ("x0.x0.x1", -1)),
-        ),
-        (
-            "arborified value with distinct branches",
-            lambda: _close(
-                zeta_mod.zeta_tree_x(parse_tree("x1(x0,x1(x0))")),
-                2.0 * zeta_mod.eval_mzv((3, 1), 1e-9) + zeta_mod.eval_mzv((2, 2), 1e-9),
-            ),
-        ),
-        (
-            "arborified value with equal branches",
-            lambda: _close(
-                zeta_mod.zeta_tree_x(parse_tree("x1(x0,x0(x0))")),
-                3.0 * zeta_mod.eval_mzv((4,), 1e-9),
-            ),
-        ),
-        (
-            "single-vertex truncated sum",
-            lambda: zeta_mod.brute_tree_sum(vertex(YLetter(2)), 2) == 1.25,
-        ),
-        (
-            "cherry truncated sum at bound two",
-            lambda: zeta_mod.brute_tree_sum(parse_tree("y2(y2,y2)"), 2) == 0.0625,
-        ),
-    ]
-    return checks
-
-
-def _selftest_rho_quadratic() -> bool:
-    z2 = zeta_mod.eval_mzv((2,), 1e-10)
-    p = ThetaPoly({2: 0.5, 0: -0.5 * z2})
-    out = zeta_mod.rho(zeta_mod.NumericRegValue(p, 1e-9)).poly
-    return (
-        _close(out.coeff(2, 0.0), 0.5)
-        and _close(out.coeff(0, 0.0), 0.0)
-        and not out.coeff(1, 0.0)
-    )
-
-
-def _cmd_selftest(args: argparse.Namespace) -> int:
-    checks = _selftest_checks()
-    failures = 0
-    for name, fn in checks:
-        try:
-            ok = fn()
-        except Exception as exc:  # a crash is a failure, not a crash of the battery
-            ok = False
-            print(f"FAIL {name} (raised {exc!r})")
-        else:
-            print(("ok   " if ok else "FAIL ") + name)
-        if not ok:
-            failures += 1
-    print(f"{len(checks) - failures}/{len(checks)} selftest checks passed")
-    return 0 if failures == 0 else 1
-
-
-# ---------------------------------------------------------------------------
 # parser
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -396,9 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("direction", choices=("exp", "log"))
     p.add_argument("word")
     p.set_defaults(func=_cmd_hoffman)
-
-    p = sub.add_parser("selftest", help="run the built-in worked-example battery")
-    p.set_defaults(func=_cmd_selftest)
 
     return parser
 

@@ -181,10 +181,6 @@ def print_tree(t: Tree) -> str:
     return f"{t.decoration}({','.join(print_tree(c) for c in t.children)})"
 
 
-def print_forest(f: Forest) -> str:
-    return str(f)
-
-
 class _Scanner:
     def __init__(self, text: str):
         self.text = text

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Tuple, Union
 
-Rational = Fraction
-
 Scalar = Union[Fraction, int]
 
 NEG_INF = float("-inf")

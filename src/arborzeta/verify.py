@@ -28,7 +28,6 @@ from .arborify import arborify_x, arborify_y, ladder
 from .forests import (
     EMPTY_FOREST,
     Forest,
-    Tree,
     bplus,
     coproduct,
     enumerate_forests,
@@ -50,8 +49,8 @@ from .words import (
     y_word,
 )
 from .zeta import (
-    check_bmz,
     brute_tree_sum,
+    compare_bmz,
     eval_mzv,
     tree_truncation_bound,
     zeta_comb_x,
@@ -84,7 +83,7 @@ def _count_row(name: str, checked: int, failures: int) -> CheckRow:
 # ---------------------------------------------------------------------------
 # relations
 
-def suite_relations(tol: float = 1e-9, max_weight: Optional[int] = None) -> List[CheckRow]:
+def suite_relations(tol: float = 1e-9) -> List[CheckRow]:
     """Low-weight product identities, each side computed along its own route."""
     slack = 10.0 * tol
     z2 = eval_mzv((2,), tol)
@@ -128,18 +127,9 @@ def suite_bmz(tol: float = 1e-9, max_weight: Optional[int] = None) -> List[Check
     """
     if max_weight is None:
         max_weight = 4
-    from .zeta import NumericRegValue, eval_reg, reg_qsh, reg_sh, rho
-    from .words import s_map
-
     rows = []
     for w in _y_words_up_to_weight(max_weight):
-        lhs_poly = eval_reg(reg_sh(s_map(w)), tol).poly
-        rhs_poly = rho(eval_reg(reg_qsh(w), tol)).poly
-        degrees = {k for k, _ in lhs_poly.items()} | {k for k, _ in rhs_poly.items()}
-        residual = max(
-            (abs(lhs_poly.coeff(k, 0.0) - rhs_poly.coeff(k, 0.0)) for k in degrees),
-            default=0.0,
-        )
+        lhs_poly, rhs_poly, residual = compare_bmz(w, tol)
         rows.append(
             CheckRow(
                 f"bmz:{w}",
@@ -194,7 +184,7 @@ def _all_words(alphabet: Sequence[Letter], max_len: int) -> Iterable[Word]:
             yield Word(letters)
 
 
-def suite_hopf(tol: float = 1e-9, max_weight: Optional[int] = None) -> List[CheckRow]:
+def suite_hopf(tol: float = 1e-9) -> List[CheckRow]:
     """Exact structural identities on small forests; tolerance is zero."""
     rows = []
     decos = {"y": (YLetter(1), YLetter(2)), "x": (X0, X1)}
@@ -245,7 +235,7 @@ def suite_hopf(tol: float = 1e-9, max_weight: Optional[int] = None) -> List[Chec
 # ---------------------------------------------------------------------------
 # brute-force oracle
 
-def suite_oracle(tol: float = 1e-9, max_weight: Optional[int] = None, N: int = 5000) -> List[CheckRow]:
+def suite_oracle(tol: float = 1e-9, N: int = 5000) -> List[CheckRow]:
     """Truncated tree sums against the accelerated word-expansion route."""
     rows = []
     decorations = (YLetter(2), YLetter(3))
@@ -273,15 +263,12 @@ SUITE_NAMES: Tuple[str, ...] = ("relations", "bmz", "hopf", "oracle", "all")
 
 def run_suite(name: str, tol: float = 1e-9, max_weight: Optional[int] = None) -> List[CheckRow]:
     if name == "all":
-        rows: List[CheckRow] = []
-        for key in ("relations", "bmz", "hopf", "oracle"):
-            rows.extend(SUITES[key](tol, max_weight))
-        return rows
-    try:
-        suite = SUITES[name]
-    except KeyError:
+        return [row for key in SUITES for row in run_suite(key, tol, max_weight)]
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    return suite(tol, max_weight)
+    if name == "bmz":
+        return suite_bmz(tol, max_weight)
+    return SUITES[name](tol)
 
 
 def format_rows(rows: Sequence[CheckRow], fmt: str = "text") -> str:

@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache, reduce
-from typing import Callable, Iterable, Optional, Tuple, Union
+from functools import lru_cache
+from typing import Callable, Optional, Tuple, Union
 
 from .lincomb import LinComb, TensorPair, bilinear
 
@@ -258,7 +257,3 @@ def parse_word(text: str) -> Word:
         raise ParseError("word mixes the x and y alphabets", offset)
     return Word(tuple(letters))
 
-
-def format_comb(comb: LinComb) -> str:
-    """Serialize a combination as ``c1*w1 + c2*w2`` in deterministic order."""
-    return str(comb)

@@ -60,7 +60,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .arborify import (
     arborify_x,
@@ -268,7 +268,9 @@ def eval_mzv_bounded(exponents: MzvIndex, tol: float = 1e-9) -> Tuple[float, flo
     for n in exponents:
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"exponents must be positive integers, got {exponents}")
-    if not (isinstance(tol, float) or isinstance(tol, int)) or tol < 1e-12:
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not math.isfinite(tol):
+        raise ValueError(f"tolerance must be a finite number, got {tol!r}")
+    if tol < 1e-12:
         raise ValueError("tolerance below supported precision (min 1e-12)")
     if not exponents:
         return 1.0, 0.0
@@ -444,30 +446,15 @@ def eval_reg(sym: ThetaPoly, tol: float = 1e-9) -> NumericRegValue:
     return NumericRegValue(sym.map_coeffs(lambda comb: zeta_comb_y(comb, tol)), tol)
 
 
-class ZetaProvider:
-    """Cached depth-one values zeta(n) at a fixed tolerance."""
-
-    def __init__(self, tol: float):
-        self.tol = tol
-        self._cache: Dict[int, float] = {}
-
-    def __call__(self, n: int) -> float:
-        got = self._cache.get(n)
-        if got is None:
-            got = self._cache[n] = eval_mzv((n,), self.tol)
-        return got
-
-
-def rho(val: NumericRegValue, zeta_at: Optional[Callable[[int], float]] = None) -> NumericRegValue:
+def rho(val: NumericRegValue) -> NumericRegValue:
     """The correction operator exp(sum_{n>=2} (-1)^n zeta(n)/n d^n/dtheta^n).
 
     Acts on numeric theta-polynomials; each application of the generator
     lowers the degree by at least 2, so the exponential series terminates and
-    rho(p) - p has degree at most deg(p) - 2.  Depth-one values come from the
-    provider, by default a cache evaluating at a tenth of the tolerance.
+    rho(p) - p has degree at most deg(p) - 2.  Depth-one values are evaluated
+    at a tenth of the tolerance.
     """
-    if zeta_at is None:
-        zeta_at = ZetaProvider(val.tol / 10.0)
+    tol = val.tol / 10.0
 
     def generator(q: ThetaPoly) -> ThetaPoly:
         d = q.degree()
@@ -476,7 +463,7 @@ def rho(val: NumericRegValue, zeta_at: Optional[Callable[[int], float]] = None) 
             return out
         for n in range(2, int(d) + 1):
             sign = 1.0 if n % 2 == 0 else -1.0
-            out = out + q.derive(n).scale(sign * zeta_at(n) / n)
+            out = out + q.derive(n).scale(sign * eval_mzv((n,), tol) / n)
         return out
 
     out = val.poly
@@ -491,19 +478,24 @@ def rho(val: NumericRegValue, zeta_at: Optional[Callable[[int], float]] = None) 
     return NumericRegValue(out, val.tol)
 
 
-def check_bmz(w: Word, tol: float = 1e-9) -> float:
-    """Residual of the regularization comparison on one summation word.
+def compare_bmz(w: Word, tol: float = 1e-9) -> Tuple[ThetaPoly, ThetaPoly, float]:
+    """Both sides of the regularization comparison on one summation word.
 
     Evaluates the shuffle character on the substituted word and the corrected
-    quasi-shuffle character on w, and returns the largest absolute difference
-    between coefficients of matching theta powers.
+    quasi-shuffle character on w, and returns both numeric polynomials and the
+    largest absolute difference between their coefficients of matching theta
+    powers.
     """
     lhs = eval_reg(reg_sh(s_map(w)), tol).poly
     rhs = rho(eval_reg(reg_qsh(w), tol)).poly
     degrees = {k for k, _ in lhs.items()} | {k for k, _ in rhs.items()}
-    if not degrees:
-        return 0.0
-    return max(abs(lhs.coeff(k, 0.0) - rhs.coeff(k, 0.0)) for k in degrees)
+    residual = max((abs(lhs.coeff(k, 0.0) - rhs.coeff(k, 0.0)) for k in degrees), default=0.0)
+    return lhs, rhs, residual
+
+
+def check_bmz(w: Word, tol: float = 1e-9) -> float:
+    """Residual of the regularization comparison on one summation word."""
+    return compare_bmz(w, tol)[2]
 
 
 def hoffman_reg_relation(w: Word) -> LinComb:

@@ -22,7 +22,6 @@ from arborzeta.forests import (
     forest_product,
     parse_forest,
     parse_tree,
-    print_forest,
     vertex,
 )
 from arborzeta.arborify import (
@@ -99,12 +98,12 @@ class TestOracles:
     def test_simple_flavor_matches_linear_extensions(self):
         for n in range(0, 5):
             for f in enumerate_forests(n, (X0, X1)):
-                assert arborify_x(f) == simple_oracle(f), print_forest(f)
+                assert arborify_x(f) == simple_oracle(f), str(f)
 
     def test_contracting_flavor_matches_level_surjections(self):
         for n in range(0, 5):
             for f in enumerate_forests(n, (Y1, Y2)):
-                assert arborify_y(f) == contracting_oracle(f), print_forest(f)
+                assert arborify_y(f) == contracting_oracle(f), str(f)
 
 
 class TestFrozenExpansions:

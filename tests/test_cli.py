@@ -100,6 +100,11 @@ class TestZeta:
         assert code == 0
         assert "(tol = 1e-06)" in out
 
+    def test_non_finite_tolerance(self, capsys):
+        code, _, err = run(capsys, "zeta", "--word", "y2", "--tol", "nan")
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_divergent_forest(self, capsys):
         code, _, err = run(capsys, "zeta", "y3(y1,y2)")
         assert code == 2
@@ -206,17 +211,6 @@ class TestHoffman:
 
     def test_bad_direction(self, capsys):
         assert run(capsys, "hoffman", "sideways", "y1")[0] == 2
-
-
-class TestSelftest:
-    def test_all_pass(self, capsys):
-        code, out, _ = run(capsys, "selftest")
-        assert code == 0
-        lines = out.strip().splitlines()
-        oks = [l for l in lines[:-1] if l.startswith("ok   ")]
-        assert len(oks) == len(lines) - 1
-        assert lines[-1] == f"{len(oks)}/{len(oks)} selftest checks passed"
-        assert len(oks) >= 25
 
 
 class TestUsage:

@@ -32,7 +32,6 @@ from arborzeta.forests import (
     make_tree,
     parse_forest,
     parse_tree,
-    print_forest,
     print_tree,
     size,
     tree_weight,
@@ -117,7 +116,7 @@ TWO_DECO_FORESTS = [f for n in range(0, 5) for f in enumerate_forests(n, (Y1, Y2
 class TestCoproductOracle:
     def test_matches_downset_enumeration_on_all_small_forests(self):
         for f in TWO_DECO_FORESTS:
-            assert coproduct(f) == downset_coproduct(f), print_forest(f)
+            assert coproduct(f) == downset_coproduct(f), str(f)
 
     def test_matches_on_x_decorated(self):
         for n in range(0, 5):
@@ -277,7 +276,7 @@ class TestCoproductStructure:
 class TestParsePrint:
     def test_round_trip_all_small(self):
         for f in TWO_DECO_FORESTS:
-            assert parse_forest(print_forest(f)) == f
+            assert parse_forest(str(f)) == f
         for n in range(1, 4):
             for t in enumerate_trees(n, (X0, X1)):
                 assert parse_tree(print_tree(t)) == t
@@ -286,7 +285,7 @@ class TestParsePrint:
         t = parse_tree("y3(y1,y2)")
         assert t == make_tree(YLetter(3), (vertex(Y1), vertex(Y2)))
         assert parse_forest("e") == EMPTY_FOREST
-        assert print_forest(EMPTY_FOREST) == "e"
+        assert str(EMPTY_FOREST) == "e"
 
     def test_nested(self):
         t = parse_tree("x1(x0,x1(x0))")

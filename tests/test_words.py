@@ -202,6 +202,7 @@ class TestBlockSubstitution:
         for u in Y_WORDS[:30]:
             for v in Y_WORDS[:10]:
                 assert s_map(concat(u, v)) == concat(s_map(u), s_map(v))
+        assert s_map(y_word(2, 3)) == x_word(0, 1, 0, 0, 1)
 
     def test_weight_becomes_length(self):
         for w in Y_WORDS:

@@ -22,7 +22,6 @@ from arborzeta.arborify import arborify_y, ladder
 from arborzeta.words import YLetter
 from arborzeta.zeta import (
     NumericRegValue,
-    ZetaProvider,
     brute_tree_sum,
     check_bmz,
     eval_mzv,
@@ -149,8 +148,9 @@ class TestEvalMzv:
             eval_mzv((1, 2), 1e-9)
 
     def test_tiny_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            eval_mzv((2,), 1e-13)
+        for tol in (1e-13, math.nan, math.inf, True):
+            with pytest.raises(ValueError):
+                eval_mzv((2,), tol)
 
     def test_bad_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -339,23 +339,6 @@ class TestRho:
             assert rho(p).poly.coeff(d, 0.0) == p.poly.coeff(d, 0.0)
             if d >= 1:
                 assert rho(p).poly.coeff(d - 1, 0.0) == p.poly.coeff(d - 1, 0.0)
-
-    def test_custom_provider(self):
-        calls = []
-
-        def provider(n):
-            calls.append(n)
-            return eval_mzv((n,), 1e-10)
-
-        p = NumericRegValue(ThetaPoly({3: 1.0}), 1e-9)
-        rho(p, zeta_at=provider)
-        assert set(calls) == {2, 3}
-
-    def test_provider_caches(self):
-        zp = ZetaProvider(1e-10)
-        a = zp(2)
-        b = zp(2)
-        assert a == b == eval_mzv((2,), 1e-10)
 
 
 class TestCheckBmz:
