@@ -99,8 +99,8 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
         if reason is not None:
             return _fail(reason)
         comb = arborify_y(f) if alphabet == "y" else arborify_x(f)
-    print(_zeta_line(comb, alphabet))
     value = zeta_mod.zeta_comb_y(comb, args.tol) if alphabet == "y" else zeta_mod.zeta_comb_x(comb, args.tol)
+    print(_zeta_line(comb, alphabet))
     print(f"value = {value:.12g} (tol = {args.tol:g})")
     return 0
 

@@ -26,7 +26,7 @@ the empty forest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Tuple
@@ -35,10 +35,27 @@ from .lincomb import LinComb, TensorPair, bilinear
 from .words import Letter, ParseError, letter_rank, letter_weight, parse_letter_at
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tree:
+    """Root decoration plus canonically sorted children.
+
+    The canonical key (vertex count, root decoration rank, child keys) and the
+    hash are computed once, from the children's stored values.
+    """
+
     decoration: Letter
     children: Tuple["Tree", ...] = ()
+    key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        kids = tuple(c.key for c in self.children)
+        size = 1 + sum(k[0] for k in kids)
+        object.__setattr__(self, "key", (size, letter_rank(self.decoration), kids))
+        object.__setattr__(self, "_hash", hash((self.decoration, self.children)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -57,15 +74,13 @@ class Forest:
 EMPTY_FOREST = Forest()
 
 
-@lru_cache(maxsize=None)
 def tree_key(t: Tree):
     """Canonical sort key: (vertex count, root decoration rank, child keys)."""
-    return (size(t), letter_rank(t.decoration), tuple(tree_key(c) for c in t.children))
+    return t.key
 
 
-@lru_cache(maxsize=None)
 def size(t: Tree) -> int:
-    return 1 + sum(size(c) for c in t.children)
+    return t.key[0]
 
 
 def make_tree(decoration: Letter, children: Iterable[Tree] = ()) -> Tree:

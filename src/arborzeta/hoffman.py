@@ -1,18 +1,16 @@
 """Hoffman's exponential and logarithm between shuffle and quasi-shuffle.
 
-Both maps act on words of a fixed alphabet through compositions: a
+Both maps act on summation words through compositions: a
 composition (i1, ..., ir) of the word length k splits the word into
 consecutive blocks of those sizes, and each block collapses under the
-iterated internal product (index addition for summation letters).  With
+iterated internal product, index addition of summation letters.  With
 I[u] denoting that block substitution,
 
     exp(u) = sum over compositions of 1/(i1! ... ir!) * I[u]
     log(u) = sum over compositions of (-1)^(k-r)/(i1 ... ir) * I[u]
 
 extended linearly.  exp is an isomorphism from the quasi-shuffle algebra to
-the shuffle algebra on the same alphabet, and log is its inverse.  With the
-internal product identically zero only the all-ones composition survives and
-both maps reduce to the identity.
+the shuffle algebra on the same alphabet, and log is its inverse.
 """
 
 from __future__ import annotations
@@ -20,10 +18,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 from .lincomb import LinComb
-from .words import Letter, Word, merge_y
+from .words import Word, merge_y
 
 
 def compositions(k: int) -> list:
@@ -43,60 +41,36 @@ def compositions(k: int) -> list:
     return out
 
 
-def apply_composition(parts: Tuple[int, ...], w: Word,
-                      merge: Optional[Callable[[Letter, Letter], Letter]] = merge_y):
-    """Collapse consecutive blocks of sizes ``parts`` under the internal product.
-
-    Returns None when the internal product is the zero product (merge=None)
-    and some block has two or more letters, since the image then vanishes.
-    """
+def apply_composition(parts: Tuple[int, ...], w: Word) -> Word:
+    """Collapse consecutive blocks of sizes ``parts`` by adding their indices."""
     if sum(parts) != len(w.letters):
         raise ValueError(f"composition {parts} does not sum to the word length {len(w.letters)}")
     out = []
     pos = 0
     for p in parts:
-        block = w.letters[pos:pos + p]
+        out.append(reduce(merge_y, w.letters[pos:pos + p]))
         pos += p
-        if len(block) == 1:
-            out.append(block[0])
-        elif merge is None:
-            return None
-        else:
-            out.append(reduce(merge, block))
     return Word(tuple(out))
 
 
-def exp_word(w: Word,
-             merge: Optional[Callable[[Letter, Letter], Letter]] = merge_y) -> LinComb:
+def _composition_sum(w: Word, coeff: Callable[[Tuple[int, ...]], Fraction]) -> LinComb:
+    """Sum of coeff(parts) * I[w] over the compositions of the word length."""
+    return LinComb((apply_composition(parts, w), coeff(parts)) for parts in compositions(len(w.letters)))
+
+
+def exp_word(w: Word) -> LinComb:
     """Hoffman exponential of a single word, as a combination of words."""
-    acc: dict = {}
-    for parts in compositions(len(w.letters)):
-        image = apply_composition(parts, w, merge)
-        if image is None:
-            continue
-        c = Fraction(1, math.prod(math.factorial(p) for p in parts))
-        acc[image] = acc.get(image, Fraction(0)) + c
-    return LinComb(acc.items())
+    return _composition_sum(w, lambda parts: Fraction(1, math.prod(map(math.factorial, parts))))
 
 
-def log_word(w: Word,
-             merge: Optional[Callable[[Letter, Letter], Letter]] = merge_y) -> LinComb:
+def log_word(w: Word) -> LinComb:
     """Hoffman logarithm of a single word, inverse to exp_word."""
-    k = len(w.letters)
-    acc: dict = {}
-    for parts in compositions(k):
-        image = apply_composition(parts, w, merge)
-        if image is None:
-            continue
-        sign = -1 if (k - len(parts)) % 2 else 1
-        c = Fraction(sign, math.prod(parts))
-        acc[image] = acc.get(image, Fraction(0)) + c
-    return LinComb(acc.items())
+    return _composition_sum(w, lambda parts: Fraction((-1) ** (sum(parts) - len(parts)), math.prod(parts)))
 
 
-def exp_comb(a: LinComb, merge=merge_y) -> LinComb:
-    return a.map_basis(lambda w: exp_word(w, merge))
+def exp_comb(a: LinComb) -> LinComb:
+    return a.map_basis(exp_word)
 
 
-def log_comb(a: LinComb, merge=merge_y) -> LinComb:
-    return a.map_basis(lambda w: log_word(w, merge))
+def log_comb(a: LinComb) -> LinComb:
+    return a.map_basis(log_word)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Tuple, Union
+from typing import Callable, Iterable, Tuple, Union
 
 Scalar = Union[Fraction, int]
 
@@ -48,15 +48,15 @@ class LinComb:
 
     Immutable after construction.  Zero coefficients are never stored, so the
     zero combination has empty support and is falsy.  Construction accepts a
-    mapping or an iterable of (element, coefficient) pairs; repeated elements
-    accumulate.
+    dict or an iterable of (element, coefficient) pairs; repeated elements
+    accumulate, so the constructor is the one place where sums are formed.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Union[Mapping, Iterable[Tuple[object, Scalar]]] = ()):
+    def __init__(self, terms: Union[dict, Iterable[Tuple[object, Scalar]]] = ()):
         data: dict = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if isinstance(terms, dict) else terms
         for elem, c in items:
             c = _coerce(c)
             if not c:
@@ -135,13 +135,9 @@ class LinComb:
 
     def map_basis(self, f: Callable[[object], "LinComb"]) -> "LinComb":
         """Linear extension of a basis map; f may return an element or a LinComb."""
-        total = LinComb()
-        for elem, c in self._terms.items():
-            image = f(elem)
-            if not isinstance(image, LinComb):
-                image = LinComb.unit(image)
-            total = total + image * c
-        return total
+        return LinComb(
+            (w, c * d) for elem, c in self._terms.items() for w, d in _terms_of(f(elem))
+        )
 
     def __str__(self) -> str:
         if not self._terms:
@@ -152,16 +148,19 @@ class LinComb:
         return f"LinComb({self})"
 
 
+def _terms_of(image: object):
+    """Terms of a basis map's image: a LinComb's own, or (element, 1)."""
+    return image._terms.items() if isinstance(image, LinComb) else ((image, 1),)
+
+
 def bilinear(f: Callable[[object, object], LinComb], a: LinComb, b: LinComb) -> LinComb:
     """Bilinear extension of a basis-pair map f to combinations a, b."""
-    total = LinComb()
-    for u, cu in a._terms.items():
-        for v, cv in b._terms.items():
-            image = f(u, v)
-            if not isinstance(image, LinComb):
-                image = LinComb.unit(image)
-            total = total + image * (cu * cv)
-    return total
+    return LinComb(
+        (w, cu * cv * d)
+        for u, cu in a._terms.items()
+        for v, cv in b._terms.items()
+        for w, d in _terms_of(f(u, v))
+    )
 
 
 class ThetaPoly:
@@ -175,9 +174,9 @@ class ThetaPoly:
 
     __slots__ = ("_c",)
 
-    def __init__(self, coeffs: Union[Mapping, Iterable[Tuple[int, object]]] = ()):
+    def __init__(self, coeffs: Union[dict, Iterable[Tuple[int, object]]] = ()):
         data: dict = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         for k, c in items:
             if not isinstance(k, int) or k < 0:
                 raise ValueError(f"theta exponent must be a nonnegative integer, got {k!r}")

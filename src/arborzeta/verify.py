@@ -35,7 +35,7 @@ from .forests import (
     print_tree,
 )
 from .hoffman import compositions
-from .lincomb import LinComb, TensorPair
+from .lincomb import LinComb, TensorPair, bilinear
 from .words import (
     Letter,
     Word,
@@ -76,7 +76,12 @@ def _row(name: str, lhs: float, rhs: float, tolerance: float) -> CheckRow:
     return CheckRow(name, lhs, rhs, residual, tolerance, residual <= tolerance)
 
 
-def _count_row(name: str, checked: int, failures: int) -> CheckRow:
+def _exact_row(name: str, pairs: Iterable[Tuple[object, object]]) -> CheckRow:
+    """Count row over exact (lhs, rhs) pairs: lhs = checked, rhs = equal."""
+    checked = failures = 0
+    for lhs, rhs in pairs:
+        checked += 1
+        failures += lhs != rhs
     return CheckRow(name, float(checked), float(checked - failures), float(failures), 0.0, failures == 0)
 
 
@@ -147,35 +152,26 @@ def suite_bmz(tol: float = 1e-9, max_weight: Optional[int] = None) -> List[Check
 # exact Hopf-structure checks
 
 def _triple_split_left(f: Forest) -> LinComb:
-    out = LinComb()
-    for p, c in coproduct(f).items():
-        for q, d in coproduct(p.left).items():
-            out = out + LinComb.unit((q.left, q.right, p.right), c * d)
-    return out
+    return coproduct(f).map_basis(
+        lambda p: coproduct(p.left).map_basis(lambda q: (q.left, q.right, p.right))
+    )
 
 
 def _triple_split_right(f: Forest) -> LinComb:
-    out = LinComb()
-    for p, c in coproduct(f).items():
-        for q, d in coproduct(p.right).items():
-            out = out + LinComb.unit((p.left, q.left, q.right), c * d)
-    return out
+    return coproduct(f).map_basis(
+        lambda p: coproduct(p.right).map_basis(lambda q: (p.left, q.left, q.right))
+    )
 
 
 def _tensor_arborify(f: Forest, arborify: Callable[[Forest], LinComb]) -> LinComb:
-    out = LinComb()
-    for p, c in coproduct(f).items():
-        for wl, cl in arborify(p.left).items():
-            for wr, cr in arborify(p.right).items():
-                out = out + LinComb.unit(TensorPair(wl, wr), c * cl * cr)
-    return out
+    return coproduct(f).map_basis(lambda p: bilinear(TensorPair, arborify(p.left), arborify(p.right)))
 
 
-def _word_split(comb: LinComb) -> LinComb:
-    out = LinComb()
-    for w, c in comb.items():
-        out = out + c * deconcat(w)
-    return out
+def _cocycle_sides(d: Letter, f: Forest) -> Tuple[LinComb, LinComb]:
+    """Both sides of coproduct(B+_d(f)) = B+_d(f) (x) 1 + (id (x) B+_d) coproduct(f)."""
+    tree = Forest((bplus(d, f),))
+    grafted = coproduct(f).map_basis(lambda p: TensorPair(p.left, Forest((bplus(d, p.right),))))
+    return coproduct(tree), LinComb.unit(TensorPair(tree, EMPTY_FOREST)) + grafted
 
 
 def _all_words(alphabet: Sequence[Letter], max_len: int) -> Iterable[Word]:
@@ -192,42 +188,26 @@ def suite_hopf(tol: float = 1e-9) -> List[CheckRow]:
 
     for tag, letters in decos.items():
         forests = [f for n in range(0, 5) for f in enumerate_forests(n, letters)]
-        checked = failures = 0
-        for f in forests:
-            checked += 1
-            if _triple_split_left(f) != _triple_split_right(f):
-                failures += 1
-        rows.append(_count_row(f"coassociativity[{tag},forests<=4]", checked, failures))
+        rows.append(_exact_row(
+            f"coassociativity[{tag},forests<=4]",
+            ((_triple_split_left(f), _triple_split_right(f)) for f in forests),
+        ))
 
-        checked = failures = 0
-        for n in range(0, 4):
-            for f in enumerate_forests(n, letters):
-                for d in letters:
-                    t = bplus(d, f)
-                    lhs = coproduct(Forest((t,)))
-                    rhs = LinComb.unit(TensorPair(Forest((t,)), EMPTY_FOREST)) + coproduct(f).map_basis(
-                        lambda p, d=d: TensorPair(p.left, Forest((bplus(d, p.right),)))
-                    )
-                    checked += 1
-                    if lhs != rhs:
-                        failures += 1
-        rows.append(_count_row(f"cocycle[{tag},trees<=4]", checked, failures))
+        rows.append(_exact_row(
+            f"cocycle[{tag},trees<=4]",
+            (_cocycle_sides(d, f) for n in range(0, 4) for f in enumerate_forests(n, letters) for d in letters),
+        ))
 
         arb = arbs[tag]
-        checked = failures = 0
-        for f in forests:
-            checked += 1
-            if _word_split(arb(f)) != _tensor_arborify(f, arb):
-                failures += 1
         name = "contracting" if tag == "y" else "simple"
-        rows.append(_count_row(f"coalgebra-morphism[{name},forests<=4]", checked, failures))
-
-        checked = failures = 0
-        for w in _all_words(letters, 5):
-            checked += 1
-            if arb(Forest((ladder(w),))) != LinComb.unit(w):
-                failures += 1
-        rows.append(_count_row(f"ladder-section[{tag},words<=5]", checked, failures))
+        rows.append(_exact_row(
+            f"coalgebra-morphism[{name},forests<=4]",
+            ((arb(f).map_basis(deconcat), _tensor_arborify(f, arb)) for f in forests),
+        ))
+        rows.append(_exact_row(
+            f"ladder-section[{tag},words<=5]",
+            ((arb(Forest((ladder(w),))), LinComb.unit(w)) for w in _all_words(letters, 5)),
+        ))
 
     return rows
 

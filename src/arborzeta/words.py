@@ -129,18 +129,12 @@ def _interleave(u: Tuple[Letter, ...], v: Tuple[Letter, ...],
         return LinComb.unit(Word(v))
     if not v:
         return LinComb.unit(Word(u))
-    acc: dict = {}
-
-    def prepend(letter: Letter, comb: LinComb) -> None:
-        for w, c in comb._terms.items():
-            key = Word((letter,) + w.letters)
-            acc[key] = acc.get(key, 0) + c
-
-    prepend(u[0], _interleave(u[1:], v, merge))
-    prepend(v[0], _interleave(u, v[1:], merge))
+    branches = [(u[0], _interleave(u[1:], v, merge)), (v[0], _interleave(u, v[1:], merge))]
     if merge is not None:
-        prepend(merge(u[0], v[0]), _interleave(u[1:], v[1:], merge))
-    return LinComb(acc.items())
+        branches.append((merge(u[0], v[0]), _interleave(u[1:], v[1:], merge)))
+    return LinComb(
+        (Word((letter,) + w.letters), c) for letter, comb in branches for w, c in comb._terms.items()
+    )
 
 
 def shuffle(u: Word, v: Word) -> LinComb:
@@ -148,15 +142,9 @@ def shuffle(u: Word, v: Word) -> LinComb:
     return _interleave(u.letters, v.letters, None)
 
 
-def quasi_shuffle(u: Word, v: Word,
-                  merge: Optional[Callable[[Letter, Letter], Letter]] = merge_y) -> LinComb:
-    """Quasi-shuffle product; the internal product is a parameter.
-
-    The default merges summation letters by adding indices.  Passing
-    ``merge=None`` drops every contraction term and recovers the shuffle,
-    which is the correct specialization for the integration alphabet.
-    """
-    return _interleave(u.letters, v.letters, merge)
+def quasi_shuffle(u: Word, v: Word) -> LinComb:
+    """Quasi-shuffle product on summation words: letters merge by adding indices."""
+    return _interleave(u.letters, v.letters, merge_y)
 
 
 def product_comb(a: LinComb, b: LinComb,

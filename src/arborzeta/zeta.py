@@ -60,7 +60,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from .arborify import (
     arborify_x,
@@ -391,6 +391,17 @@ _Y1 = y_word(1)
 _X1W = Word((X1,))
 
 
+def _eliminate(w: Word, prod: LinComb, reg: Callable[[Word], ThetaPoly]) -> ThetaPoly:
+    """reg(w) = (theta * reg(v) - reg(prod - a*w)) / a, where prod is the
+    product of the divergent letter with v = w minus its first letter and a
+    is the coefficient of w in prod."""
+    a = prod.coeff(w)
+    acc = reg(Word(w.letters[1:])).shift(1)
+    for u, c in (prod - LinComb.unit(w, a)).items():
+        acc = acc - reg(u).scale(c)
+    return acc.scale(Fraction(1, int(a)))
+
+
 @lru_cache(maxsize=None)
 def reg_qsh(w: Word) -> ThetaPoly:
     """Quasi-shuffle regularization of a summation word.
@@ -401,13 +412,7 @@ def reg_qsh(w: Word) -> ThetaPoly:
     """
     if is_convergent_y(w):
         return ThetaPoly.constant(LinComb.unit(w))
-    v = Word(w.letters[1:])
-    prod = quasi_shuffle(_Y1, v)
-    a = prod.coeff(w)
-    acc = reg_qsh(v).shift(1)
-    for u, c in (prod - LinComb.unit(w, a)).items():
-        acc = acc - reg_qsh(u).scale(c)
-    return acc.scale(Fraction(1, int(a)))
+    return _eliminate(w, quasi_shuffle(_Y1, Word(w.letters[1:])), reg_qsh)
 
 
 @lru_cache(maxsize=None)
@@ -421,13 +426,7 @@ def reg_sh(v: Word) -> ThetaPoly:
         raise ValueError(f"shuffle regularization needs a word ending in x1, got {v}")
     if is_convergent_x(v):
         return ThetaPoly.constant(LinComb.unit(s_inverse(v)))
-    u = Word(v.letters[1:])
-    prod = shuffle(_X1W, u)
-    a = prod.coeff(v)
-    acc = reg_sh(u).shift(1)
-    for t, c in (prod - LinComb.unit(v, a)).items():
-        acc = acc - reg_sh(t).scale(c)
-    return acc.scale(Fraction(1, int(a)))
+    return _eliminate(v, shuffle(_X1W, Word(v.letters[1:])), reg_sh)
 
 
 @dataclass(frozen=True)

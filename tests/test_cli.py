@@ -105,6 +105,12 @@ class TestZeta:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_refused_tolerance_prints_nothing(self, capsys):
+        code, out, err = run(capsys, "zeta", "--word", "y2", "--tol", "1e-13")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_divergent_forest(self, capsys):
         code, _, err = run(capsys, "zeta", "y3(y1,y2)")
         assert code == 2

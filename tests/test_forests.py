@@ -182,6 +182,22 @@ class TestCanonicalForm:
         assert parse_tree("y1(y2,y1)") == parse_tree("y1(y1,y2)")
         assert parse_forest("y2;y1") == parse_forest("y1;y2")
 
+    def test_stored_key_and_hash(self):
+        def ref_size(t):
+            return 1 + sum(ref_size(c) for c in t.children)
+
+        def ref_key(t):
+            return (ref_size(t), t.decoration.index, tuple(ref_key(c) for c in t.children))
+
+        for n in range(1, 6):
+            for t in enumerate_trees(n, (Y1, Y2)):
+                assert t.key == ref_key(t)
+                assert size(t) == n
+                flipped = make_tree(t.decoration, reversed(t.children))
+                rebuilt = Tree(t.decoration, tuple(parse_tree(print_tree(c)) for c in t.children))
+                for other in (flipped, rebuilt):
+                    assert other == t and hash(other) == hash(t) and other.key == t.key
+
     def test_grade_size_weight(self):
         t = parse_tree("y3(y1,y2(y2))")
         assert size(t) == 4

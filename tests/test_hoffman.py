@@ -55,10 +55,6 @@ class TestApplyComposition:
         with pytest.raises(ValueError):
             apply_composition((3,), y_word(1, 2))
 
-    def test_zero_internal_product_skips_fat_blocks(self):
-        assert apply_composition((2,), y_word(1, 2), merge=None) is None
-        assert apply_composition((1, 1), y_word(1, 2), merge=None) == y_word(1, 2)
-
 
 class TestSixDisplays:
     """The k = 1, 2, 3 display pairs, instantiated at (y1, y2, y3)."""
@@ -164,10 +160,3 @@ class TestMorphism:
                     for ur, cr in exp_word(p.right).items():
                         rhs = rhs + LinComb.unit(TensorPair(ul, ur), c * cl * cr)
             assert lhs == rhs
-
-
-class TestZeroInternalProduct:
-    def test_exp_log_degenerate_to_identity(self):
-        for w in [y_word(1), y_word(1, 2), y_word(2, 2, 1), y_word(1, 1, 1, 1)]:
-            assert exp_word(w, merge=None) == LinComb.unit(w)
-            assert log_word(w, merge=None) == LinComb.unit(w)

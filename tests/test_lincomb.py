@@ -106,6 +106,61 @@ class TestLinCombProperties:
         assert not (a - a)
 
 
+small = st.integers(min_value=-2, max_value=2).map(Fraction)
+# an image is a bare element or a combination over {p, q}
+images = st.one_of(
+    st.sampled_from(["p", "q"]),
+    st.dictionaries(st.sampled_from(["p", "q"]), small, max_size=2).map(LinComb),
+)
+image_maps = st.fixed_dictionaries({atom: images for atom in "abcd"})
+
+
+def as_comb(image):
+    return image if isinstance(image, LinComb) else LinComb.unit(image)
+
+
+def reference(pairs):
+    """Term-by-term sum of image * c, one addition per term."""
+    total = LinComb()
+    for image, c in pairs:
+        total = total + as_comb(image) * c
+    return total
+
+
+def no_zero_stored(comb):
+    return all(c != 0 for _, c in comb.items())
+
+
+class TestOnePassSums:
+    @given(combs, image_maps, st.sets(atoms))
+    def test_map_basis_matches_termwise_sum(self, a, imgs, twins):
+        # a twin atom (upper case) maps to the negated image, so its terms cancel
+        def f(e):
+            return imgs[e] if e.islower() else -as_comb(imgs[e.lower()])
+
+        comb = a + LinComb((e.upper(), c) for e, c in a.items() if e in twins)
+        out = comb.map_basis(f)
+        assert out == reference((f(e), c) for e, c in comb.items())
+        assert no_zero_stored(out)
+
+    @given(combs, combs, image_maps)
+    def test_bilinear_matches_termwise_sum(self, a, b, imgs):
+        # antisymmetric off the diagonal, so f(u, v) and f(v, u) cancel in bilinear(f, a, a)
+        def f(u, v):
+            img = imgs[min(u, v)]
+            return img if u <= v else -as_comb(img)
+
+        for x, y in ((a, b), (a, a)):
+            out = bilinear(f, x, y)
+            assert out == reference((f(u, v), cu * cv) for u, cu in x.items() for v, cv in y.items())
+            assert no_zero_stored(out)
+
+    def test_cancelling_images_give_zero(self):
+        assert not lc(a=1, b=1).map_basis({"a": lc(p=1, q=2), "b": lc(p=-1, q=-2)}.get)
+        ab = lc(a=1, b=1)
+        assert not bilinear(lambda u, v: LinComb.unit("p", (u < v) - (u > v)), ab, ab)
+
+
 class TestTensorPair:
     def test_fields_and_equality(self):
         p = TensorPair("u", "v")

@@ -129,10 +129,6 @@ class TestFrozenProducts:
             {y_word(1, 1): Fraction(2), y_word(2): Fraction(1)}
         )
 
-    def test_zero_internal_product_degenerates_to_shuffle(self):
-        u, v = y_word(1, 2), y_word(3)
-        assert quasi_shuffle(u, v, merge=None) == shuffle(u, v)
-
     def test_empty_word_is_unit(self):
         w = x_word(0, 1)
         assert shuffle(w, EMPTY_WORD) == LinComb.unit(w)
