@@ -6,7 +6,7 @@ verify (identity suites as report tables), enumerate (canonical decorated
 trees of a given size), and hoffman (the exp/log isomorphism on one word).
 
 Exit codes: 0 success, 1 verification failure, 2 usage, parse, or
-precondition error.
+precondition error, including a tolerance that cannot be certified.
 """
 
 from __future__ import annotations
@@ -92,14 +92,20 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
         if alphabet == "x" and not is_convergent_x(w):
             return _fail(f"word {w} is divergent: it must start with x0 and end with x1")
         comb = LinComb.unit(w)
+        value = zeta_mod.zeta_comb_y(comb, args.tol) if alphabet == "y" else zeta_mod.zeta_comb_x(comb, args.tol)
     else:
         f = parse_forest(args.forest)
         alphabet = _forest_alphabet(f) or "y"
         reason = divergence_reason_y(f) if alphabet == "y" else divergence_reason_x(f)
         if reason is not None:
             return _fail(reason)
-        comb = arborify_y(f) if alphabet == "y" else arborify_x(f)
-    value = zeta_mod.zeta_comb_y(comb, args.tol) if alphabet == "y" else zeta_mod.zeta_comb_x(comb, args.tol)
+        if alphabet == "y":
+            # summed over the forest directly; the expansion is only printed
+            value = zeta_mod.zeta_tree_y(f, args.tol)
+            comb = arborify_y(f)
+        else:
+            comb = arborify_x(f)
+            value = zeta_mod.zeta_comb_x(comb, args.tol)
     print(_zeta_line(comb, alphabet))
     print(f"value = {value:.12g} (tol = {args.tol:g})")
     return 0
@@ -194,7 +200,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except ParseError as exc:
         return _fail(str(exc))
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         return _fail(str(exc))
 
 

@@ -10,8 +10,10 @@ Four suites are exposed through the command line:
 * ``hopf``: exact structural checks (coassociativity, the grafting cocycle,
   the coalgebra-morphism property of both arborification maps, and the
   ladder section) swept over all small decorated forests.
-* ``oracle``: the direct truncated tree sum against the word-expansion
-  evaluator, compared within the documented truncation bound.
+* ``oracle``: the direct truncated tree sum against the tree-native
+  evaluator, compared within the documented truncation bound, and the
+  tree-native evaluator against the word expansion on every tree of at most
+  four vertices over {y2, y3}.
 
 Every check becomes a ``CheckRow``; exact checks report instance counts
 (lhs = instances checked, rhs = instances correct) with tolerance 0.
@@ -216,7 +218,8 @@ def suite_hopf(tol: float = 1e-9) -> List[CheckRow]:
 # brute-force oracle
 
 def suite_oracle(tol: float = 1e-9, N: int = 5000) -> List[CheckRow]:
-    """Truncated tree sums against the accelerated word-expansion route."""
+    """Three routes to a tree value: truncated sums against the tree-native
+    evaluator, and the tree-native evaluator against the word expansion."""
     rows = []
     decorations = (YLetter(2), YLetter(3))
     for n in range(1, 4):
@@ -225,6 +228,12 @@ def suite_oracle(tol: float = 1e-9, N: int = 5000) -> List[CheckRow]:
             rhs = zeta_tree_y(t, tol)
             bound = tree_truncation_bound(t, N) + 10.0 * tol
             rows.append(_row(f"oracle:{print_tree(t)}", lhs, rhs, bound))
+    for n in range(1, 5):
+        for t in enumerate_trees(n, decorations):
+            lhs = zeta_tree_y(t, tol)
+            rhs = zeta_comb_y(arborify_y(Forest((t,))), tol)
+            # each route is certified to tol
+            rows.append(_row(f"routes:{print_tree(t)}", lhs, rhs, 2.0 * tol))
     return rows
 
 

@@ -24,7 +24,7 @@ rational coefficients, terms ordered lexicographically by word serialization.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Tuple, Union
 
@@ -75,11 +75,21 @@ def letter_weight(letter: Letter) -> int:
     return 1 if isinstance(letter, XLetter) else letter.index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
-    """Immutable word; the empty word is the product unit of both algebras."""
+    """Immutable word; the empty word is the product unit of both algebras.
+
+    The hash of the letter tuple is computed once, at construction.
+    """
 
     letters: Tuple[Letter, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.letters))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -36,6 +36,38 @@ where c counts the inner exponents equal to 1 and B is the product of
 1 + 1/(n_j - 1) over the inner exponents n_j >= 2 (each factor dominates the
 corresponding one-variable sum).
 
+Tree-level evaluation
+---------------------
+
+A convergent y-decorated tree is a nested sum over its vertices, with
+indices strictly increasing away from the root.  For a vertex decorated y_n
+with children c the tail is
+
+    T_v(m) = sum over k > m of k^(-n) prod_c T_c(k),
+
+a tree's value is T_root(0) and a forest's value the product over its trees.
+``eval_tree_bounded`` sums this recursion directly in O(K * vertices), with
+no word expansion:
+
+* Above the cutoff K each T_v has an expansion E_v in powers x^(-a): the
+  summand g = x^(-n) prod E_c is pruned at order _A_MAX and its tail is
+  sum_{k>x} g(k) = -Phi(x) - g(x) + remainder, with Phi as above.  In a
+  convergent tree every summand decays at least like x^(-2), so no
+  logarithms arise and E_v vanishes at infinity.
+* Below K the exact backward pass T_v(m) = T_v(m+1) + (m+1)^(-n) prod
+  T_c(m+1) runs from the seed T_v(K) = E_v(K).
+* The bound.  Above K a decaying majorant err_v >= |T_v - E_v| collects the
+  Euler-Maclaurin remainder 2*zeta(5)/(2*pi)^5 * integral of |g^(5)|, the
+  pruned orders, the coefficient rounding of the expansions and the child
+  defects x^(-n) (prod(|E_c| + err_c) - prod |E_c|), each summed over k > x
+  through its integral.  Below K a running majorant pass carries err_v(K)
+  down with prod(T_c + eps_c) - prod T_c, valid because every term is
+  positive.  Rounding adds gamma_2M times the value, gamma_M = M*u/(1 - M*u)
+  with u = 2^-53 and M counting the roundings along any path through the
+  passes, and the majorant is inflated by the relative rounding of its own
+  pass.  K starts at 125 and doubles up to 64000; once the rounding term
+  alone exceeds tol the tolerance is refused.
+
 Regularization
 --------------
 
@@ -60,6 +92,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from .arborify import (
@@ -68,7 +101,7 @@ from .arborify import (
     divergence_reason_x,
     divergence_reason_y,
 )
-from .forests import Forest, Tree
+from .forests import Forest, Tree, size
 from .lincomb import NEG_INF, LinComb, ThetaPoly
 from .words import (
     Word,
@@ -92,7 +125,15 @@ _LogPow = Dict[Tuple[int, int], float]
 
 _EM_REMAINDER = 2.2e-4   # >= 2*zeta(5)/(2*pi)^5, remainder factor after the B4 term
 _A_MAX = 12              # expansion order kept in x^-a
-_ROUNDING_SLOP = 2.0e-13 # double-precision allowance folded into every bound
+_ROUNDING_SLOP = 2.0e-13 # double-precision allowance folded into every word bound
+
+
+def _check_tol(tol: float) -> None:
+    """Refuse a tolerance that is a bool, not a finite number, or below 1e-12."""
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not math.isfinite(tol):
+        raise ValueError(f"tolerance must be a finite number, got {tol!r}")
+    if tol < 1e-12:
+        raise ValueError("tolerance below supported precision (min 1e-12)")
 
 
 def _lp_add(dst: _LogPow, src: _LogPow, scale: float = 1.0) -> None:
@@ -268,10 +309,7 @@ def eval_mzv_bounded(exponents: MzvIndex, tol: float = 1e-9) -> Tuple[float, flo
     for n in exponents:
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"exponents must be positive integers, got {exponents}")
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not math.isfinite(tol):
-        raise ValueError(f"tolerance must be a finite number, got {tol!r}")
-    if tol < 1e-12:
-        raise ValueError("tolerance below supported precision (min 1e-12)")
+    _check_tol(tol)
     if not exponents:
         return 1.0, 0.0
     if exponents[0] < 2:
@@ -518,14 +556,130 @@ def hoffman_reg_relation(w: Word) -> LinComb:
 # ---------------------------------------------------------------------------
 # tree-level values
 
-def zeta_tree_y(f: Union[Forest, Tree], tol: float = 1e-9) -> float:
-    """Contracted arborified value of a convergent y-decorated forest."""
+_TREE_K0 = 125  # doubled up to 125 * 2**9 = 64000, the ceiling of eval_mzv_bounded
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = n*u / (1 - n*u), u = 2^-53: the relative error of n chained roundings."""
+    return n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53)
+
+
+def _lp_mul(p: _LogPow, q: _LogPow) -> _LogPow:
+    """Product of two pure power expansions (every key (a, 0))."""
+    out: _LogPow = {}
+    for (a, _), c in p.items():
+        for (b, _), d in q.items():
+            out[(a + b, 0)] = out.get((a + b, 0), 0.0) + c * d
+    return out
+
+
+def _tail_majorant(h: _LogPow) -> _LogPow:
+    """x -> integral from x to infinity of |h|; it bounds sum_{k>x} |h(k)| at
+    every integer x >= 1, since each k^-a is at most its integral over [k-1, k]."""
+    if any(a < 2 for a, _ in h):
+        raise AssertionError("a tree tail needs summands decaying like x^-2")
+    return {(a - 1, 0): abs(c) / (a - 1) for (a, _), c in h.items()}
+
+
+def _vertex_tail(t: Tree, K: int, memo: dict) -> tuple:
+    """(E, err, T, eps, M) for the tail T_t(m) = sum_{k>m} k^-n prod_c T_c(k).
+
+    |T_t(x) - E(x)| <= err(x) at every integer x >= K; T[m] is computed for
+    m = 0..K with |T_t(m) - T[m]| <= eps[m] up to rounding, and each T[m] is
+    within a relative gamma_M of its exact-arithmetic value.
+    """
+    if t in memo:
+        return memo[t]
+    if not isinstance(t.decoration, YLetter):
+        raise ValueError(f"expected y-decorations, found {t.decoration}")
+    n = t.decoration.index
+    kids = [_vertex_tail(c, K, memo) for c in t.children]
+
+    # above K: g = x^-n prod E_c; P = x^-n prod |E_c| majorizes |g|, and
+    # D = x^-n (prod(|E_c| + err_c) - prod |E_c|) majorizes x^-n |prod T_c - prod E_c|
+    g, P, D = {(n, 0): 1.0}, {(n, 0): 1.0}, {}
+    for E, err, *_ in kids:
+        bar = {key: abs(c) for key, c in E.items()}
+        widened = dict(bar)
+        _lp_add(widened, err)
+        D = _lp_mul(D, widened)
+        _lp_add(D, _lp_mul(P, err))
+        g, P = _lp_mul(g, E), _lp_mul(P, bar)
+    kept, dropped = _lp_prune(g, K)
+    # sum_{k>x} g(k) = -Phi(x) - g(x) + remainder, with Phi as in the word evaluator
+    E_t: _LogPow = {}
+    _lp_add(E_t, _build_phi(kept), -1.0)
+    _lp_add(E_t, kept, -1.0)
+    # the float product has at most sum len(E_c) roundings per coefficient
+    _lp_add(D, P, _gamma(sum(len(kid[0]) for kid in kids)))
+    err_t = _tail_majorant(D)
+    g5 = kept
+    for _ in range(5):
+        g5 = _lp_deriv(g5)
+    _lp_add(err_t, _tail_majorant(g5), _EM_REMAINDER)
+    # E_t has at most 9 roundings per contribution, and the contributions of
+    # c x^-a total at most 2|c| x^(1-a) for x >= K >= 16
+    _lp_add(err_t, {(a - 1, 0): 2.0 * abs(c) for (a, _), c in kept.items()}, _gamma(9))
+    if dropped:  # every dropped order exceeds _A_MAX, so its tail decays like x^-_A_MAX
+        _lp_add(err_t, {(_A_MAX, 0): dropped * float(K) ** _A_MAX})
+    # evaluating E_t at K: one power (2 roundings), one product, the sum
+    _lp_add(err_t, {key: abs(c) for key, c in E_t.items()}, _gamma(len(E_t) + 3))
+
+    # below K: T(m) = T(m+1) + (m+1)^-n prod T_c(m+1) from T(K) = E_t(K), and
+    # eps(m) = eps(m+1) + (m+1)^-n (prod(T_c + eps_c) - prod T_c) from err_t(K)
+    summand = [float(k) ** -n for k in range(1, K + 1)]
+    defect = [0.0] * K
+    for _, _, T, eps, _ in kids:
+        defect = [d * (tc + ec) + p * ec for d, p, tc, ec in zip(defect, summand, T[1:], eps[1:])]
+        summand = [p * tc for p, tc in zip(summand, T[1:])]
+    T_t = list(accumulate(reversed(summand), initial=_lp_eval(E_t, K)))[::-1]
+    eps_t = list(accumulate(reversed(defect), initial=_lp_eval(err_t, K)))[::-1]
+    # M bounds the roundings behind each T[m] (at most K + 2 + len(kids) plus the
+    # children's) and, less K, those behind each coefficient of err_t
+    M = K + 24 + len(err_t) + sum(m + len(E) + len(err) + 6 for E, err, _, _, m in kids)
+    memo[t] = (E_t, err_t, T_t, eps_t, M)
+    return memo[t]
+
+
+def eval_tree_bounded(f: Union[Forest, Tree], tol: float = 1e-9) -> Tuple[float, float]:
+    """Value and certified bound of a convergent y-decorated forest, summed directly.
+
+    No word expansion is formed: each tree costs O(K * vertices) and a forest
+    is the product of its trees.  Raises ValueError for divergent input or an
+    unsupported tolerance, ArithmeticError when no cutoff certifies tol.
+    """
     if isinstance(f, Tree):
         f = Forest((f,))
     reason = divergence_reason_y(f)
     if reason is not None:
         raise ValueError(reason)
-    return zeta_comb_y(arborify_y(f), tol)
+    _check_tol(tol)
+    K = _TREE_K0
+    while True:
+        memo: dict = {}
+        value, eps, M, V = 1.0, 0.0, 0, 0
+        for t in f.trees:
+            _, _, T, e, m = _vertex_tail(t, K, memo)
+            eps = eps * (T[0] + e[0]) + value * e[0]
+            value *= T[0]
+            M += m + 4
+            V += size(t)
+        # value is within gamma_M of exact arithmetic.  The majorant pass has
+        # its own roundings and uses the computed T in place of the exact ones,
+        # which adds 2 M_c per level: (2V + 1) M roundings in all
+        rounding = _gamma(2 * M) * value
+        bound = eps * (1.0 + _gamma(2 * (2 * V + 1) * M)) + rounding
+        if bound <= tol:
+            return value, bound
+        # the rounding term grows with K, so once it exceeds tol nothing helps
+        if K >= 64000 or rounding > tol:
+            raise ArithmeticError(f"cannot certify the forest {f} to {tol:g}: best bound {bound:g}")
+        K *= 2
+
+
+def zeta_tree_y(f: Union[Forest, Tree], tol: float = 1e-9) -> float:
+    """Contracted arborified value of a convergent y-decorated forest."""
+    return eval_tree_bounded(f, tol)[0]
 
 
 def zeta_tree_x(f: Union[Forest, Tree], tol: float = 1e-9) -> float:

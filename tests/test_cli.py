@@ -5,8 +5,9 @@ import re
 
 import pytest
 
-from arborzeta.cli import main
-from arborzeta.forests import parse_tree, print_tree
+from arborzeta.arborify import arborify_y
+from arborzeta.cli import _zeta_line, main
+from arborzeta.forests import parse_forest, parse_tree, print_tree
 from arborzeta.zeta import eval_mzv
 
 
@@ -110,6 +111,39 @@ class TestZeta:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_forest_tolerance_gate(self, capsys):
+        for tol, message in [
+            ("nan", "tolerance must be a finite number, got nan"),
+            ("inf", "tolerance must be a finite number, got inf"),
+            ("1e-13", "tolerance below supported precision (min 1e-12)"),
+        ]:
+            code, out, err = run(capsys, "zeta", "y2(y2)", "--tol", tol)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {message}\n"
+        # a boolean never reaches the evaluator: the option parser refuses it
+        code, out, _ = run(capsys, "zeta", "y2(y2)", "--tol", "True")
+        assert code == 2
+        assert out == ""
+
+    def test_named_tree_certified(self, capsys):
+        text = "y2(y2(y2,y2),y2(y2,y2),y2(y2,y2))"
+        code, out, _ = run(capsys, "zeta", text, "--tol", "1e-7")
+        assert code == 0
+        line, value, tol = _value_line(out)
+        assert line == _zeta_line(arborify_y(parse_forest(text)), "y")
+        terms = line.split(" + ")
+        assert len(terms) == 212
+        assert sum(int(term.split("*")[0]) for term in terms) == 184683
+        assert tol == 1e-7
+        assert 0.0 < value < 1.6449340668482264 ** 10
+
+    def test_uncertifiable_tolerance(self, capsys):
+        code, out, err = run(capsys, "zeta", ";".join(["y2"] * 30), "--tol", "1e-12")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot certify")
 
     def test_divergent_forest(self, capsys):
         code, _, err = run(capsys, "zeta", "y3(y1,y2)")

@@ -168,6 +168,18 @@ class TestProductAlgebra:
         assert lhs == rhs
 
 
+class TestWordHash:
+    def test_stored_hash(self):
+        built = [parse_word("y2.y3.y1"), y_word(2, 3, 1), concat(y_word(2), y_word(3, 1)),
+                 Word((YLetter(2),) + (YLetter(3), YLetter(1)))]
+        for w in built:
+            assert w == built[0]
+            assert hash(w) == hash(built[0])
+            assert w._hash == hash(w.letters)
+        assert len(set(built)) == 1
+        assert EMPTY_WORD._hash == hash(())
+
+
 class TestLetters:
     def test_letter_validation(self):
         with pytest.raises(ValueError):

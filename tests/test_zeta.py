@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from arborzeta.lincomb import LinComb, ThetaPoly
 from arborzeta.words import Word, is_convergent_x, s_inverse, s_map, x_word, y_word
-from arborzeta.forests import Forest, parse_tree, vertex
+from arborzeta.forests import Forest, make_tree, parse_forest, parse_tree, vertex
 from arborzeta.arborify import arborify_y, ladder
 from arborzeta.words import YLetter
 from arborzeta.zeta import (
@@ -26,6 +26,7 @@ from arborzeta.zeta import (
     check_bmz,
     eval_mzv,
     eval_mzv_bounded,
+    eval_tree_bounded,
     eval_reg,
     hoffman_reg_relation,
     mzv_truncation_bound,
@@ -439,3 +440,124 @@ class TestBruteTreeSum:
     def test_wrong_alphabet_rejected(self):
         with pytest.raises(ValueError):
             brute_tree_sum(parse_tree("x1(x0)"), 10)
+
+
+# ---------------------------------------------------------------------------
+# tree-native evaluator: closed forms, Hurwitz sums, and the word route
+
+def _hurwitz_star(a, bs):
+    """sum_k k^-a prod_b zeta(b, k+1): a star summed over its root."""
+    with mpmath.workdps(20):
+        return float(mpmath.nsum(
+            lambda k: k ** -a * mpmath.fprod(mpmath.zeta(b, k + 1) for b in bs), [1, mpmath.inf]
+        ))
+
+
+@st.composite
+def convergent_y_forests(draw):
+    """Forests of at most 6 vertices over {y1, y2, y3} whose leaves are not y1."""
+    n = draw(st.integers(1, 6))
+    parents = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    roots = [i for i in range(n) if parents[i] is None or draw(st.integers(0, 4)) == 0]
+    decos = [draw(st.integers(1, 3)) for _ in range(n)]
+    kids = {i: [j for j in range(n) if parents[j] == i and j not in roots] for i in range(n)}
+
+    def build(i):
+        index = decos[i] if kids[i] else max(decos[i], 2)
+        return make_tree(YLetter(index), [build(j) for j in kids[i]])
+
+    return Forest(tuple(build(i) for i in roots))
+
+
+class TestTreeEvaluator:
+    def test_y2_ladders_closed_form(self):
+        for n in range(1, 8):
+            v, bound = eval_tree_bounded(ladder(y_word(*[2] * n)), 1e-12)
+            exact = float(mpmath.pi ** (2 * n) / mpmath.factorial(2 * n + 1))
+            assert bound <= 1e-12
+            assert abs(v - exact) <= bound + 1e-16 * exact, n
+
+    def test_31_ladders_closed_form(self):
+        for n in range(1, 4):
+            v, bound = eval_tree_bounded(ladder(y_word(*[3, 1] * n)), 1e-12)
+            exact = float(2 * mpmath.pi ** (4 * n) / mpmath.factorial(4 * n + 2))
+            assert bound <= 1e-12
+            assert abs(v - exact) <= bound + 1e-16 * exact, n
+
+    def test_stars_against_hurwitz_sums(self):
+        cases = [(2, [2, 2], 1e-12), (3, [2, 3, 2], 1e-10), (1, [2, 2], 1e-10), (2, [2] * 6, 1e-9)]
+        for a, bs, tol in cases:
+            text = f"y{a}({','.join(f'y{b}' for b in bs)})"
+            v, bound = eval_tree_bounded(parse_tree(text), tol)
+            ref = _hurwitz_star(a, bs)
+            assert bound <= tol
+            assert abs(v - ref) <= bound + 1e-16 * ref, text
+
+    def test_bound_is_honest_at_small_cutoffs(self, monkeypatch):
+        # at K = 16 or 32 the error is visible, so a missing part of the bound shows
+        import arborzeta.zeta as zeta_mod
+
+        cases = [
+            (ladder(y_word(2, 2, 2)), float(mpmath.pi ** 6 / mpmath.factorial(7))),
+            (ladder(y_word(3, 1, 3, 1)), float(2 * mpmath.pi ** 8 / mpmath.factorial(10))),
+            (parse_tree("y2(y3,y2,y2)"), _hurwitz_star(2, [3, 2, 2])),
+            (parse_tree("y1(y2,y2)"), _hurwitz_star(1, [2, 2])),
+        ]
+        for K in (16, 32):
+            monkeypatch.setattr(zeta_mod, "_TREE_K0", K)
+            for t, exact in cases:
+                v, bound = eval_tree_bounded(t, 1e-3)
+                assert bound < 1e-8
+                assert abs(v - exact) <= bound, (t, K)
+
+    def test_named_tree_against_word_route(self):
+        f = parse_forest("y2(y2(y2,y2),y2(y2,y2),y2(y2,y2))")
+        v, bound = eval_tree_bounded(f, 1e-7)
+        assert bound <= 1e-7
+        assert abs(v - zeta_comb_y(arborify_y(f), 1e-6)) <= 1.1e-6
+
+    def test_forest_is_product_of_trees(self):
+        a, _ = eval_tree_bounded(parse_tree("y2(y3)"), 1e-12)
+        b, _ = eval_tree_bounded(parse_tree("y3(y2,y2)"), 1e-12)
+        v, bound = eval_tree_bounded(parse_forest("y2(y3);y3(y2,y2)"), 1e-12)
+        assert bound <= 1e-12
+        assert abs(v - a * b) <= 1e-12
+
+    def test_empty_forest_is_one(self):
+        assert eval_tree_bounded(Forest(()), 1e-9) == (1.0, 0.0)
+
+    def test_tolerance_gate(self):
+        t = parse_tree("y2(y2)")
+        for tol, message in [
+            (math.nan, "tolerance must be a finite number, got nan"),
+            (math.inf, "tolerance must be a finite number, got inf"),
+            (True, "tolerance must be a finite number, got True"),
+            (1e-13, "tolerance below supported precision (min 1e-12)"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                eval_tree_bounded(t, tol)
+            assert str(info.value) == message
+
+    def test_rounding_beyond_tolerance_refused(self):
+        # the rounding term grows with the value and the cutoff, so a forest
+        # of value zeta(2)^30 cannot be certified to 1e-12 at any cutoff
+        with pytest.raises(ArithmeticError):
+            eval_tree_bounded(Forest((vertex(YLetter(2)),) * 30), 1e-12)
+
+    def test_divergent_and_wrong_alphabet_rejected(self):
+        with pytest.raises(ValueError):
+            eval_tree_bounded(parse_tree("y2(y1)"), 1e-9)
+        with pytest.raises(ValueError):
+            eval_tree_bounded(parse_tree("x1(x0)"), 1e-9)
+
+    @given(convergent_y_forests())
+    @settings(max_examples=30, deadline=None)
+    def test_agrees_with_word_route(self, f):
+        tol = 1e-9
+        v, bound = eval_tree_bounded(f, tol)
+        assert bound <= tol
+        comb = arborify_y(f)
+        # the smallest tolerance the word route accepts for this expansion
+        mass = sum(abs(c) for _, c in comb.items())
+        word_tol = max(tol, 1e-12 * math.ceil(mass))
+        assert abs(v - zeta_comb_y(comb, word_tol)) <= bound + word_tol
