@@ -7,12 +7,17 @@ trees of a given size), and hoffman (the exp/log isomorphism on one word).
 
 Exit codes: 0 success, 1 verification failure, 2 usage, parse, or
 precondition error, including a tolerance that cannot be certified.
+
+The argument parser is built once per process, on the first ``main`` call
+(not at import), and reused by every later call; each call still parses
+into a fresh namespace, so nothing carries over from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from typing import Optional, Sequence
 
 from .arborify import (
@@ -70,8 +75,8 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 # zeta
 
 def _zeta_line(comb: LinComb, alphabet: str) -> str:
-    rows = []
-    for w, c in comb.items():
+    rows = []  # sorted by x-word below; s_map is a bijection, so no ties
+    for w, c in comb._terms.items():
         if alphabet == "y":
             xw, idx = s_map(w), tuple(l.index for l in w.letters)
         else:
@@ -148,6 +153,7 @@ def _cmd_hoffman(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arborzeta",

@@ -27,7 +27,6 @@ the empty forest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Tuple
 
@@ -125,8 +124,8 @@ def forest_weight(f: Forest) -> int:
     return sum(tree_weight(t) for t in f.trees)
 
 
-def counit(f: Forest) -> Fraction:
-    return Fraction(1) if not f.trees else Fraction(0)
+def counit(f: Forest) -> int:
+    return 0 if f.trees else 1
 
 
 def _pair_product(p: TensorPair, q: TensorPair) -> TensorPair:

@@ -1,16 +1,21 @@
 """Exact coefficient substrate for the symbolic layer.
 
-Three building blocks live here: rational scalars (stdlib ``Fraction``, kept
-in lowest terms with positive denominator by construction), formal linear
+Three building blocks live here: exact rational scalars, formal linear
 combinations over an arbitrary hashable basis, and polynomials in the
 regularization variable theta with coefficients in any additive type.
 
-Every symbolic coefficient is a ``Fraction``; floats enter only when a value
-is explicitly evaluated numerically.  Basis elements are ordered by the
-lexicographic order of their string serialization, which fixes deterministic
-iteration and printing everywhere.  The zero combination (empty support) is
-distinct from the unit basis element of any algebra built on top, such as the
-empty word or the empty forest.
+A stored coefficient is an ``int`` when it is integral and otherwise a stdlib
+``Fraction`` in lowest terms with denominator greater than 1.  Arborification,
+the (quasi-)shuffle, deconcatenation and the coproducts only ever produce
+integers, so the exact layer runs on machine integers; a ``Fraction`` appears
+only where a division happens (Hoffman's exp/log, the regularization
+elimination), and every sum or product that comes out integral is stored as
+an ``int`` again.  Floats enter only when a value is explicitly evaluated
+numerically.  ``items()`` and printing order basis elements by the
+lexicographic order of their string serialization, which makes both
+deterministic.  The zero combination (empty support) is distinct from the
+unit basis element of any algebra built on top, such as the empty word or the
+empty forest.
 """
 
 from __future__ import annotations
@@ -19,16 +24,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Tuple, Union
 
-Scalar = Union[Fraction, int]
+Scalar = Union[int, Fraction]
 
 NEG_INF = float("-inf")
 
 
-def _coerce(c: Scalar) -> Fraction:
-    if isinstance(c, Fraction):
+def _coerce(c: Scalar) -> Scalar:
+    """The stored form of an exact scalar: an int, or a non-integral Fraction."""
+    if type(c) is int:
         return c
-    if isinstance(c, int):
-        return Fraction(c)
+    if isinstance(c, (int, Fraction)):  # bool and other int subclasses too
+        return c.numerator if c.denominator == 1 else c
     raise TypeError(f"expected an exact rational coefficient, got {type(c).__name__}")
 
 
@@ -58,15 +64,16 @@ class LinComb:
         data: dict = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for elem, c in items:
-            c = _coerce(c)
-            if not c:
-                continue
-            acc = data.get(elem)
-            s = c if acc is None else acc + c
-            if s:
-                data[elem] = s
-            elif acc is not None:
-                del data[elem]
+            if type(c) is not int:
+                c = _coerce(c)
+            if c:
+                s = data.get(elem, 0) + c
+                if type(s) is not int:
+                    s = _coerce(s)
+                if s:
+                    data[elem] = s
+                else:
+                    del data[elem]
         self._terms = data
 
     @classmethod
@@ -80,8 +87,8 @@ class LinComb:
     def support(self) -> list:
         return [elem for elem, _ in self.items()]
 
-    def coeff(self, elem: object) -> Fraction:
-        return self._terms.get(elem, Fraction(0))
+    def coeff(self, elem: object) -> Scalar:
+        return self._terms.get(elem, 0)
 
     def __contains__(self, elem: object) -> bool:
         return elem in self._terms
@@ -108,17 +115,19 @@ class LinComb:
             return other
         data = dict(self._terms)
         for elem, c in other._terms.items():
-            s = data.get(elem, Fraction(0)) + c
+            s = data.get(elem, 0) + c
+            if type(s) is not int:
+                s = _coerce(s)
             if s:
                 data[elem] = s
-            elif elem in data:
+            else:
                 del data[elem]
         out = LinComb()
         out._terms = data
         return out
 
     def __neg__(self) -> "LinComb":
-        return self * Fraction(-1)
+        return self * -1
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         return self + (-other)
@@ -128,7 +137,7 @@ class LinComb:
         if not c:
             return LinComb()
         out = LinComb()
-        out._terms = {elem: c * v for elem, v in self._terms.items()}
+        out._terms = {elem: _coerce(c * v) for elem, v in self._terms.items()}
         return out
 
     __rmul__ = __mul__
@@ -191,7 +200,7 @@ class ThetaPoly:
         return cls(((0, c),))
 
     @classmethod
-    def theta(cls, c: object = Fraction(1)) -> "ThetaPoly":
+    def theta(cls, c: object = 1) -> "ThetaPoly":
         return cls(((1, c),))
 
     def items(self) -> list:

@@ -435,7 +435,7 @@ def _eliminate(w: Word, prod: LinComb, reg: Callable[[Word], ThetaPoly]) -> Thet
     is the coefficient of w in prod."""
     a = prod.coeff(w)
     acc = reg(Word(w.letters[1:])).shift(1)
-    for u, c in (prod - LinComb.unit(w, a)).items():
+    for u, c in (prod - LinComb.unit(w, a))._terms.items():
         acc = acc - reg(u).scale(c)
     return acc.scale(Fraction(1, int(a)))
 

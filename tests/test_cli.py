@@ -1,10 +1,15 @@
 """End-to-end CLI behaviour through main(argv): exact output strings and exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import arborzeta
 from arborzeta.arborify import arborify_y
 from arborzeta.cli import _zeta_line, main
 from arborzeta.forests import parse_forest, parse_tree, print_tree
@@ -259,3 +264,22 @@ class TestUsage:
 
     def test_unknown_verb(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    def test_reused_parser_keeps_no_state(self, capsys, monkeypatch):
+        # the parser is built once per process; every call must still print
+        # what it prints as the first call of a fresh interpreter
+        sequence = [
+            ["zeta", "--tol", "abc"],
+            ["zeta", "--word", "y2"],
+            ["zeta", "y2(y2)"],
+            [],
+            ["enumerate", "3"],
+        ]
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+        env = dict(os.environ, PYTHONPATH=str(Path(arborzeta.__file__).parent.parent))
+        script = "import sys; from arborzeta.cli import main; sys.exit(main(sys.argv[1:]))"
+        for argv in sequence:
+            fresh = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                                   capture_output=True, text=True, timeout=60)
+            assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert fresh.stdout.startswith("2 trees\n")

@@ -23,10 +23,22 @@ class TestLinComb:
         assert a.coeff("x") == 3
         assert a.coeff("y") == 1
 
-    def test_int_coerced_to_fraction(self):
-        a = LinComb({"x": 2})
-        assert a.coeff("x") == Fraction(2)
-        assert isinstance(a.coeff("x"), Fraction)
+    def test_integral_coefficients_stored_as_int(self):
+        half = Fraction(1, 2)
+        for comb in (
+            LinComb({"x": 2}),
+            LinComb({"x": True}),
+            LinComb({"x": Fraction(4, 2)}),
+            LinComb([("x", half), ("x", half)]),
+            LinComb.unit("x", half) + LinComb.unit("x", half),
+            2 * LinComb.unit("x", half),
+        ):
+            assert type(comb.coeff("x")) is int
+        assert LinComb({"x": Fraction(4, 2)}).coeff("x") == 2
+        assert type(LinComb.unit("x", half).coeff("x")) is Fraction
+        assert str(LinComb({"x": True})) == "1*x"
+        with pytest.raises(TypeError):
+            LinComb.unit("x") * 0.5
 
     def test_float_rejected(self):
         with pytest.raises(TypeError):
@@ -159,6 +171,45 @@ class TestOnePassSums:
         assert not lc(a=1, b=1).map_basis({"a": lc(p=1, q=2), "b": lc(p=-1, q=-2)}.get)
         ab = lc(a=1, b=1)
         assert not bilinear(lambda u, v: LinComb.unit("p", (u < v) - (u > v)), ab, ab)
+
+
+halves = st.integers(min_value=-6, max_value=6).map(lambda k: Fraction(k, 2))
+half_combs = st.dictionaries(atoms, halves, max_size=4)
+half_images = st.fixed_dictionaries({atom: st.dictionaries(st.sampled_from(["p", "q"]), halves, max_size=2)
+                                     for atom in "abcd"})
+
+
+def fraction_sum(pairs):
+    """Plain-dict reference: the sum of c * image over (image dict, c) pairs."""
+    total = {}
+    for image, c in pairs:
+        for e, d in image.items():
+            total[e] = total.get(e, Fraction(0)) + Fraction(d) * c
+    return {e: v for e, v in total.items() if v}
+
+
+def stored_form(comb):
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for _, c in comb.items())
+
+
+class TestStoredForm:
+    @given(half_combs, half_combs, halves, half_images)
+    def test_results_are_int_or_proper_fraction(self, da, db, s, imgs):
+        a, b = LinComb(da), LinComb(db)
+        cases = [
+            (a + b, fraction_sum([(da, 1), (db, 1)])),
+            (a - b, fraction_sum([(da, 1), (db, -1)])),
+            (-a, fraction_sum([(da, -1)])),
+            (a * s, fraction_sum([(da, s)])),
+            (a.map_basis(lambda e: LinComb(imgs[e])), fraction_sum((imgs[e], c) for e, c in da.items())),
+            (
+                bilinear(lambda u, v: LinComb(imgs[min(u, v)]), a, b),
+                fraction_sum((imgs[min(u, v)], cu * cv) for u, cu in da.items() for v, cv in db.items()),
+            ),
+        ]
+        for out, ref in cases:
+            assert dict(out.items()) == ref
+            assert stored_form(out)
 
 
 class TestTensorPair:
