@@ -22,12 +22,22 @@ where B+_d grafts a forest onto a new root decorated d.  In each tensor the
 left leg is the pruned crown and the right leg is the trunk containing the
 original roots.  Grading is by vertex count; the counit kills everything but
 the empty forest.
+
+The census (``enumerate_trees``, ``enumerate_forests``) builds every smaller
+size exactly once per call, bottom-up: the trees with m vertices are the
+canonical forests with m - 1 vertices grafted under each decoration, which
+come out in canonical order with no sorting, and the forests with m vertices
+extend each tree by a smaller forest of trees no smaller than it.  The
+decorations must be distinct and come from one alphabet, since the canonical
+key ranks a decoration by its value alone.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Sequence, Tuple
 
 from .lincomb import LinComb, TensorPair, bilinear
@@ -57,9 +67,18 @@ class Tree:
         return self._hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forest:
+    """Canonically sorted tuple of trees; the hash is computed once, at construction."""
+
     trees: Tuple[Tree, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.trees))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         if not self.trees:
@@ -71,11 +90,7 @@ class Forest:
 
 
 EMPTY_FOREST = Forest()
-
-
-def tree_key(t: Tree):
-    """Canonical sort key: (vertex count, root decoration rank, child keys)."""
-    return t.key
+_KEY = attrgetter("key")  # canonical sort key: (vertex count, root rank, child keys)
 
 
 def size(t: Tree) -> int:
@@ -84,12 +99,11 @@ def size(t: Tree) -> int:
 
 def make_tree(decoration: Letter, children: Iterable[Tree] = ()) -> Tree:
     """Tree constructor that sorts children into canonical order."""
-    kids = tuple(sorted(children, key=tree_key))
-    return Tree(decoration, kids)
+    return Tree(decoration, tuple(sorted(children, key=_KEY)))
 
 
 def make_forest(trees: Iterable[Tree] = ()) -> Forest:
-    return Forest(tuple(sorted(trees, key=tree_key)))
+    return Forest(tuple(sorted(trees, key=_KEY)))
 
 
 def vertex(decoration: Letter) -> Tree:
@@ -150,43 +164,40 @@ def coproduct(f: Forest) -> LinComb:
 
 
 def enumerate_trees(n: int, decorations: Sequence[Letter]) -> list:
-    """All canonical trees with exactly n vertices, decorated from the given set.
-
-    Output is sorted by the canonical key and free of duplicates: a tree is
-    exactly a root decoration plus a child forest, so the recursion below hits
-    each canonical tree once.
-    """
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
-    decorations = tuple(decorations)
-    out = [
-        bplus(d, f)
-        for d in decorations
-        for f in enumerate_forests(n - 1, decorations)
-    ] if n >= 1 else []
-    return sorted(out, key=tree_key)
+    """All canonical trees with exactly n vertices, decorated from the given
+    set, sorted by the canonical key and free of duplicates."""
+    if n == 0:
+        return []
+    decos, forests = _census(n - 1, decorations)
+    return [Tree(d, f) for d in decos for f in forests[n - 1]]
 
 
 def enumerate_forests(n: int, decorations: Sequence[Letter]) -> list:
-    """All canonical forests with exactly n vertices."""
-    decorations = tuple(decorations)
-    trees_by_size = {s: enumerate_trees(s, decorations) for s in range(1, n + 1)}
+    """All canonical forests with exactly n vertices, in canonical order."""
+    return [Forest(f) for f in _census(n, decorations)[1][n]]
 
-    def build(remaining: int, bound):
-        # multisets as non-increasing sequences of canonical keys
-        if remaining == 0:
-            return [()]
-        out = []
-        for s in range(remaining, 0, -1):
-            for t in trees_by_size[s]:
-                k = tree_key(t)
-                if bound is not None and k > bound:
-                    continue
-                for rest in build(remaining - s, k):
-                    out.append((t,) + rest)
-        return out
 
-    return [make_forest(ts) for ts in build(n, None)]
+def _census(n: int, decorations: Sequence[Letter]) -> Tuple[list, list]:
+    """The decorations sorted by rank, and for m = 0..n the canonical forests
+    with m vertices as tuples of trees, in canonical order (see above)."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    decos = sorted(decorations, key=letter_rank)
+    if len({letter_rank(d) for d in decos}) < len(decos) or len({type(d) for d in decos}) > 1:
+        names = ", ".join(map(str, decorations))
+        raise ValueError(f"decorations must be distinct letters of one alphabet, got {names}")
+    trees: list = []  # every tree built so far, in canonical order
+    forests, heads = [[()]], [[float("inf")]]  # heads[m]: index in trees of each forest's first tree
+    for m in range(1, n + 1):
+        trees += [Tree(d, f) for d in decos for f in forests[m - 1]]
+        level, first = [], []
+        for i, t in enumerate(trees):
+            rest = forests[m - t.key[0]][bisect_left(heads[m - t.key[0]], i):]
+            level += [(t,) + r for r in rest]
+            first += [i] * len(rest)
+        forests.append(level)
+        heads.append(first)
+    return decos, forests
 
 
 def print_tree(t: Tree) -> str:
@@ -199,6 +210,7 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.alphabets = set()  # the letter classes read so far
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -216,8 +228,8 @@ class _Scanner:
 
     def letter(self) -> Letter:
         self.skip_ws()
-        letter, end = parse_letter_at(self.text, self.pos)
-        self.pos = end
+        letter, self.pos = parse_letter_at(self.text, self.pos)
+        self.alphabets.add(type(letter))
         return letter
 
     def at_end(self) -> bool:
@@ -238,26 +250,10 @@ def _parse_tree_node(sc: _Scanner) -> Tree:
     return make_tree(deco, children)
 
 
-def _check_alphabet(f: Forest, where: int) -> Forest:
-    kinds = set()
-
-    def walk(t: Tree) -> None:
-        kinds.add(type(t.decoration))
-        for c in t.children:
-            walk(c)
-
-    for t in f.trees:
-        walk(t)
-    if len(kinds) > 1:
-        raise ParseError("forest mixes the x and y alphabets", where)
-    return f
-
-
 def parse_forest(text: str) -> Forest:
     """Parse the forest grammar; raises ParseError with a position on bad input."""
     sc = _Scanner(text)
     if sc.peek() == "e":
-        pos = sc.pos
         sc.pos += 1
         if not sc.at_end():
             raise ParseError("unexpected input after the empty forest 'e'", sc.pos)
@@ -270,7 +266,9 @@ def parse_forest(text: str) -> Forest:
         trees.append(_parse_tree_node(sc))
     if not sc.at_end():
         raise ParseError(f"unexpected trailing input {sc.text[sc.pos:sc.pos + 8]!r}", sc.pos)
-    return _check_alphabet(make_forest(trees), 0)
+    if len(sc.alphabets) > 1:
+        raise ParseError("forest mixes the x and y alphabets", 0)
+    return make_forest(trees)
 
 
 def parse_tree(text: str) -> Tree:

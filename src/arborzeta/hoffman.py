@@ -17,55 +17,53 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
-from typing import Callable, Tuple
+from functools import lru_cache, reduce
+from itertools import accumulate
+from typing import Tuple
 
-from .lincomb import LinComb
+from .lincomb import LinComb, _coerce
 from .words import Word, merge_y
 
 
 def compositions(k: int) -> list:
     """All compositions of k >= 0 in lexicographic order of their part tuples.
 
-    compositions(3) = [(1, 1, 1), (1, 2), (2, 1), (3,)]; the order is fixed
-    by recursing on the first part in increasing order.
+    compositions(3) = [(1, 1, 1), (1, 2), (2, 1), (3,)]; the compositions of
+    each m <= k are built once, from those of m - first for each first part.
     """
     if k < 0:
         raise ValueError("compositions are defined for k >= 0")
-    if k == 0:
-        return [()]
-    out = []
-    for first in range(1, k + 1):
-        for rest in compositions(k - first):
-            out.append((first,) + rest)
-    return out
+    table = [[()]]
+    for m in range(1, k + 1):
+        table.append([(first,) + rest for first in range(1, m + 1) for rest in table[m - first]])
+    return table[k]
 
 
 def apply_composition(parts: Tuple[int, ...], w: Word) -> Word:
     """Collapse consecutive blocks of sizes ``parts`` by adding their indices."""
     if sum(parts) != len(w.letters):
         raise ValueError(f"composition {parts} does not sum to the word length {len(w.letters)}")
-    out = []
-    pos = 0
-    for p in parts:
-        out.append(reduce(merge_y, w.letters[pos:pos + p]))
-        pos += p
-    return Word(tuple(out))
+    return Word(tuple(reduce(merge_y, w.letters[end - p:end]) for p, end in zip(parts, accumulate(parts))))
 
 
-def _composition_sum(w: Word, coeff: Callable[[Tuple[int, ...]], Fraction]) -> LinComb:
-    """Sum of coeff(parts) * I[w] over the compositions of the word length."""
-    return LinComb((apply_composition(parts, w), coeff(parts)) for parts in compositions(len(w.letters)))
+@lru_cache(maxsize=None)
+def _coefficients(k: int) -> tuple:
+    """The compositions of k, each with its exp and its log coefficient, built once per length."""
+    return tuple(
+        (parts, _coerce(Fraction(1, math.prod(map(math.factorial, parts)))),
+         _coerce(Fraction((-1) ** (k - len(parts)), math.prod(parts))))
+        for parts in compositions(k)
+    )
 
 
 def exp_word(w: Word) -> LinComb:
     """Hoffman exponential of a single word, as a combination of words."""
-    return _composition_sum(w, lambda parts: Fraction(1, math.prod(map(math.factorial, parts))))
+    return LinComb((apply_composition(parts, w), e) for parts, e, _ in _coefficients(len(w.letters)))
 
 
 def log_word(w: Word) -> LinComb:
     """Hoffman logarithm of a single word, inverse to exp_word."""
-    return _composition_sum(w, lambda parts: Fraction((-1) ** (sum(parts) - len(parts)), math.prod(parts)))
+    return LinComb((apply_composition(parts, w), g) for parts, _, g in _coefficients(len(w.letters)))
 
 
 def exp_comb(a: LinComb) -> LinComb:

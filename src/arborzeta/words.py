@@ -15,6 +15,10 @@ sequence of letters from one alphabet.  This module provides:
   start with y1; an integration word is convergent when it starts with x0 and
   ends with x1.
 
+Letters are interned: ``YLetter(2)`` always returns the same object, so a
+letter compares and hashes by identity and costs no Python call to hash.  A
+letter value must be an int (not a bool) in the letter's range.
+
 Serialization: letters print as ``x0``, ``x1``, ``y1``, ``y2``, ...; a word
 is the dot-joined sequence of its letters (``x0.x1.x1``) and the empty word
 prints as ``e``.  Linear combinations print as ``c1*w1 + c2*w2`` with exact
@@ -23,40 +27,69 @@ rational coefficients, terms ordered lexicographically by word serialization.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from typing import Callable, Optional, Tuple, Union
 
 from .lincomb import LinComb, TensorPair, bilinear
 
 
-@dataclass(frozen=True, order=True)
-class XLetter:
+@total_ordering
+class _Letter:
+    """A letter, interned: one object per value, so equality is identity, the
+    hash is ``object``'s, and a copy or a pickle comes back as the same object."""
+
+    __slots__ = ("_str",)
+
+    def __new__(cls, n: int):
+        letter = cls._interned.get(n) if type(n) is int else None
+        if letter is None:
+            if isinstance(n, bool) or not isinstance(n, int) or not cls._least <= n <= cls._most:
+                raise ValueError(f"{cls._rule}, got {n}")
+            letter = object.__new__(cls)
+            object.__setattr__(letter, cls._field, int(n))
+            object.__setattr__(letter, "_str", f"{cls._prefix}{int(n)}")
+            letter = cls._interned.setdefault(int(n), letter)
+        return letter
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), (getattr(self, self._field),)
+
+    def __lt__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return getattr(self, self._field) < getattr(other, other._field)
+
+    def __str__(self) -> str:
+        return self._str
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._field}={getattr(self, self._field)})"
+
+
+class XLetter(_Letter):
     """Letter of the integration alphabet; value is 0 or 1."""
 
-    value: int
-
-    def __post_init__(self):
-        if self.value not in (0, 1):
-            raise ValueError(f"x-letter value must be 0 or 1, got {self.value}")
-
-    def __str__(self) -> str:
-        return f"x{self.value}"
+    __slots__ = ("value",)
+    _interned: dict = {}
+    _field, _prefix, _least, _most = "value", "x", 0, 1
+    _rule = "x-letter value must be 0 or 1"
 
 
-@dataclass(frozen=True, order=True)
-class YLetter:
+class YLetter(_Letter):
     """Letter of the summation alphabet; index is a positive integer."""
 
-    index: int
-
-    def __post_init__(self):
-        if not isinstance(self.index, int) or self.index < 1:
-            raise ValueError(f"y-letter index must be a positive integer, got {self.index}")
-
-    def __str__(self) -> str:
-        return f"y{self.index}"
+    __slots__ = ("index",)
+    _interned: dict = {}
+    _field, _prefix, _least, _most = "index", "y", 1, math.inf
+    _rule = "y-letter index must be a positive integer"
 
 
 X0 = XLetter(0)

@@ -135,7 +135,7 @@ class TestCensusOracle:
         assert len(labeled_census(3, (Y1, Y2))) == 14
 
     def test_enumerate_trees_equals_census(self):
-        for n in range(1, 5):
+        for n in range(1, 6):
             got = set(enumerate_trees(n, (Y1, Y2)))
             assert got == labeled_census(n, (Y1, Y2))
 
@@ -146,8 +146,10 @@ class TestEnumeration:
         assert counts == [1, 1, 2, 4, 9]
 
     def test_two_decoration_tree_counts(self):
-        counts = [len(enumerate_trees(n, (Y1, Y2))) for n in range(1, 5)]
-        assert counts == [2, 4, 14, 52]
+        # OEIS A038055
+        counts = [len(enumerate_trees(n, (Y1, Y2))) for n in range(1, 7)]
+        assert counts == [2, 4, 14, 52, 214, 916]
+        assert [len(enumerate_trees(n, (X1, X0))) for n in range(1, 5)] == [2, 4, 14, 52]
 
     def test_forest_counts_shift_tree_counts(self):
         # grafting everything under a fresh root is a bijection between
@@ -156,10 +158,32 @@ class TestEnumeration:
             assert len(enumerate_forests(n, (Y1,))) == len(enumerate_trees(n + 1, (Y1,)))
 
     def test_no_duplicates_and_sorted(self):
-        for n in range(1, 5):
-            trees = enumerate_trees(n, (Y1, Y2))
+        for n in range(1, 6):
+            trees = enumerate_trees(n, (Y2, Y1))
             assert len(trees) == len(set(trees))
             assert all(size(t) == n for t in trees)
+            assert all(a.key < b.key for a, b in zip(trees, trees[1:]))
+            assert all(make_tree(t.decoration, t.children).children == t.children for t in trees)
+
+    def test_forests_canonical_and_sorted(self):
+        for n in range(0, 5):
+            forests = enumerate_forests(n, (Y1, Y2))
+            keys = [tuple(t.key for t in f.trees) for f in forests]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            assert all(make_forest(f.trees) == f and grade(f) == n for f in forests)
+            assert len(forests) == len(enumerate_trees(n + 1, (Y1, Y2))) // 2
+
+    @pytest.mark.parametrize("decorations", [(Y1, Y1), (Y1, X1), (Y2, X1), (X0, X0, X1)])
+    def test_repeated_or_mixed_decorations_rejected(self, decorations):
+        names = ", ".join(map(str, decorations))
+        for enumerate_ in (enumerate_trees, enumerate_forests):
+            with pytest.raises(ValueError, match=names):
+                enumerate_(3, decorations)
+
+    def test_negative_size_rejected(self):
+        for enumerate_ in (enumerate_trees, enumerate_forests):
+            with pytest.raises(ValueError):
+                enumerate_(-1, (Y1,))
 
     def test_enumerate_forests_small(self):
         assert enumerate_forests(0, (Y1,)) == [EMPTY_FOREST]
@@ -181,6 +205,12 @@ class TestCanonicalForm:
     def test_parse_normalizes(self):
         assert parse_tree("y1(y2,y1)") == parse_tree("y1(y1,y2)")
         assert parse_forest("y2;y1") == parse_forest("y1;y2")
+
+    def test_stored_forest_hash(self):
+        for f in TWO_DECO_FORESTS:
+            assert f._hash == hash(f.trees) == hash(f)
+            assert hash(parse_forest(str(f))) == hash(f)
+        assert EMPTY_FOREST._hash == hash(())
 
     def test_stored_key_and_hash(self):
         def ref_size(t):

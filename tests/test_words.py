@@ -5,7 +5,9 @@ The oracles at the top re-derive both products from their definitions
 without the recursion used by the implementation.
 """
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -194,10 +196,59 @@ class TestLetters:
     def test_merge(self):
         assert merge_y(YLetter(2), YLetter(3)) == YLetter(5)
 
+    def test_bool_rejected(self):
+        for bad in (lambda: YLetter(True), lambda: XLetter(True), lambda: XLetter(False),
+                    lambda: x_word(True, 1), lambda: y_word(2, True)):
+            with pytest.raises(ValueError):
+                bad()
+
+    def test_non_int_rejected(self):
+        for bad in (lambda: YLetter(2.0), lambda: XLetter(1.0), lambda: YLetter("2")):
+            with pytest.raises(ValueError):
+                bad()
+
     def test_weight(self):
         assert weight(y_word(2, 3, 1)) == 6
         assert weight(x_word(0, 1, 1)) == 3
         assert weight(EMPTY_WORD) == 0
+
+
+class TestInternedLetters:
+    def test_one_object_per_value(self):
+        assert YLetter(3) is YLetter(3) and XLetter(1) is X1
+        assert merge_y(YLetter(1), YLetter(2)) is YLetter(3)
+        assert y_word(2, 2).letters[0] is y_word(2).letters[0]
+
+    def test_parsed_letters_are_interned(self):
+        w = parse_word("y12.y1.y12")
+        assert w.letters[0] is YLetter(12) and w.letters[1] is YLetter(1)
+        assert all(a is b for a, b in zip(parse_word("x0.x1").letters, (X0, X1)))
+
+    def test_copy_and_pickle_return_the_same_object(self):
+        for letter in (X0, X1, YLetter(1), YLetter(57)):
+            assert copy.copy(letter) is letter
+            assert copy.deepcopy(letter) is letter
+            assert pickle.loads(pickle.dumps(letter)) is letter
+
+    def test_alphabets_differ(self):
+        assert XLetter(1) != YLetter(1)
+        assert len({XLetter(1), YLetter(1)}) == 2
+
+    def test_value_str_repr_order(self):
+        assert X1.value == 1 and YLetter(4).index == 4
+        assert (str(X0), str(YLetter(4))) == ("x0", "y4")
+        assert (repr(X0), repr(YLetter(4))) == ("XLetter(value=0)", "YLetter(index=4)")
+        assert X0 < X1 <= X1 and YLetter(2) > YLetter(1) >= YLetter(1)
+        assert sorted([YLetter(3), YLetter(1), YLetter(2)]) == [YLetter(1), YLetter(2), YLetter(3)]
+        with pytest.raises(TypeError):
+            X0 < YLetter(1)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            YLetter(2).index = 3
+        with pytest.raises(AttributeError):
+            del X0.value
+        assert YLetter(2).index == 2 and X0.value == 0
 
 
 class TestBlockSubstitution:
