@@ -25,35 +25,32 @@ from typing import Optional
 from .lincomb import LinComb
 from .forests import EMPTY_FOREST, Forest, Tree, make_tree
 from .words import (
-    Letter,
     Word,
     XLetter,
     YLetter,
     X0,
     X1,
-    EMPTY_WORD,
+    as_comb,
+    interleave_sum,
     merge_y,
-    product_comb,
     s_map,
 )
 
 
-def _append(comb: LinComb, letter: Letter) -> LinComb:
-    return comb.map_basis(lambda w: Word(w.letters + (letter,)))
-
-
-def _arborify_forest(f: Forest, merge, memo: dict) -> LinComb:
-    total = LinComb.unit(EMPTY_WORD)
-    for t in f.trees:
-        total = product_comb(total, _arborify_tree(t, merge, memo), merge)
+def _arborify_forest(trees: tuple, merge, memo: dict) -> dict:
+    # a map letters -> coefficient; the empty forest gives the unit word, any
+    # other forest's product starts from its first tree
+    total = _arborify_tree(trees[0], merge, memo) if trees else {(): 1}
+    for t in trees[1:]:
+        total = interleave_sum(total, _arborify_tree(t, merge, memo), merge)
     return total
 
 
-def _arborify_tree(t: Tree, merge, memo: dict) -> LinComb:
+def _arborify_tree(t: Tree, merge, memo: dict) -> dict:
     got = memo.get(t)
     if got is None:
-        inner = _arborify_forest(Forest(t.children), merge, memo)
-        got = memo[t] = _append(inner, t.decoration)
+        root, inner = (t.decoration,), _arborify_forest(t.children, merge, memo)
+        got = memo[t] = {ls + root: c for ls, c in inner.items()}
     return got
 
 
@@ -72,13 +69,13 @@ def _check_decorations(f: Forest, letter_type: type, flavor: str) -> None:
 def arborify_x(f: Forest) -> LinComb:
     """Simple arborification: shuffle over trees, decorations from {x0, x1}."""
     _check_decorations(f, XLetter, "simple")
-    return _arborify_forest(f, None, {})
+    return as_comb(_arborify_forest(f.trees, None, {}))
 
 
 def arborify_y(f: Forest) -> LinComb:
     """Contracting arborification: quasi-shuffle over trees, y-decorations."""
     _check_decorations(f, YLetter, "contracting")
-    return _arborify_forest(f, merge_y, {})
+    return as_comb(_arborify_forest(f.trees, merge_y, {}))
 
 
 def ladder(w: Word) -> Tree:

@@ -36,7 +36,6 @@ from .words import (
     is_convergent_y,
     parse_word,
     s_inverse,
-    s_map,
 )
 from . import verify as verify_mod
 from . import zeta as zeta_mod
@@ -75,15 +74,13 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 # zeta
 
 def _zeta_line(comb: LinComb, alphabet: str) -> str:
-    rows = []  # sorted by x-word below; s_map is a bijection, so no ties
-    for w, c in comb._terms.items():
-        if alphabet == "y":
-            xw, idx = s_map(w), tuple(l.index for l in w.letters)
-        else:
-            xw, idx = w, tuple(l.index for l in s_inverse(w).letters)
-        rows.append((str(xw), idx, c))
-    rows.sort(key=lambda r: r[0])
-    return " + ".join(f"{c}*zeta({','.join(map(str, idx))})" for _, idx, c in rows)
+    # rows in the order of the x-words: y_n is x0^(n-1) x1, so x-words compare
+    # as the tuples of negated indices do, and s_map is a bijection, so no ties
+    rows = sorted(
+        (tuple(-l.index for l in (w if alphabet == "y" else s_inverse(w)).letters), c)
+        for w, c in comb._terms.items()
+    )
+    return " + ".join(f"{c}*zeta({','.join(str(-n) for n in neg)})" for neg, c in rows)
 
 
 def _cmd_zeta(args: argparse.Namespace) -> int:

@@ -20,7 +20,7 @@ empty forest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Tuple, Union
 
@@ -38,12 +38,19 @@ def _coerce(c: Scalar) -> Scalar:
     raise TypeError(f"expected an exact rational coefficient, got {type(c).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TensorPair:
-    """Elementary tensor with a left and a right component."""
+    """Elementary tensor with a left and a right component; its hash is computed once."""
 
     left: object
     right: object
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"[{self.left} (x) {self.right}]"
@@ -54,8 +61,8 @@ class LinComb:
 
     Immutable after construction.  Zero coefficients are never stored, so the
     zero combination has empty support and is falsy.  Construction accepts a
-    dict or an iterable of (element, coefficient) pairs; repeated elements
-    accumulate, so the constructor is the one place where sums are formed.
+    dict or an iterable of (element, coefficient) pairs, and repeated
+    elements accumulate.
     """
 
     __slots__ = ("_terms",)

@@ -119,11 +119,8 @@ def suite_relations(tol: float = 1e-9) -> List[CheckRow]:
 # regularization comparison sweep
 
 def _y_words_up_to_weight(max_weight: int) -> List[Word]:
-    words = [Word(())]
-    for weight in range(1, max_weight + 1):
-        for parts in compositions(weight):
-            words.append(y_word(*parts))
-    return words
+    # compositions(0) = [()] gives the empty word
+    return [y_word(*parts) for weight in range(max_weight + 1) for parts in compositions(weight)]
 
 
 def suite_bmz(tol: float = 1e-9, max_weight: Optional[int] = None) -> List[CheckRow]:
@@ -132,21 +129,11 @@ def suite_bmz(tol: float = 1e-9, max_weight: Optional[int] = None) -> List[Check
     Reported lhs/rhs are the constant (theta-degree-0) coefficients of the
     two sides; the residual is the maximum over all theta powers.
     """
-    if max_weight is None:
-        max_weight = 4
     rows = []
-    for w in _y_words_up_to_weight(max_weight):
+    for w in _y_words_up_to_weight(4 if max_weight is None else max_weight):
         lhs_poly, rhs_poly, residual = compare_bmz(w, tol)
-        rows.append(
-            CheckRow(
-                f"bmz:{w}",
-                lhs_poly.coeff(0, 0.0),
-                rhs_poly.coeff(0, 0.0),
-                residual,
-                10.0 * tol,
-                residual <= 10.0 * tol,
-            )
-        )
+        lhs, rhs = lhs_poly.coeff(0, 0.0), rhs_poly.coeff(0, 0.0)
+        rows.append(CheckRow(f"bmz:{w}", lhs, rhs, residual, 10.0 * tol, residual <= 10.0 * tol))
     return rows
 
 

@@ -31,9 +31,10 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache, total_ordering
-from typing import Callable, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Tuple, Union
 
-from .lincomb import LinComb, TensorPair, bilinear
+from .lincomb import LinComb, TensorPair, _coerce
 
 
 @total_ordering
@@ -165,35 +166,54 @@ def merge_y(a: YLetter, b: YLetter) -> YLetter:
 
 @lru_cache(maxsize=None)
 def _interleave(u: Tuple[Letter, ...], v: Tuple[Letter, ...],
-                merge: Optional[Callable[[Letter, Letter], Letter]]) -> LinComb:
-    # Recursive expansion; merge=None gives the plain shuffle, otherwise the
-    # extra branch contracts the two leading letters under the internal product.
-    if not u:
-        return LinComb.unit(Word(v))
-    if not v:
-        return LinComb.unit(Word(u))
+                merge: Optional[Callable[[Letter, Letter], Letter]]) -> Mapping:
+    # Recursive expansion into a read-only map letter tuple -> count; merge=None gives the
+    # plain shuffle, otherwise a third branch contracts the leading letters under merge.
+    if not u or not v:
+        return MappingProxyType({u + v: 1})
     branches = [(u[0], _interleave(u[1:], v, merge)), (v[0], _interleave(u, v[1:], merge))]
     if merge is not None:
         branches.append((merge(u[0], v[0]), _interleave(u[1:], v[1:], merge)))
-    return LinComb(
-        (Word((letter,) + w.letters), c) for letter, comb in branches for w, c in comb._terms.items()
-    )
+    out: dict = {}
+    for letter, counts in branches:
+        for ls, c in counts.items():
+            ls = (letter,) + ls
+            out[ls] = out.get(ls, 0) + c
+    return MappingProxyType(out)
+
+
+def interleave_sum(a: Mapping, b: Mapping, merge: Optional[Callable[[Letter, Letter], Letter]]) -> dict:
+    """(Quasi-)shuffle of two maps letters -> coefficient; zero sums are kept."""
+    out: dict = {}
+    for u, cu in a.items():
+        for v, cv in b.items():
+            for ls, d in _interleave(u, v, merge).items():
+                out[ls] = out.get(ls, 0) + cu * cv * d
+    return out
+
+
+def as_comb(coeffs: Mapping) -> LinComb:
+    """The LinComb of a map letters -> coefficient: each word built once, zeros dropped."""
+    out = LinComb()
+    out._terms = {Word(ls): c if type(c) is int else _coerce(c) for ls, c in coeffs.items() if c}
+    return out
 
 
 def shuffle(u: Word, v: Word) -> LinComb:
     """Shuffle product: sum over all interleavings of u and v."""
-    return _interleave(u.letters, v.letters, None)
+    return as_comb(_interleave(u.letters, v.letters, None))
 
 
 def quasi_shuffle(u: Word, v: Word) -> LinComb:
     """Quasi-shuffle product on summation words: letters merge by adding indices."""
-    return _interleave(u.letters, v.letters, merge_y)
+    return as_comb(_interleave(u.letters, v.letters, merge_y))
 
 
 def product_comb(a: LinComb, b: LinComb,
                  merge: Optional[Callable[[Letter, Letter], Letter]] = None) -> LinComb:
     """Bilinear extension of shuffle (merge=None) or quasi-shuffle to combinations."""
-    return bilinear(lambda u, v: _interleave(u.letters, v.letters, merge), a, b)
+    by_letters = [{w.letters: c for w, c in x._terms.items()} for x in (a, b)]
+    return as_comb(interleave_sum(*by_letters, merge))
 
 
 def deconcat(w: Word) -> LinComb:

@@ -136,13 +136,18 @@ def _check_tol(tol: float) -> None:
         raise ValueError("tolerance below supported precision (min 1e-12)")
 
 
+def _lp_put(dst: _LogPow, key: Tuple[int, int], v: float) -> None:
+    """dst[key] += v, dropping the key when the sum is zero."""
+    v = dst.get(key, 0.0) + v
+    if v:
+        dst[key] = v
+    elif key in dst:
+        del dst[key]
+
+
 def _lp_add(dst: _LogPow, src: _LogPow, scale: float = 1.0) -> None:
     for key, c in src.items():
-        v = dst.get(key, 0.0) + scale * c
-        if v:
-            dst[key] = v
-        elif key in dst:
-            del dst[key]
+        _lp_put(dst, key, scale * c)
 
 
 def _lp_shift(p: _LogPow, n: int) -> _LogPow:
@@ -153,9 +158,9 @@ def _lp_deriv(p: _LogPow) -> _LogPow:
     out: _LogPow = {}
     for (a, b), c in p.items():
         if a:
-            _lp_add(out, {(a + 1, b): -a * c})
+            _lp_put(out, (a + 1, b), -a * c)
         if b:
-            _lp_add(out, {(a + 1, b - 1): b * c})
+            _lp_put(out, (a + 1, b - 1), b * c)
     return out
 
 
@@ -166,11 +171,11 @@ def _lp_antideriv(p: _LogPow) -> _LogPow:
         if a < 1:
             raise ValueError("antiderivative needs strictly decaying terms")
         if a == 1:
-            _lp_add(out, {(0, b + 1): c / (b + 1)})
+            _lp_put(out, (0, b + 1), c / (b + 1))
         else:
             coef = 1.0 / (1 - a)
             for j in range(b, -1, -1):
-                _lp_add(out, {(a - 1, j): c * coef})
+                _lp_put(out, (a - 1, j), c * coef)
                 coef *= -j / (1 - a)
     return out
 
@@ -395,7 +400,11 @@ def mzv_truncation_bound(exponents: MzvIndex, N: int) -> float:
 
 def _split_tol(comb: LinComb, tol: float) -> float:
     mass = sum(abs(float(c)) for _, c in comb.items())
-    return tol / max(1.0, math.ceil(mass))
+    per = tol / max(1.0, math.ceil(mass))
+    if per < 1e-12 <= tol:
+        raise ValueError(f"a combination of coefficient mass {mass:g} evaluates each word to "
+                         f"tol/{math.ceil(mass)} = {per:g}, below the supported 1e-12")
+    return per
 
 
 def zeta_word_y(w: Word, tol: float = 1e-9) -> float:
@@ -492,6 +501,8 @@ def rho(val: NumericRegValue) -> NumericRegValue:
     at a tenth of the tolerance.
     """
     tol = val.tol / 10.0
+    if tol < 1e-12 and val.poly.degree() >= 2:  # only then is any zeta(n) evaluated
+        raise ValueError(f"rho evaluates zeta(n) to tol/10 = {tol:g}, below the supported 1e-12")
 
     def generator(q: ThetaPoly) -> ThetaPoly:
         d = q.degree()

@@ -8,11 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import arborzeta
 from arborzeta.arborify import arborify_y
 from arborzeta.cli import _zeta_line, main
 from arborzeta.forests import parse_forest, parse_tree, print_tree
+from arborzeta.lincomb import LinComb
+from arborzeta.words import s_inverse, s_map, y_word
 from arborzeta.zeta import eval_mzv
 
 
@@ -132,6 +135,16 @@ class TestZeta:
         assert code == 2
         assert out == ""
 
+    def test_split_tolerance_named(self, capsys):
+        # the x-forest's expansion has coefficient mass 3, so each word gets tol/3
+        code, out, err = run(capsys, "zeta", "x1(x0,x1(x0))", "--tol", "1e-12")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: a combination of coefficient mass 3 evaluates each word to "
+            "tol/3 = 3.33333e-13, below the supported 1e-12\n"
+        )
+
     def test_named_tree_certified(self, capsys):
         text = "y2(y2(y2,y2),y2(y2,y2),y2(y2,y2))"
         code, out, _ = run(capsys, "zeta", text, "--tol", "1e-7")
@@ -166,6 +179,30 @@ class TestZeta:
         assert run(capsys, "zeta", "y2(y2)", "--word", "y2")[0] == 2
 
 
+def _zeta_line_by_strings(comb, alphabet):
+    """The expansion line sorted by the serialization of each term's x-word."""
+    rows = sorted(comb.items(), key=lambda t: str(s_map(t[0]) if alphabet == "y" else t[0]))
+    words = [w if alphabet == "y" else s_inverse(w) for w, _ in rows]
+    return " + ".join(f"{c}*zeta({','.join(str(l.index) for l in w.letters)})" for w, (_, c) in zip(words, rows))
+
+
+y_combs = st.dictionaries(
+    st.lists(st.integers(1, 12), max_size=5).map(lambda ix: y_word(*ix)),
+    st.integers(-50, 50).filter(bool) | st.fractions(-5, 5).filter(lambda c: c.denominator > 1),
+    max_size=12,
+).map(LinComb)
+
+
+class TestZetaLineOrder:
+    @given(y_combs)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_x_word_string_order(self, comb):
+        assert _zeta_line(comb, "y") == _zeta_line_by_strings(comb, "y")
+        x_comb = comb.map_basis(s_map)
+        assert _zeta_line(x_comb, "x") == _zeta_line_by_strings(x_comb, "x")
+        assert _zeta_line(x_comb, "x") == _zeta_line(comb, "y")
+
+
 class TestVerify:
     def test_relations_text(self, capsys):
         code, out, _ = run(capsys, "verify", "relations")
@@ -194,6 +231,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "bmz", "--max-weight", "3")
         assert code == 0
         assert "checks passed" in out
+
+    def test_derived_tolerance_named(self, capsys):
+        # a tolerance the gate accepts, refused with the derived tolerance it led to
+        for argv, message in [
+            (("bmz", "--tol", "1e-12"), "rho evaluates zeta(n) to tol/10 = 1e-13, below the supported 1e-12"),
+            (("oracle", "--tol", "1e-11"), "a combination of coefficient mass 13 evaluates each word to "
+                                           "tol/13 = 7.69231e-13, below the supported 1e-12"),
+        ]:
+            code, out, err = run(capsys, "verify", *argv)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {message}\n"
 
     def test_unknown_suite(self, capsys):
         assert run(capsys, "verify", "nope")[0] == 2

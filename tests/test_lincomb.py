@@ -222,6 +222,14 @@ class TestTensorPair:
     def test_str(self):
         assert str(TensorPair("u", "v")) == "[u (x) v]"
 
+    def test_stored_hash(self):
+        p, q = TensorPair("u", ("v", 1)), TensorPair("u", ("v", 1))
+        assert p._hash == hash((p.left, p.right))
+        assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+        assert TensorPair("v", "u")._hash == hash(("v", "u"))
+        with pytest.raises(AttributeError):
+            p.left = "w"
+
 
 class TestThetaPoly:
     def test_constant_and_theta(self):

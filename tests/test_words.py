@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arborzeta.lincomb import LinComb, TensorPair
+from arborzeta.lincomb import LinComb, TensorPair, bilinear
 from arborzeta.words import (
     EMPTY_WORD,
     ParseError,
@@ -28,6 +28,7 @@ from arborzeta.words import (
     is_convergent_y,
     merge_y,
     parse_word,
+    product_comb,
     quasi_shuffle,
     s_inverse,
     s_map,
@@ -168,6 +169,46 @@ class TestProductAlgebra:
         lhs = product_comb(quasi_shuffle(u, v), LinComb.unit(w), merge=merge_y)
         rhs = product_comb(LinComb.unit(u), quasi_shuffle(v, w), merge=merge_y)
         assert lhs == rhs
+
+
+signed = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(2), Fraction(-3, 2)])
+
+
+def small_combs(letters):
+    words = st.lists(st.sampled_from(letters), max_size=3).map(lambda ls: Word(tuple(ls)))
+    return st.lists(st.tuples(words, signed), max_size=4).map(LinComb)
+
+
+def stored_and_nonzero(comb):
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in comb._terms.values()) \
+        and all(comb._terms.values())
+
+
+class TestProductComb:
+    """product_comb sums its terms itself; it must equal the bilinear extension."""
+
+    def test_cancelling_terms_are_dropped(self):
+        a = LinComb({y_word(1): 1, y_word(2): -1})
+        b = LinComb({y_word(1): Fraction(1, 2), y_word(2): Fraction(1, 2)})
+        got = product_comb(a, b)
+        assert got == LinComb({y_word(1, 1): 1, y_word(2, 2): -1})
+        assert stored_and_nonzero(got) and type(got.coeff(y_word(1, 1))) is int
+
+    @given(small_combs([YLetter(1), YLetter(2)]), small_combs([YLetter(1), YLetter(2)]))
+    @settings(max_examples=80, deadline=None)
+    def test_y_combinations(self, a, b):
+        for merge, product, oracle in ((None, shuffle, shuffle_oracle), (merge_y, quasi_shuffle, quasi_shuffle_oracle)):
+            got = product_comb(a, b, merge)
+            assert got == bilinear(lambda u, v: product(u, v), a, b)
+            assert got == bilinear(oracle, a, b)
+            assert stored_and_nonzero(got)
+
+    @given(small_combs([X0, X1]), small_combs([X0, X1]))
+    @settings(max_examples=40, deadline=None)
+    def test_x_combinations(self, a, b):
+        got = product_comb(a, b)
+        assert got == bilinear(lambda u, v: shuffle(u, v), a, b) == bilinear(shuffle_oracle, a, b)
+        assert stored_and_nonzero(got)
 
 
 class TestWordHash:

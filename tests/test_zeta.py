@@ -342,6 +342,74 @@ class TestRho:
                 assert rho(p).poly.coeff(d - 1, 0.0) == p.poly.coeff(d - 1, 0.0)
 
 
+    def test_derived_tolerance_refused_only_when_used(self):
+        # rho evaluates zeta(n) at tol/10, and only for a polynomial of degree >= 2
+        lin = NumericRegValue(ThetaPoly({1: 2.0, 0: -3.0}), 1e-12)
+        assert rho(lin).poly == lin.poly
+        with pytest.raises(ValueError) as info:
+            rho(NumericRegValue(ThetaPoly({2: 1.0}), 1e-12))
+        assert str(info.value) == "rho evaluates zeta(n) to tol/10 = 1e-13, below the supported 1e-12"
+
+
+class TestLogPowerHelpers:
+    """_lp_deriv and _lp_antideriv against a term-by-term reference: the same
+    terms, added in the same order, so the same floats in the same key order."""
+
+    @staticmethod
+    def _put(out, key, v):
+        v = out.get(key, 0.0) + v
+        if v:
+            out[key] = v
+        elif key in out:
+            del out[key]
+
+    def reference_deriv(self, p):
+        # d/dx x^-a ln(x)^b = -a x^-(a+1) ln(x)^b + b x^-(a+1) ln(x)^(b-1)
+        out = {}
+        for (a, b), c in p.items():
+            if a:
+                self._put(out, (a + 1, b), -a * c)
+            if b:
+                self._put(out, (a + 1, b - 1), b * c)
+        return out
+
+    def reference_antideriv(self, p):
+        # integral of x^-a ln^b = sum_j (-1)^(b-j) b!/j! x^(1-a) ln^j / (1-a)^(b-j+1), a >= 2
+        out = {}
+        for (a, b), c in p.items():
+            coef = 1.0 / (1 - a)
+            for j in range(b, -1, -1):
+                self._put(out, (a - 1, j), c * coef)
+                coef *= -j / (1 - a)
+        return out
+
+    log_powers = st.dictionaries(
+        st.tuples(st.integers(2, 14), st.integers(0, 3)),
+        st.floats(0.001, 10.0) | st.floats(-10.0, -0.001),
+        max_size=10,
+    )
+
+    @given(log_powers)
+    @settings(max_examples=150, deadline=None)
+    def test_match_reference(self, p):
+        from arborzeta.zeta import _lp_antideriv, _lp_deriv
+
+        for got, ref in ((_lp_deriv(p), self.reference_deriv(p)), (_lp_antideriv(p), self.reference_antideriv(p))):
+            assert list(got.items()) == list(ref.items())
+        back = _lp_deriv(_lp_antideriv(p))
+        scale = max((abs(c) for c in p.values()), default=0.0)
+        for key in set(back) | set(p):
+            assert abs(back.get(key, 0.0) - p.get(key, 0.0)) <= 1e-12 * scale
+
+    def test_antiderivative_of_a_reciprocal_power(self):
+        from arborzeta.zeta import _lp_antideriv
+
+        assert _lp_antideriv({(1, 2): 3.0}) == {(0, 3): 1.0}
+        assert _lp_antideriv({(3, 1): 2.0}) == {(2, 1): -1.0, (2, 0): -0.5}
+        with pytest.raises(ValueError):
+            _lp_antideriv({(0, 1): 1.0})
+
+
 class TestCheckBmz:
     def test_trivial_words(self):
         assert check_bmz(Word(())) == 0.0
