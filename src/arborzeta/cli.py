@@ -139,11 +139,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_hoffman(args: argparse.Namespace) -> int:
-    w = parse_word(args.word)
-    if any(not isinstance(l, YLetter) for l in w.letters):
-        return _fail("the exp/log isomorphism acts on summation (y) words")
-    comb = exp_word(w) if args.direction == "exp" else log_word(w)
-    print(str(comb))
+    print((exp_word if args.direction == "exp" else log_word)(parse_word(args.word)))
     return 0
 
 

@@ -148,19 +148,25 @@ def _pair_product(p: TensorPair, q: TensorPair) -> TensorPair:
 
 @lru_cache(maxsize=None)
 def _coproduct_tree(t: Tree) -> LinComb:
-    inner = coproduct(Forest(t.children))
-    grafted = inner.map_basis(
-        lambda p: TensorPair(p.left, Forest((bplus(t.decoration, p.right),)))
-    )
-    return grafted + LinComb.unit(TensorPair(Forest((t,)), EMPTY_FOREST))
+    # grafting the trunks of distinct terms under the root gives distinct terms
+    out = LinComb()
+    out._terms = {TensorPair(p.left, Forest((Tree(t.decoration, p.right.trees),))): c
+                  for p, c in _coproduct_trees(t.children)._terms.items()}
+    out._terms[TensorPair(Forest((t,)), EMPTY_FOREST)] = 1
+    return out
+
+
+def _coproduct_trees(trees: Tuple[Tree, ...]) -> LinComb:
+    # the empty forest gives e (x) e, any other forest's product starts from its first tree
+    total = _coproduct_tree(trees[0]) if trees else LinComb.unit(TensorPair(EMPTY_FOREST, EMPTY_FOREST))
+    for t in trees[1:]:
+        total = bilinear(_pair_product, total, _coproduct_tree(t))
+    return total
 
 
 def coproduct(f: Forest) -> LinComb:
     """Admissible-cut coproduct, multiplicative over the forest product."""
-    total = LinComb.unit(TensorPair(EMPTY_FOREST, EMPTY_FOREST))
-    for t in f.trees:
-        total = bilinear(_pair_product, total, _coproduct_tree(t))
-    return total
+    return _coproduct_trees(f.trees)
 
 
 def enumerate_trees(n: int, decorations: Sequence[Letter]) -> list:

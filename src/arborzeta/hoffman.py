@@ -11,6 +11,10 @@ I[u] denoting that block substitution,
 
 extended linearly.  exp is an isomorphism from the quasi-shuffle algebra to
 the shuffle algebra on the same alphabet, and log is its inverse.
+
+Both sums run in integers over one common denominator, the lcm of k! times
+the denominator of each input coefficient (k! times either coefficient is an
+integer), with one division per output word; block indices come from prefix sums.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from functools import lru_cache, reduce
 from itertools import accumulate
 from typing import Tuple
 
-from .lincomb import LinComb, _coerce
-from .words import Word, merge_y
+from .lincomb import LinComb
+from .words import Word, YLetter, as_comb, merge_y
 
 
 def compositions(k: int) -> list:
@@ -48,27 +52,49 @@ def apply_composition(parts: Tuple[int, ...], w: Word) -> Word:
 
 @lru_cache(maxsize=None)
 def _coefficients(k: int) -> tuple:
-    """The compositions of k, each with its exp and its log coefficient, built once per length."""
-    return tuple(
-        (parts, _coerce(Fraction(1, math.prod(map(math.factorial, parts)))),
-         _coerce(Fraction((-1) ** (k - len(parts)), math.prod(parts))))
-        for parts in compositions(k)
-    )
+    """The blocks (start, end) of the compositions of k; then, for exp and for log,
+    each composition as the positions of its blocks and its coefficient times k!."""
+    f, spans, exp_rows, log_rows = math.factorial(k), {}, [], []
+    for parts in compositions(k):
+        ends = tuple(accumulate(parts))
+        ids = tuple(spans.setdefault(b, len(spans)) for b in zip((0,) + ends, ends))
+        exp_rows.append((ids, f // math.prod(map(math.factorial, parts))))
+        log_rows.append((ids, (-1) ** (k - len(parts)) * f // math.prod(parts)))
+    return tuple(spans), tuple(exp_rows), tuple(log_rows)
+
+
+def _composition_sum(terms, which: int) -> LinComb:
+    # sum of c * coefficient * I[w] over the terms (w, c), read twice, and the
+    # compositions of len(w), for which = 1 (exp) or 2 (log), over one denominator
+    den = math.lcm(*(math.factorial(len(w.letters)) * c.denominator for w, c in terms))
+    out: dict = {}
+    for w, c in terms:
+        try:
+            sums = (0, *accumulate(l.index for l in w.letters))
+        except AttributeError:
+            raise ValueError(f"the exp/log isomorphism acts on summation (y) words, got {w}") from None
+        table = _coefficients(len(w.letters))
+        m = c.numerator * (den // (math.factorial(len(w.letters)) * c.denominator))
+        merged = [YLetter(sums[e] - sums[s]) for s, e in table[0]]
+        for ids, g in table[which]:
+            ls = tuple([merged[i] for i in ids])
+            out[ls] = out.get(ls, 0) + m * g
+    return as_comb({ls: Fraction(v, den) for ls, v in out.items() if v})
 
 
 def exp_word(w: Word) -> LinComb:
     """Hoffman exponential of a single word, as a combination of words."""
-    return LinComb((apply_composition(parts, w), e) for parts, e, _ in _coefficients(len(w.letters)))
+    return _composition_sum(((w, 1),), 1)
 
 
 def log_word(w: Word) -> LinComb:
     """Hoffman logarithm of a single word, inverse to exp_word."""
-    return LinComb((apply_composition(parts, w), g) for parts, _, g in _coefficients(len(w.letters)))
+    return _composition_sum(((w, 1),), 2)
 
 
 def exp_comb(a: LinComb) -> LinComb:
-    return a.map_basis(exp_word)
+    return _composition_sum(a._terms.items(), 1)
 
 
 def log_comb(a: LinComb) -> LinComb:
-    return a.map_basis(log_word)
+    return _composition_sum(a._terms.items(), 2)

@@ -96,7 +96,7 @@ def suite_relations(tol: float = 1e-9) -> List[CheckRow]:
     z2 = eval_mzv((2,), tol)
     z3 = eval_mzv((3,), tol)
     z4 = eval_mzv((4,), tol)
-    rows = [
+    return [
         _row(
             "zeta(2,3)+zeta(3,2)+zeta(5)=zeta(2)zeta(3)",
             zeta_comb_y(quasi_shuffle(y_word(2), y_word(3)), tol),
@@ -112,7 +112,6 @@ def suite_relations(tol: float = 1e-9) -> List[CheckRow]:
         _row("zeta(2,1)=zeta(3)", eval_mzv((2, 1), tol), z3, slack),
         _row("2zeta(2)^2=5zeta(4)", 2.0 * z2 * z2, 5.0 * z4, slack),
     ]
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +139,11 @@ def suite_bmz(tol: float = 1e-9, max_weight: Optional[int] = None) -> List[Check
 # ---------------------------------------------------------------------------
 # exact Hopf-structure checks
 
-def _triple_split_left(f: Forest) -> LinComb:
-    return coproduct(f).map_basis(
-        lambda p: coproduct(p.left).map_basis(lambda q: (q.left, q.right, p.right))
-    )
-
-
-def _triple_split_right(f: Forest) -> LinComb:
-    return coproduct(f).map_basis(
-        lambda p: coproduct(p.right).map_basis(lambda q: (p.left, q.left, q.right))
-    )
+def _coassociativity_sides(f: Forest) -> Tuple[LinComb, LinComb]:
+    """Both sides of (coproduct (x) id) coproduct(f) = (id (x) coproduct) coproduct(f)."""
+    cop = coproduct(f)
+    return (cop.map_basis(lambda p: coproduct(p.left).map_basis(lambda q: (q.left, q.right, p.right))),
+            cop.map_basis(lambda p: coproduct(p.right).map_basis(lambda q: (p.left, q.left, q.right))))
 
 
 def _tensor_arborify(f: Forest, arborify: Callable[[Forest], LinComb]) -> LinComb:
@@ -163,12 +157,6 @@ def _cocycle_sides(d: Letter, f: Forest) -> Tuple[LinComb, LinComb]:
     return coproduct(tree), LinComb.unit(TensorPair(tree, EMPTY_FOREST)) + grafted
 
 
-def _all_words(alphabet: Sequence[Letter], max_len: int) -> Iterable[Word]:
-    for length in range(1, max_len + 1):
-        for letters in itertools.product(alphabet, repeat=length):
-            yield Word(letters)
-
-
 def suite_hopf(tol: float = 1e-9) -> List[CheckRow]:
     """Exact structural identities on small forests; tolerance is zero."""
     rows = []
@@ -179,7 +167,7 @@ def suite_hopf(tol: float = 1e-9) -> List[CheckRow]:
         forests = [f for n in range(0, 5) for f in enumerate_forests(n, letters)]
         rows.append(_exact_row(
             f"coassociativity[{tag},forests<=4]",
-            ((_triple_split_left(f), _triple_split_right(f)) for f in forests),
+            (_coassociativity_sides(f) for f in forests),
         ))
 
         rows.append(_exact_row(
@@ -195,7 +183,8 @@ def suite_hopf(tol: float = 1e-9) -> List[CheckRow]:
         ))
         rows.append(_exact_row(
             f"ladder-section[{tag},words<=5]",
-            ((arb(Forest((ladder(w),))), LinComb.unit(w)) for w in _all_words(letters, 5)),
+            ((arb(Forest((ladder(Word(ls)),))), LinComb.unit(Word(ls)))
+             for n in range(1, 6) for ls in itertools.product(letters, repeat=n)),
         ))
 
     return rows
@@ -242,9 +231,7 @@ def run_suite(name: str, tol: float = 1e-9, max_weight: Optional[int] = None) ->
         return [row for key in SUITES for row in run_suite(key, tol, max_weight)]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    if name == "bmz":
-        return suite_bmz(tol, max_weight)
-    return SUITES[name](tol)
+    return suite_bmz(tol, max_weight) if name == "bmz" else SUITES[name](tol)
 
 
 def format_rows(rows: Sequence[CheckRow], fmt: str = "text") -> str:

@@ -558,9 +558,9 @@ def hoffman_reg_relation(w: Word) -> LinComb:
     left = shuffle(_X1W, s_map(w))
     right = quasi_shuffle(_Y1, w).map_basis(s_map)
     out = left - right
-    bad = [word for word in out.support() if not is_convergent_x(word)]
+    bad = [word for word in out._terms if not is_convergent_x(word)]
     if bad:
-        raise AssertionError(f"divergent words failed to cancel: {bad}")
+        raise AssertionError(f"divergent words failed to cancel: {sorted(bad, key=str)}")
     return out
 
 

@@ -301,7 +301,7 @@ class TestHoffman:
     def test_x_word_rejected(self, capsys):
         code, _, err = run(capsys, "hoffman", "exp", "x0.x1")
         assert code == 2
-        assert err.startswith("error:")
+        assert err == "error: the exp/log isomorphism acts on summation (y) words, got x0.x1\n"
 
     def test_bad_direction(self, capsys):
         assert run(capsys, "hoffman", "sideways", "y1")[0] == 2

@@ -4,7 +4,8 @@ Two oracles anchor this module.  The coproduct oracle enumerates vertex
 subsets directly and keeps those closed under taking parents (the trunks);
 the census oracle builds every decorated tree from parent arrays and counts
 distinct canonical forms.  Both are independent of the implementation's
-recursions.
+recursions.  A third reference, the grafting recursion with every product
+started from the unit pair e (x) e, pins the coproduct's first-tree start.
 """
 
 import itertools
@@ -12,13 +13,14 @@ from fractions import Fraction
 
 import pytest
 
-from arborzeta.lincomb import LinComb, TensorPair
+from arborzeta.lincomb import LinComb, TensorPair, bilinear
 from arborzeta.words import X0, X1, YLetter
 from arborzeta.forests import (
     EMPTY_FOREST,
     Forest,
     ParseError,
     Tree,
+    _pair_product,
     bplus,
     coproduct,
     counit,
@@ -122,6 +124,32 @@ class TestCoproductOracle:
         for n in range(0, 5):
             for f in enumerate_forests(n, (X0, X1)):
                 assert coproduct(f) == downset_coproduct(f)
+
+
+def unit_start_coproduct(f: Forest) -> LinComb:
+    """The grafting recursion with every forest product started from e (x) e,
+    uncached: the form coproduct had before its products started from the
+    first tree."""
+    total = LinComb.unit(TensorPair(EMPTY_FOREST, EMPTY_FOREST))
+    for t in f.trees:
+        grafted = unit_start_coproduct(Forest(t.children)).map_basis(
+            lambda p, t=t: TensorPair(p.left, forest_of(bplus(t.decoration, p.right)))
+        )
+        tree_cop = grafted + LinComb.unit(TensorPair(forest_of(t), EMPTY_FOREST))
+        total = bilinear(_pair_product, total, tree_cop)
+    return total
+
+
+class TestCoproductUnitStart:
+    @pytest.mark.parametrize("letters", [(Y1, Y2), (X0, X1)], ids=["y", "x"])
+    def test_matches_unit_start_up_to_five_vertices(self, letters):
+        forests = [f for n in range(0, 6) for f in enumerate_forests(n, letters)]
+        for f in forests:
+            assert coproduct(f) == unit_start_coproduct(f), str(f)
+
+    def test_empty_forest_is_the_unit_pair(self):
+        assert unit_start_coproduct(EMPTY_FOREST) == LinComb.unit(TensorPair(EMPTY_FOREST, EMPTY_FOREST))
+        assert coproduct(EMPTY_FOREST) == LinComb.unit(TensorPair(EMPTY_FOREST, EMPTY_FOREST))
 
 
 class TestCensusOracle:

@@ -3,9 +3,12 @@
 The defining sums make exp an algebra morphism taking the shuffle product to
 the quasi-shuffle product, exp(u sh v) = exp(u) qsh exp(v), with log its
 inverse; the six small displays and the inverse property pin both maps down.
+A term-by-term Fraction reference, built from apply_composition and the
+closed-form coefficients, checks the integer sums on random combinations.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,6 +24,7 @@ from arborzeta.words import (
     product_comb,
     quasi_shuffle,
     shuffle,
+    x_word,
     y_word,
 )
 
@@ -160,3 +164,97 @@ class TestMorphism:
                     for ur, cr in exp_word(p.right).items():
                         rhs = rhs + LinComb.unit(TensorPair(ul, ur), c * cl * cr)
             assert lhs == rhs
+
+
+def reference(a: LinComb, log: bool) -> LinComb:
+    """exp or log of a, one Fraction term per (term, composition) pair."""
+    out = []
+    for w, c in a.items():
+        k = len(w.letters)
+        for parts in compositions(k):
+            if log:
+                coeff = Fraction((-1) ** (k - len(parts)), math.prod(parts))
+            else:
+                coeff = Fraction(1, math.prod(math.factorial(i) for i in parts))
+            out.append((apply_composition(parts, w), c * coeff))
+    return LinComb(out)
+
+
+def stored_form(a: LinComb) -> bool:
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for _, c in a.items())
+
+
+y_words = st.lists(st.integers(1, 4), max_size=6).map(lambda ix: y_word(*ix))
+signed = st.fractions(-4, 4, max_denominator=12).filter(bool)
+
+
+@st.composite
+def y_combinations(draw, log: bool):
+    """Signed combinations of y-words of lengths 0 to 6; on request a term and
+    its negative cancel in the input, or a word of the image of the first term
+    is subtracted so that it cancels in the output."""
+    pairs = draw(st.lists(st.tuples(y_words, signed), max_size=4))
+    if pairs:
+        w, c = pairs[0]
+        choice = draw(st.sampled_from(("plain", "input", "output")))
+        if choice == "input":
+            pairs.append((w, -c))
+        elif choice == "output":
+            # the image of u starts with u itself, and every other word it has is shorter
+            u, r = draw(st.sampled_from(reference(LinComb.unit(w, c), log).items()))
+            pairs.append((u, -r))
+    return LinComb(pairs)
+
+
+class TestAgainstReference:
+    @given(y_combinations(log=False))
+    @settings(max_examples=150, deadline=None)
+    def test_exp_comb(self, a):
+        got = exp_comb(a)
+        assert got == reference(a, log=False)
+        assert stored_form(got)
+
+    @given(y_combinations(log=True))
+    @settings(max_examples=150, deadline=None)
+    def test_log_comb(self, a):
+        got = log_comb(a)
+        assert got == reference(a, log=True)
+        assert stored_form(got)
+
+    @given(y_words)
+    @settings(max_examples=80, deadline=None)
+    def test_words(self, w):
+        for word_map, log in ((exp_word, False), (log_word, True)):
+            got = word_map(w)
+            assert got == reference(LinComb.unit(w), log)
+            assert stored_form(got)
+
+    def test_output_cancellation(self):
+        # exp(y1.y2) = y1.y2 + 1/2*y3, so subtracting 1/2*y3 cancels the y3 term
+        a = LinComb({y_word(1, 2): 1, y_word(3): Fraction(-1, 2)})
+        assert exp_comb(a) == LinComb.unit(y_word(1, 2))
+        assert log_comb(a) == LinComb({y_word(1, 2): 1, y_word(3): -1})
+
+    def test_zero_combination(self):
+        assert exp_comb(LinComb()) == LinComb()
+        assert log_comb(LinComb()) == LinComb()
+
+    def test_empty_word(self):
+        for got in (exp_word(Word(())), log_word(Word(())), exp_comb(LinComb.unit(Word(()), Fraction(-3, 2)))):
+            assert set(got.support()) == {Word(())}
+            assert stored_form(got)
+        assert type(exp_word(Word(())).coeff(Word(()))) is int
+
+
+class TestRefusesXWords:
+    @pytest.mark.parametrize("w", [x_word(1), x_word(0, 1)], ids=str)
+    def test_word_maps(self, w):
+        for word_map in (exp_word, log_word):
+            with pytest.raises(ValueError, match=f"summation \\(y\\) words, got {w}$"):
+                word_map(w)
+
+    def test_comb_maps(self):
+        a = LinComb({y_word(2): 1, x_word(0, 1): 1})
+        for comb_map in (exp_comb, log_comb):
+            with pytest.raises(ValueError, match="got x0.x1$"):
+                comb_map(a)
