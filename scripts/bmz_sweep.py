@@ -11,9 +11,7 @@ import argparse
 import sys
 import time
 
-from arborzeta.hoffman import compositions
-from arborzeta.words import y_word
-from arborzeta.zeta import check_bmz
+from arborzeta.verify import suite_bmz
 
 
 def main() -> int:
@@ -22,20 +20,15 @@ def main() -> int:
     parser.add_argument("--tol", type=float, default=1e-9)
     args = parser.parse_args()
 
-    worst = 0.0
-    count = 0
     t0 = time.perf_counter()
-    for weight in range(args.max_weight + 1):
-        for parts in compositions(weight):
-            w = y_word(*parts)
-            residual = check_bmz(w, args.tol)
-            worst = max(worst, residual)
-            count += 1
-            print(f"{str(w):24s} residual = {residual:.3e}")
+    rows = suite_bmz(args.tol, args.max_weight)
     elapsed = time.perf_counter() - t0
-    print(f"\n{count} words up to weight {args.max_weight}, "
+    for row in rows:
+        print(f"{row.name.removeprefix('bmz:'):24s} residual = {row.residual:.3e}")
+    worst = max(row.residual for row in rows)
+    print(f"\n{len(rows)} words up to weight {args.max_weight}, "
           f"worst residual {worst:.3e}, {elapsed:.2f}s")
-    return 0 if worst <= 10 * args.tol else 1
+    return 0 if all(row.passed for row in rows) else 1
 
 
 if __name__ == "__main__":

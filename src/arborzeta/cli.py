@@ -78,7 +78,7 @@ def _zeta_line(comb: LinComb, alphabet: str) -> str:
     # as the tuples of negated indices do, and s_map is a bijection, so no ties
     rows = sorted(
         (tuple(-l.index for l in (w if alphabet == "y" else s_inverse(w)).letters), c)
-        for w, c in comb._terms.items()
+        for w, c in comb.items()
     )
     return " + ".join(f"{c}*zeta({','.join(str(-n) for n in neg)})" for neg, c in rows)
 

@@ -149,11 +149,10 @@ def _pair_product(p: TensorPair, q: TensorPair) -> TensorPair:
 @lru_cache(maxsize=None)
 def _coproduct_tree(t: Tree) -> LinComb:
     # grafting the trunks of distinct terms under the root gives distinct terms
-    out = LinComb()
-    out._terms = {TensorPair(p.left, Forest((Tree(t.decoration, p.right.trees),))): c
-                  for p, c in _coproduct_trees(t.children)._terms.items()}
-    out._terms[TensorPair(Forest((t,)), EMPTY_FOREST)] = 1
-    return out
+    terms = {TensorPair(p.left, Forest((Tree(t.decoration, p.right.trees),))): c
+             for p, c in _coproduct_trees(t.children).items()}
+    terms[TensorPair(Forest((t,)), EMPTY_FOREST)] = 1
+    return LinComb(terms)
 
 
 def _coproduct_trees(trees: Tuple[Tree, ...]) -> LinComb:

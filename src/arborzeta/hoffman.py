@@ -93,8 +93,8 @@ def log_word(w: Word) -> LinComb:
 
 
 def exp_comb(a: LinComb) -> LinComb:
-    return _composition_sum(a._terms.items(), 1)
+    return _composition_sum(a.items(), 1)
 
 
 def log_comb(a: LinComb) -> LinComb:
-    return _composition_sum(a._terms.items(), 2)
+    return _composition_sum(a.items(), 2)

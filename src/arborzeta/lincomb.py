@@ -11,11 +11,12 @@ integers, so the exact layer runs on machine integers; a ``Fraction`` appears
 only where a division happens (Hoffman's exp/log, the regularization
 elimination), and every sum or product that comes out integral is stored as
 an ``int`` again.  Floats enter only when a value is explicitly evaluated
-numerically.  ``items()`` and printing order basis elements by the
-lexicographic order of their string serialization, which makes both
-deterministic.  The zero combination (empty support) is distinct from the
-unit basis element of any algebra built on top, such as the empty word or the
-empty forest.
+numerically.  Terms are kept in insertion order, which is deterministic, and
+``items()`` returns them in that order; only printing orders basis elements
+by the lexicographic order of their string serialization.  This module alone
+reads or writes the stored terms.  The zero combination (empty support) is
+distinct from the unit basis element of any algebra built on top, such as the
+empty word or the empty forest.
 """
 
 from __future__ import annotations
@@ -61,16 +62,18 @@ class LinComb:
 
     Immutable after construction.  Zero coefficients are never stored, so the
     zero combination has empty support and is falsy.  Construction accepts a
-    dict or an iterable of (element, coefficient) pairs, and repeated
-    elements accumulate.
+    dict, whose keys are distinct, or an iterable of (element, coefficient)
+    pairs, in which repeated elements accumulate.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Union[dict, Iterable[Tuple[object, Scalar]]] = ()):
+        if isinstance(terms, dict):
+            self._terms = {e: v for e, c in terms.items() if (v := c if type(c) is int else _coerce(c))}
+            return
         data: dict = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for elem, c in items:
+        for elem, c in terms:
             if type(c) is not int:
                 c = _coerce(c)
             if c:
@@ -88,11 +91,8 @@ class LinComb:
         return cls(((elem, coeff),))
 
     def items(self) -> list:
-        """Terms as (element, coefficient) pairs, ordered by serialization."""
-        return sorted(self._terms.items(), key=lambda kv: str(kv[0]))
-
-    def support(self) -> list:
-        return [elem for elem, _ in self.items()]
+        """Terms as (element, coefficient) pairs, in stored order."""
+        return list(self._terms.items())
 
     def coeff(self, elem: object) -> Scalar:
         return self._terms.get(elem, 0)
@@ -143,9 +143,7 @@ class LinComb:
         c = _coerce(c)
         if not c:
             return LinComb()
-        out = LinComb()
-        out._terms = {elem: _coerce(c * v) for elem, v in self._terms.items()}
-        return out
+        return LinComb({elem: c * v for elem, v in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -158,7 +156,8 @@ class LinComb:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        return " + ".join(f"{c}*{elem}" for elem, c in self.items())
+        terms = sorted(((str(elem), c) for elem, c in self._terms.items()), key=lambda t: t[0])
+        return " + ".join(f"{c}*{elem}" for elem, c in terms)
 
     def __repr__(self) -> str:
         return f"LinComb({self})"

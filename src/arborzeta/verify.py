@@ -128,6 +128,8 @@ def suite_bmz(tol: float = 1e-9, max_weight: Optional[int] = None) -> List[Check
     Reported lhs/rhs are the constant (theta-degree-0) coefficients of the
     two sides; the residual is the maximum over all theta powers.
     """
+    if max_weight is not None and max_weight < 0:
+        raise ValueError(f"max weight must be nonnegative, got {max_weight}")
     rows = []
     for w in _y_words_up_to_weight(4 if max_weight is None else max_weight):
         lhs_poly, rhs_poly, residual = compare_bmz(w, tol)

@@ -34,7 +34,7 @@ from functools import lru_cache, total_ordering
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Tuple, Union
 
-from .lincomb import LinComb, TensorPair, _coerce
+from .lincomb import LinComb, TensorPair
 
 
 @total_ordering
@@ -194,9 +194,7 @@ def interleave_sum(a: Mapping, b: Mapping, merge: Optional[Callable[[Letter, Let
 
 def as_comb(coeffs: Mapping) -> LinComb:
     """The LinComb of a map letters -> coefficient: each word built once, zeros dropped."""
-    out = LinComb()
-    out._terms = {Word(ls): c if type(c) is int else _coerce(c) for ls, c in coeffs.items() if c}
-    return out
+    return LinComb({Word(ls): c for ls, c in coeffs.items() if c})
 
 
 def shuffle(u: Word, v: Word) -> LinComb:
@@ -212,7 +210,7 @@ def quasi_shuffle(u: Word, v: Word) -> LinComb:
 def product_comb(a: LinComb, b: LinComb,
                  merge: Optional[Callable[[Letter, Letter], Letter]] = None) -> LinComb:
     """Bilinear extension of shuffle (merge=None) or quasi-shuffle to combinations."""
-    by_letters = [{w.letters: c for w, c in x._terms.items()} for x in (a, b)]
+    by_letters = [{w.letters: c for w, c in x.items()} for x in (a, b)]
     return as_comb(interleave_sum(*by_letters, merge))
 
 

@@ -444,7 +444,7 @@ def _eliminate(w: Word, prod: LinComb, reg: Callable[[Word], ThetaPoly]) -> Thet
     is the coefficient of w in prod."""
     a = prod.coeff(w)
     acc = reg(Word(w.letters[1:])).shift(1)
-    for u, c in (prod - LinComb.unit(w, a))._terms.items():
+    for u, c in (prod - LinComb.unit(w, a)).items():
         acc = acc - reg(u).scale(c)
     return acc.scale(Fraction(1, int(a)))
 
@@ -558,7 +558,7 @@ def hoffman_reg_relation(w: Word) -> LinComb:
     left = shuffle(_X1W, s_map(w))
     right = quasi_shuffle(_Y1, w).map_basis(s_map)
     out = left - right
-    bad = [word for word in out._terms if not is_convergent_x(word)]
+    bad = [word for word, _ in out.items() if not is_convergent_x(word)]
     if bad:
         raise AssertionError(f"divergent words failed to cancel: {sorted(bad, key=str)}")
     return out

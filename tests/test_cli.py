@@ -244,6 +244,13 @@ class TestVerify:
             assert out == ""
             assert err == f"error: {message}\n"
 
+    def test_negative_max_weight_refused(self, capsys):
+        for suite in ("bmz", "all"):
+            code, out, err = run(capsys, "verify", suite, "--max-weight", "-1")
+            assert code == 2
+            assert out == ""
+            assert err == "error: max weight must be nonnegative, got -1\n"
+
     def test_unknown_suite(self, capsys):
         assert run(capsys, "verify", "nope")[0] == 2
 

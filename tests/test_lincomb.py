@@ -1,10 +1,13 @@
 """Coefficient substrate: linear combinations and theta-polynomials."""
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from arborzeta import lincomb
 from arborzeta.lincomb import NEG_INF, LinComb, TensorPair, ThetaPoly, bilinear
 
 
@@ -15,7 +18,7 @@ def lc(**terms):
 class TestLinComb:
     def test_construction_drops_zeros(self):
         a = LinComb({"x": Fraction(0), "y": Fraction(2)})
-        assert a.support() == ["y"]
+        assert a.items() == [("y", 2)]
         assert len(a) == 1
 
     def test_pairs_accumulate(self):
@@ -65,9 +68,21 @@ class TestLinComb:
         assert a * 0 == LinComb()
         assert 2 * a == a + a
 
-    def test_items_sorted_by_str(self):
-        a = LinComb({"b": Fraction(1), "a": Fraction(2), "c": Fraction(3)})
-        assert [k for k, _ in a.items()] == ["a", "b", "c"]
+    def test_items_in_stored_order_without_serializing(self):
+        class Opaque:
+            def __init__(self, name):
+                self.name = name
+
+            def __str__(self):
+                raise AssertionError("serialized")
+
+        b, a, c = Opaque("b"), Opaque("a"), Opaque("c")
+        comb = LinComb({b: 1, a: Fraction(2), c: 3}) + LinComb.unit(a, 1)
+        assert comb.items() == [(b, 1), (a, 3), (c, 3)]
+        assert comb.map_basis(lambda e: e).items() == comb.items()
+        assert (comb + comb).items() == [(b, 2), (a, 6), (c, 6)]
+        with pytest.raises(AssertionError, match="serialized"):
+            str(comb)
 
     def test_str_format(self):
         assert str(lc(b=-1, a=2)) == "2*a + -1*b"
@@ -97,6 +112,26 @@ class TestLinComb:
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 atoms = st.sampled_from(["a", "b", "c", "d"])
 combs = st.dictionaries(atoms, fractions, max_size=4).map(LinComb)
+
+
+PRIVATE_REACH = re.compile(r"\._terms\b|\b_coerce\b")
+
+
+def test_private_reach_pattern():
+    assert PRIVATE_REACH.search("out._terms = {}") and PRIVATE_REACH.search("import LinComb, _coerce")
+    assert not PRIVATE_REACH.search("stray, at_inf = _stray_terms(err, n, K)")
+    assert not PRIVATE_REACH.search("zeta._stray_terms")
+
+
+def test_only_lincomb_touches_stored_terms():
+    # every other module goes through the constructor, items() and the arithmetic
+    package = Path(lincomb.__file__).parent
+    offenders = [
+        f"{path.name}:{n}"
+        for path in sorted(package.glob("*.py")) if path.name != "lincomb.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1) if PRIVATE_REACH.search(line)
+    ]
+    assert offenders == []
 
 
 class TestLinCombProperties:

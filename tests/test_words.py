@@ -180,8 +180,8 @@ def small_combs(letters):
 
 
 def stored_and_nonzero(comb):
-    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in comb._terms.values()) \
-        and all(comb._terms.values())
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for _, c in comb.items()) \
+        and all(c for _, c in comb.items())
 
 
 class TestProductComb:

@@ -15,6 +15,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arborzeta.hoffman import compositions
 from arborzeta.lincomb import LinComb, ThetaPoly
 from arborzeta.words import Word, is_convergent_x, s_inverse, s_map, x_word, y_word
 from arborzeta.forests import Forest, make_tree, parse_forest, parse_tree, vertex
@@ -481,6 +482,14 @@ class TestBruteTreeSum:
     def test_single_vertex(self):
         assert brute_tree_sum(vertex(YLetter(2)), 2) == 1.25
         assert abs(brute_tree_sum(vertex(YLetter(2)), 2000) - naive_mzv((2,), 2000)) < 1e-14
+
+    def test_ladders_match_nested_sum(self):
+        # the ladder section, checked against the word oracle: two codes that share nothing
+        indices = [e for n in range(2, 7) for e in compositions(n) if e[0] >= 2]
+        assert len(indices) == 31
+        for e in indices:
+            tree_sum, word_sum = brute_tree_sum(ladder(y_word(*e)), 300), naive_mzv(e, 300)
+            assert abs(tree_sum - word_sum) <= 1e-14 * word_sum, e
 
     def test_cherry_at_bound_two(self):
         assert brute_tree_sum(parse_tree("y2(y2,y2)"), 2) == 1.0 / 16.0
