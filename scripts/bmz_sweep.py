@@ -4,7 +4,8 @@
 For each summation word w up to a chosen weight, compare the shuffle
 regularization of its image word against the corrected quasi-shuffle
 regularization and print the residual.  All residuals should sit at
-roundoff level, far below the working tolerance.
+roundoff level, far below the working tolerance.  A refused argument prints
+``error: ...`` on stderr and exits with status 2.
 """
 
 import argparse
@@ -21,7 +22,11 @@ def main() -> int:
     args = parser.parse_args()
 
     t0 = time.perf_counter()
-    rows = suite_bmz(args.tol, args.max_weight)
+    try:
+        rows = suite_bmz(args.tol, args.max_weight)
+    except (ValueError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.perf_counter() - t0
     for row in rows:
         print(f"{row.name.removeprefix('bmz:'):24s} residual = {row.residual:.3e}")

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run every verification suite and print the combined report.
 
-Exit status is nonzero when any row fails, so this doubles as a CI gate.
+Exit status is 1 when any row fails, so this doubles as a CI gate, and 2 when
+an argument is refused (``error: ...`` on stderr, nothing on stdout).
 """
 
 import argparse
@@ -18,13 +19,21 @@ def main() -> int:
     parser.add_argument("--format", choices=("text", "tsv", "json"), default="text")
     args = parser.parse_args()
 
+    # every suite runs before any is printed, so a refused argument prints no report
+    reports = []
+    try:
+        for name in SUITE_NAMES:
+            if name == "all":
+                continue
+            t0 = time.perf_counter()
+            rows = run_suite(name, tol=args.tol, max_weight=args.max_weight)
+            reports.append((name, time.perf_counter() - t0, rows))
+    except (ValueError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
     failures = 0
-    for name in SUITE_NAMES:
-        if name == "all":
-            continue
-        t0 = time.perf_counter()
-        rows = run_suite(name, tol=args.tol, max_weight=args.max_weight)
-        elapsed = time.perf_counter() - t0
+    for name, elapsed, rows in reports:
         print(f"== suite {name} ({elapsed:.2f}s) ==")
         print(format_rows(rows, args.format))
         print()

@@ -70,7 +70,12 @@ class LinComb:
 
     def __init__(self, terms: Union[dict, Iterable[Tuple[object, Scalar]]] = ()):
         if isinstance(terms, dict):
-            self._terms = {e: v for e, c in terms.items() if (v := c if type(c) is int else _coerce(c))}
+            self._terms = data = dict(terms)  # the copy reuses the stored hashes
+            for e, c in terms.items():
+                if type(c) is not int or not c:  # rewrite only what to coerce or drop
+                    data[e] = c = _coerce(c)
+                    if not c:
+                        del data[e]
             return
         data: dict = {}
         for elem, c in terms:

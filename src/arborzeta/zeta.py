@@ -53,9 +53,12 @@ no word expansion:
   summand g = x^(-n) prod E_c is pruned at order _A_MAX and its tail is
   sum_{k>x} g(k) = -Phi(x) - g(x) + remainder, with Phi as above.  In a
   convergent tree every summand decays at least like x^(-2), so no
-  logarithms arise and E_v vanishes at infinity.
+  logarithms arise and E_v vanishes at infinity.  So every expansion and
+  majorant is a dense list of floats, entry a the coefficient of x^(-a);
+  products skip zero coefficients, one descending pass applies the monomial
+  rules for -Phi - g and g^(5), and values at K sum the highest order first.
 * Below K the exact backward pass T_v(m) = T_v(m+1) + (m+1)^(-n) prod
-  T_c(m+1) runs from the seed T_v(K) = E_v(K).
+  T_c(m+1) runs from the seed T_v(K) = E_v(K), with one table of k^(-n) per n.
 * The bound.  Above K a decaying majorant err_v >= |T_v - E_v| collects the
   Euler-Maclaurin remainder 2*zeta(5)/(2*pi)^5 * integral of |g^(5)|, the
   pruned orders, the coefficient rounding of the expansions and the child
@@ -64,9 +67,11 @@ no word expansion:
   down with prod(T_c + eps_c) - prod T_c, valid because every term is
   positive.  Rounding adds gamma_2M times the value, gamma_M = M*u/(1 - M*u)
   with u = 2^-53 and M counting the roundings along any path through the
-  passes, and the majorant is inflated by the relative rounding of its own
-  pass.  K starts at 125 and doubles up to 64000; once the rounding term
-  alone exceeds tol the tolerance is refused.
+  passes (each count takes the nonzero coefficients a pass sums: of the E_c
+  in g, of E_v at K, of E_c, err_c and err_v in M), and the majorant is
+  inflated by the relative rounding of its own pass.  K starts at 125 and
+  doubles up to 64000; once the rounding term alone exceeds tol the
+  tolerance is refused.
 
 Regularization
 --------------
@@ -93,6 +98,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from operator import mul
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from .arborify import (
@@ -119,7 +125,7 @@ from .words import (
 MzvIndex = Tuple[int, ...]
 
 # ---------------------------------------------------------------------------
-# log-power expansions: dict (a, b) -> float meaning sum c * x^-a * ln(x)^b
+# log-power expansions of the word route: dict (a, b) -> sum c * x^-a * ln(x)^b
 
 _LogPow = Dict[Tuple[int, int], float]
 
@@ -565,7 +571,7 @@ def hoffman_reg_relation(w: Word) -> LinComb:
 
 
 # ---------------------------------------------------------------------------
-# tree-level values
+# tree-level values; a dense power list's entry a is the coefficient of x^-a
 
 _TREE_K0 = 125  # doubled up to 125 * 2**9 = 64000, the ceiling of eval_mzv_bounded
 
@@ -575,21 +581,39 @@ def _gamma(n: int) -> float:
     return n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53)
 
 
-def _lp_mul(p: _LogPow, q: _LogPow) -> _LogPow:
-    """Product of two pure power expansions (every key (a, 0))."""
-    out: _LogPow = {}
-    for (a, _), c in p.items():
-        for (b, _), d in q.items():
-            out[(a + b, 0)] = out.get((a + b, 0), 0.0) + c * d
+def _ps_add(p: list, q: list, scale: float = 1.0) -> list:
+    out = p + [0.0] * (len(q) - len(p))
+    for a, c in enumerate(q):
+        if c:
+            out[a] += scale * c
     return out
 
 
-def _tail_majorant(h: _LogPow) -> _LogPow:
-    """x -> integral from x to infinity of |h|; it bounds sum_{k>x} |h(k)| at
-    every integer x >= 1, since each k^-a is at most its integral over [k-1, k]."""
-    if any(a < 2 for a, _ in h):
-        raise AssertionError("a tree tail needs summands decaying like x^-2")
-    return {(a - 1, 0): abs(c) / (a - 1) for (a, _), c in h.items()}
+def _ps_mul(p: list, q: list) -> list:
+    out = [0.0] * (len(p) + len(q) - 1) if p and q else []
+    terms = [(b, d) for b, d in enumerate(q) if d]
+    for a, c in enumerate(p):
+        if c:
+            for b, d in terms:
+                out[a + b] += c * d
+    return out
+
+
+def _em_tail(kept: list) -> Tuple[list, list]:
+    """E = -Phi - g and g^(5) for a summand g of orders a >= 2.  Descending, the
+    integral c x^(1-a)/(1-a), -g/2, g'/12 and -g'''/720 of each c x^-a reach
+    every coefficient in that order, as in _build_phi; -g comes last."""
+    E, g5 = [0.0] * (len(kept) + 3), [0.0] * (len(kept) + 5)
+    for a in range(len(kept) - 1, 1, -1):
+        if c := kept[a]:
+            d1 = -a * c  # (x^-a)' = -a x^-(a+1)
+            d3 = -(a + 2) * (-(a + 1) * d1)
+            E[a - 1] += c * (1.0 / (a - 1))
+            E[a] += 0.5 * c
+            E[a + 1] -= (1.0 / 12.0) * d1
+            E[a + 3] += (1.0 / 720.0) * d3
+            g5[a + 5] = -(a + 4) * (-(a + 3) * d3)
+    return _ps_add(E, kept, -1.0), g5
 
 
 def _vertex_tail(t: Tree, K: int, memo: dict) -> tuple:
@@ -608,46 +632,47 @@ def _vertex_tail(t: Tree, K: int, memo: dict) -> tuple:
 
     # above K: g = x^-n prod E_c; P = x^-n prod |E_c| majorizes |g|, and
     # D = x^-n (prod(|E_c| + err_c) - prod |E_c|) majorizes x^-n |prod T_c - prod E_c|
-    g, P, D = {(n, 0): 1.0}, {(n, 0): 1.0}, {}
+    g = P = [0.0] * n + [1.0]
+    D: list = []
     for E, err, *_ in kids:
-        bar = {key: abs(c) for key, c in E.items()}
-        widened = dict(bar)
-        _lp_add(widened, err)
-        D = _lp_mul(D, widened)
-        _lp_add(D, _lp_mul(P, err))
-        g, P = _lp_mul(g, E), _lp_mul(P, bar)
-    kept, dropped = _lp_prune(g, K)
+        bar = [abs(c) for c in E]
+        D = _ps_add(_ps_mul(D, _ps_add(bar, err)), _ps_mul(P, err))
+        g, P = _ps_mul(g, E), _ps_mul(P, bar)
+    kept = g[:_A_MAX + 1]
+    dropped = sum(abs(c) * _sum_tail(a, 0, K) for a, c in enumerate(g[_A_MAX + 1:], _A_MAX + 1) if c)
+    # the float product has at most as many roundings per coefficient as the E_c have terms
+    D = _ps_add(D, P, _gamma(sum(sum(map(bool, E)) for E, *_ in kids)))
+    if any(kept[:2]) or any(D[:2]):
+        raise AssertionError("a tree tail needs summands decaying like x^-2")
     # sum_{k>x} g(k) = -Phi(x) - g(x) + remainder, with Phi as in the word evaluator
-    E_t: _LogPow = {}
-    _lp_add(E_t, _build_phi(kept), -1.0)
-    _lp_add(E_t, kept, -1.0)
-    # the float product has at most sum len(E_c) roundings per coefficient
-    _lp_add(D, P, _gamma(sum(len(kid[0]) for kid in kids)))
-    err_t = _tail_majorant(D)
-    g5 = kept
-    for _ in range(5):
-        g5 = _lp_deriv(g5)
-    _lp_add(err_t, _tail_majorant(g5), _EM_REMAINDER)
+    E_t, g5 = _em_tail(kept)
+    # x -> integral from x to infinity of |h| bounds sum_{k>x} |h(k)| at every
+    # integer x >= 1, since each k^-a is at most its integral over [k-1, k]
+    err_t = [0.0] + [abs(c) / (a - 1) for a, c in enumerate(D[2:], 2)]
+    err_t = _ps_add(err_t, [0.0] + [abs(c) / (a - 1) for a, c in enumerate(g5[2:], 2)], _EM_REMAINDER)
     # E_t has at most 9 roundings per contribution, and the contributions of
     # c x^-a total at most 2|c| x^(1-a) for x >= K >= 16
-    _lp_add(err_t, {(a - 1, 0): 2.0 * abs(c) for (a, _), c in kept.items()}, _gamma(9))
-    if dropped:  # every dropped order exceeds _A_MAX, so its tail decays like x^-_A_MAX
-        _lp_add(err_t, {(_A_MAX, 0): dropped * float(K) ** _A_MAX})
+    err_t = _ps_add(err_t, [2.0 * abs(c) for c in kept[1:]], _gamma(9))
+    if dropped:  # orders beyond _A_MAX (then err_t reaches _A_MAX + 4), whose tail decays like x^-_A_MAX
+        err_t[_A_MAX] += dropped * float(K) ** _A_MAX
     # evaluating E_t at K: one power (2 roundings), one product, the sum
-    _lp_add(err_t, {key: abs(c) for key, c in E_t.items()}, _gamma(len(E_t) + 3))
+    err_t = _ps_add(err_t, [abs(c) for c in E_t], _gamma(sum(map(bool, E_t)) + 3))
 
     # below K: T(m) = T(m+1) + (m+1)^-n prod T_c(m+1) from T(K) = E_t(K), and
-    # eps(m) = eps(m+1) + (m+1)^-n (prod(T_c + eps_c) - prod T_c) from err_t(K)
-    summand = [float(k) ** -n for k in range(1, K + 1)]
-    defect = [0.0] * K
+    # eps(m) = eps(m+1) + (m+1)^-n (prod(T_c + eps_c) - prod T_c) from err_t(K);
+    # memo[n] holds k^-n for k = 1..K, shared by every vertex decorated y_n
+    summand = memo.get(n) or memo.setdefault(n, [float(k) ** -n for k in range(1, K + 1)])
+    defect = None
     for _, _, T, eps, _ in kids:
-        defect = [d * (tc + ec) + p * ec for d, p, tc, ec in zip(defect, summand, T[1:], eps[1:])]
-        summand = [p * tc for p, tc in zip(summand, T[1:])]
-    T_t = list(accumulate(reversed(summand), initial=_lp_eval(E_t, K)))[::-1]
-    eps_t = list(accumulate(reversed(defect), initial=_lp_eval(err_t, K)))[::-1]
+        defect = (list(map(mul, summand, eps[1:])) if defect is None  # first child: d = 0
+                  else [d * (tc + ec) + p * ec for d, p, tc, ec in zip(defect, summand, T[1:], eps[1:])])
+        summand = list(map(mul, summand, T[1:]))
+    E_K, err_K = (sum(p[a] * K ** -a for a in range(len(p) - 1, -1, -1) if p[a]) for p in (E_t, err_t))
+    T_t = list(accumulate(reversed(summand), initial=E_K))[::-1]
+    eps_t = [err_K] * (K + 1) if defect is None else list(accumulate(reversed(defect), initial=err_K))[::-1]
     # M bounds the roundings behind each T[m] (at most K + 2 + len(kids) plus the
     # children's) and, less K, those behind each coefficient of err_t
-    M = K + 24 + len(err_t) + sum(m + len(E) + len(err) + 6 for E, err, _, _, m in kids)
+    M = K + 24 + sum(map(bool, err_t)) + sum(m + sum(map(bool, E + err)) + 6 for E, err, _, _, m in kids)
     memo[t] = (E_t, err_t, T_t, eps_t, M)
     return memo[t]
 

@@ -21,6 +21,24 @@ class TestLinComb:
         assert a.items() == [("y", 2)]
         assert len(a) == 1
 
+    def test_dict_construction_reuses_hashes(self):
+        class Key:
+            calls = 0
+
+            def __hash__(self):
+                Key.calls += 1
+                return id(self) >> 4
+
+        keys = [Key() for _ in range(4)]
+        d = {k: i + 1 for i, k in enumerate(keys)}
+        Key.calls = 0
+        assert LinComb(d).items() == list(d.items())
+        assert Key.calls == 0
+        # entries to coerce or drop are rewritten in place: stored order holds
+        mixed = LinComb({keys[0]: Fraction(4, 2), keys[1]: 0, keys[2]: Fraction(1, 2), keys[3]: 5})
+        assert mixed.items() == [(keys[0], 2), (keys[2], Fraction(1, 2)), (keys[3], 5)]
+        assert type(mixed.coeff(keys[0])) is int
+
     def test_pairs_accumulate(self):
         a = LinComb([("x", Fraction(1)), ("x", Fraction(2)), ("y", Fraction(1))])
         assert a.coeff("x") == 3

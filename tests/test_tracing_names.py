@@ -1,0 +1,36 @@
+"""Every name the benchmark's tracer wraps still exists in the package.
+
+``bench/tracing.py`` looks each function up as ``vars(owner)[attr]`` and each
+counted class as a module attribute whose ``__hash__`` it replaces, so a
+rename or a move in ``src/`` would break ``bench/run.py --trace 1``.  This
+test reads the tracer's tables and resolves them the same way.
+"""
+
+import importlib
+import runpy
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def _tracing() -> dict:
+    return runpy.run_path(str(TRACING))  # compiles from source, writes no bytecode
+
+
+def test_spanned_names_resolve():
+    tracing = _tracing()
+    assert tracing["SPANNED"]
+    for modname, qual, _ in tracing["SPANNED"]:
+        owner = importlib.import_module(f"arborzeta.{modname}")
+        *cls, attr = qual.split(".")
+        if cls:
+            owner = getattr(owner, cls[0])
+        assert callable(vars(owner).get(attr)), f"{modname}.{qual}"
+
+
+def test_counted_hashes_resolve():
+    tracing = _tracing()
+    assert tracing["COUNTED_HASHES"]
+    for modname, cls, _ in tracing["COUNTED_HASHES"]:
+        klass = getattr(importlib.import_module(f"arborzeta.{modname}"), cls)
+        assert "__hash__" in vars(klass), f"{modname}.{cls}"
