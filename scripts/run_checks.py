@@ -26,7 +26,8 @@ def main() -> int:
             if name == "all":
                 continue
             t0 = time.perf_counter()
-            rows = run_suite(name, tol=args.tol, max_weight=args.max_weight)
+            # only the bmz suite reads a max weight, and the others refuse one
+            rows = run_suite(name, tol=args.tol, max_weight=args.max_weight if name == "bmz" else None)
             reports.append((name, time.perf_counter() - t0, rows))
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

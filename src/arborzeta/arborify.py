@@ -54,27 +54,24 @@ def _arborify_tree(t: Tree, merge, memo: dict) -> dict:
     return got
 
 
-def _check_decorations(f: Forest, letter_type: type, flavor: str) -> None:
+def _check_decorations(f: Forest, letter_type: type, needs: str) -> None:
     stack = list(f.trees)
     while stack:
         t = stack.pop()
         if not isinstance(t.decoration, letter_type):
-            raise ValueError(
-                f"{flavor} arborification needs {letter_type.__name__} decorations, "
-                f"found {t.decoration}"
-            )
+            raise ValueError(f"{needs} decorations, found {t.decoration}")
         stack.extend(t.children)
 
 
 def arborify_x(f: Forest) -> LinComb:
     """Simple arborification: shuffle over trees, decorations from {x0, x1}."""
-    _check_decorations(f, XLetter, "simple")
+    _check_decorations(f, XLetter, "simple arborification needs integration (x)")
     return as_comb(_arborify_forest(f.trees, None, {}))
 
 
 def arborify_y(f: Forest) -> LinComb:
     """Contracting arborification: quasi-shuffle over trees, y-decorations."""
-    _check_decorations(f, YLetter, "contracting")
+    _check_decorations(f, YLetter, "contracting arborification needs summation (y)")
     return as_comb(_arborify_forest(f.trees, merge_y, {}))
 
 

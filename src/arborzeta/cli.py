@@ -20,23 +20,11 @@ import sys
 from functools import cache
 from typing import Optional, Sequence
 
-from .arborify import (
-    arborify_x,
-    arborify_y,
-    divergence_reason_x,
-    divergence_reason_y,
-)
-from .forests import Forest, ParseError, enumerate_trees, parse_forest, print_tree
+from .arborify import arborify_x, arborify_y
+from .forests import enumerate_trees, parse_forest, print_tree
 from .hoffman import exp_word, log_word
 from .lincomb import LinComb
-from .words import (
-    XLetter,
-    YLetter,
-    is_convergent_x,
-    is_convergent_y,
-    parse_word,
-    s_inverse,
-)
+from .words import XLetter, YLetter, parse_word, s_inverse
 from . import verify as verify_mod
 from . import zeta as zeta_mod
 
@@ -46,11 +34,9 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _forest_alphabet(f: Forest) -> Optional[str]:
-    # the parser guarantees a uniform alphabet, so the first root decides
-    for t in f.trees:
-        return "y" if isinstance(t.decoration, YLetter) else "x"
-    return None
+def _alphabet(first_letter) -> str:
+    # the parsers guarantee one alphabet per input, so its first letter decides
+    return "x" if isinstance(first_letter, XLetter) else "y"
 
 
 # ---------------------------------------------------------------------------
@@ -58,15 +44,7 @@ def _forest_alphabet(f: Forest) -> Optional[str]:
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     f = parse_forest(args.forest)
-    alphabet = _forest_alphabet(f)
-    if args.contracting:
-        if alphabet == "x":
-            return _fail("contracting arborification needs summation (y) decorations")
-        print(str(arborify_y(f)))
-    else:
-        if alphabet == "y":
-            return _fail("simple arborification needs integration (x) decorations")
-        print(str(arborify_x(f)))
+    print(arborify_y(f) if args.contracting else arborify_x(f))
     return 0
 
 
@@ -88,26 +66,17 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
         return _fail("give exactly one of a forest argument or --word")
     if args.word is not None:
         w = parse_word(args.word)
-        alphabet = "x" if any(isinstance(l, XLetter) for l in w.letters) else "y"
-        if alphabet == "y" and not is_convergent_y(w):
-            return _fail(f"word {w} is divergent: it starts with y1")
-        if alphabet == "x" and not is_convergent_x(w):
-            return _fail(f"word {w} is divergent: it must start with x0 and end with x1")
+        alphabet = _alphabet(w.letters[0] if w.letters else None)
         comb = LinComb.unit(w)
-        value = zeta_mod.zeta_comb_y(comb, args.tol) if alphabet == "y" else zeta_mod.zeta_comb_x(comb, args.tol)
+        value = zeta_mod.eval_comb_bounded(comb, args.tol)[0]
     else:
         f = parse_forest(args.forest)
-        alphabet = _forest_alphabet(f) or "y"
-        reason = divergence_reason_y(f) if alphabet == "y" else divergence_reason_x(f)
-        if reason is not None:
-            return _fail(reason)
+        alphabet = _alphabet(f.trees[0].decoration if f.trees else None)
+        # a y-forest is summed directly, so its expansion is only printed
         if alphabet == "y":
-            # summed over the forest directly; the expansion is only printed
-            value = zeta_mod.zeta_tree_y(f, args.tol)
-            comb = arborify_y(f)
+            value, comb = zeta_mod.zeta_tree_y(f, args.tol), arborify_y(f)
         else:
-            comb = arborify_x(f)
-            value = zeta_mod.zeta_comb_x(comb, args.tol)
+            value, comb = zeta_mod.zeta_tree_x(f, args.tol), arborify_x(f)
     print(_zeta_line(comb, alphabet))
     print(f"value = {value:.12g} (tol = {args.tol:g})")
     return 0
@@ -197,10 +166,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ValueError, ArithmeticError) as exc:  # a ParseError is a ValueError
         return _fail(str(exc))
-    except (ValueError, ArithmeticError) as exc:
-        return _fail(str(exc))
+    except RecursionError as exc:  # deeply nested input, until the tree layers stop recursing
+        return _fail(f"input nested too deeply ({exc})")
 
 
 if __name__ == "__main__":

@@ -53,7 +53,9 @@ from .words import (
 from .zeta import (
     brute_tree_sum,
     compare_bmz,
+    eval_comb_bounded,
     eval_mzv,
+    eval_tree_bounded,
     tree_truncation_bound,
     zeta_comb_x,
     zeta_comb_y,
@@ -208,10 +210,10 @@ def suite_oracle(tol: float = 1e-9, N: int = 5000) -> List[CheckRow]:
             rows.append(_row(f"oracle:{print_tree(t)}", lhs, rhs, bound))
     for n in range(1, 5):
         for t in enumerate_trees(n, decorations):
-            lhs = zeta_tree_y(t, tol)
-            rhs = zeta_comb_y(arborify_y(Forest((t,))), tol)
-            # each route is certified to tol
-            rows.append(_row(f"routes:{print_tree(t)}", lhs, rhs, 2.0 * tol))
+            lhs, tree_bound = eval_tree_bounded(t, tol)
+            rhs, comb_bound = eval_comb_bounded(arborify_y(Forest((t,))), tol)
+            # the two certificates, each at most tol
+            rows.append(_row(f"routes:{print_tree(t)}", lhs, rhs, tree_bound + comb_bound))
     return rows
 
 
@@ -229,10 +231,13 @@ SUITE_NAMES: Tuple[str, ...] = ("relations", "bmz", "hopf", "oracle", "all")
 
 
 def run_suite(name: str, tol: float = 1e-9, max_weight: Optional[int] = None) -> List[CheckRow]:
+    """Rows of one suite, or of every suite for "all"; only bmz reads max_weight."""
     if name == "all":
-        return [row for key in SUITES for row in run_suite(key, tol, max_weight)]
+        return [row for key in SUITES for row in run_suite(key, tol, max_weight if key == "bmz" else None)]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    if name != "bmz" and max_weight is not None:
+        raise ValueError(f"a max weight applies only to the bmz suite, not to {name}")
     return suite_bmz(tol, max_weight) if name == "bmz" else SUITES[name](tol)
 
 

@@ -26,6 +26,13 @@ recursing on depth:
   the extracted constant and the certified bound is the accumulated remainder
   plus a fixed double-precision allowance.
 
+Certified values come at three levels, each a pair (value, bound) with
+|value - exact| <= bound <= tol: ``eval_mzv_bounded`` for one index,
+``eval_comb_bounded`` for a combination of convergent words of either
+alphabet (an x-word through the inverse block substitution), which certifies
+each word w to tol / ceil(sum |c|) and reports sum |c| * bound_w, and
+``eval_tree_bounded`` for a y-decorated forest, below.
+
 The naive double truncation survives in ``naive_mzv`` as the independent
 cross-check oracle, with the documented tail bound::
 
@@ -112,6 +119,7 @@ from .lincomb import NEG_INF, LinComb, ThetaPoly
 from .words import (
     Word,
     X1,
+    XLetter,
     YLetter,
     is_convergent_x,
     is_convergent_y,
@@ -402,7 +410,7 @@ def mzv_truncation_bound(exponents: MzvIndex, N: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# word-level values
+# combinations of words
 
 def _split_tol(comb: LinComb, tol: float) -> float:
     mass = sum(abs(float(c)) for _, c in comb.items())
@@ -413,28 +421,37 @@ def _split_tol(comb: LinComb, tol: float) -> float:
     return per
 
 
-def zeta_word_y(w: Word, tol: float = 1e-9) -> float:
-    """Value of a convergent summation word; the empty word evaluates to 1."""
-    if not is_convergent_y(w):
-        raise ValueError(f"summation word {w} is divergent (starts with y1)")
-    return eval_mzv(tuple(l.index for l in w.letters), tol)
+def _mzv_index(w: Word) -> MzvIndex:
+    """The index of a convergent word of either alphabet; an x-word goes
+    through the inverse block substitution."""
+    if w.letters and isinstance(w.letters[0], XLetter):
+        if not is_convergent_x(w):
+            raise ValueError(f"word {w} is divergent: it must start with x0 and end with x1")
+        w = s_inverse(w)
+    elif not is_convergent_y(w):
+        raise ValueError(f"word {w} is divergent: it starts with y1")
+    return tuple(l.index for l in w.letters)
 
 
-def zeta_comb_y(comb: LinComb, tol: float = 1e-9) -> float:
+def eval_comb_bounded(comb: LinComb, tol: float = 1e-9) -> Tuple[float, float]:
+    """Value and certified bound of a combination of convergent words of
+    either alphabet; the empty word evaluates to 1.
+
+    Each word w is certified to tol / ceil(mass) by eval_mzv_bounded, so the
+    bound sum |c| * bound_w is at most tol.  The value sums in stored order.
+    """
     per = _split_tol(comb, tol)
-    return sum(float(c) * zeta_word_y(w, per) for w, c in comb.items())
+    terms = [(float(c), eval_mzv_bounded(_mzv_index(w), per)) for w, c in comb.items()]
+    return sum(c * v for c, (v, _) in terms), sum(abs(c) * b for c, (_, b) in terms)
 
 
-def zeta_word_x(v: Word, tol: float = 1e-9) -> float:
-    """Value of a convergent integration word via the block substitution."""
-    if not is_convergent_x(v):
-        raise ValueError(f"integration word {v} is divergent")
-    return zeta_word_y(s_inverse(v), tol)
+# the value alone, under both names that callers (and the benchmark's tracer) use
+def zeta_comb_y(comb: LinComb, tol: float = 1e-9) -> float:
+    return eval_comb_bounded(comb, tol)[0]
 
 
 def zeta_comb_x(comb: LinComb, tol: float = 1e-9) -> float:
-    per = _split_tol(comb, tol)
-    return sum(float(c) * zeta_word_x(w, per) for w, c in comb.items())
+    return eval_comb_bounded(comb, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +694,15 @@ def _vertex_tail(t: Tree, K: int, memo: dict) -> tuple:
     return memo[t]
 
 
+def _convergent(f: Union[Forest, Tree], divergence_reason: Callable) -> Forest:
+    """f as a forest; a divergent one is refused with the vertex to blame."""
+    f = Forest((f,)) if isinstance(f, Tree) else f
+    reason = divergence_reason(f)
+    if reason is not None:
+        raise ValueError(reason)
+    return f
+
+
 def eval_tree_bounded(f: Union[Forest, Tree], tol: float = 1e-9) -> Tuple[float, float]:
     """Value and certified bound of a convergent y-decorated forest, summed directly.
 
@@ -684,11 +710,7 @@ def eval_tree_bounded(f: Union[Forest, Tree], tol: float = 1e-9) -> Tuple[float,
     is the product of its trees.  Raises ValueError for divergent input or an
     unsupported tolerance, ArithmeticError when no cutoff certifies tol.
     """
-    if isinstance(f, Tree):
-        f = Forest((f,))
-    reason = divergence_reason_y(f)
-    if reason is not None:
-        raise ValueError(reason)
+    f = _convergent(f, divergence_reason_y)
     _check_tol(tol)
     K = _TREE_K0
     while True:
@@ -720,12 +742,7 @@ def zeta_tree_y(f: Union[Forest, Tree], tol: float = 1e-9) -> float:
 
 def zeta_tree_x(f: Union[Forest, Tree], tol: float = 1e-9) -> float:
     """Simple arborified value of a convergent x-decorated forest."""
-    if isinstance(f, Tree):
-        f = Forest((f,))
-    reason = divergence_reason_x(f)
-    if reason is not None:
-        raise ValueError(reason)
-    return zeta_comb_x(arborify_x(f), tol)
+    return eval_comb_bounded(arborify_x(_convergent(f, divergence_reason_x)), tol)[0]
 
 
 def brute_tree_sum(t: Tree, N: int) -> float:
@@ -766,7 +783,4 @@ def tree_truncation_bound(t: Union[Forest, Tree], N: int) -> float:
     """
     if isinstance(t, Tree):
         t = Forest((t,))
-    total = 0.0
-    for w, c in arborify_y(t).items():
-        total += abs(float(c)) * mzv_truncation_bound(tuple(l.index for l in w.letters), N)
-    return total
+    return sum(abs(float(c)) * mzv_truncation_bound(_mzv_index(w), N) for w, c in arborify_y(t).items())

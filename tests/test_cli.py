@@ -16,7 +16,7 @@ from arborzeta.cli import _zeta_line, main
 from arborzeta.forests import parse_forest, parse_tree, print_tree
 from arborzeta.lincomb import LinComb
 from arborzeta.words import s_inverse, s_map, y_word
-from arborzeta.zeta import eval_mzv
+from arborzeta.zeta import eval_comb_bounded, eval_mzv, eval_tree_bounded
 
 
 def run(capsys, *argv):
@@ -250,6 +250,24 @@ class TestVerify:
             assert code == 2
             assert out == ""
             assert err == "error: max weight must be nonnegative, got -1\n"
+        # a suite that reads no max weight refuses any
+        for suite in ("relations", "hopf", "oracle"):
+            for weight in ("-1", "3", "99"):
+                code, out, err = run(capsys, "verify", suite, "--max-weight", weight)
+                assert code == 2
+                assert out == ""
+                assert err == f"error: a max weight applies only to the bmz suite, not to {suite}\n"
+
+    def test_routes_rows_use_both_certificates(self, capsys):
+        code, out, _ = run(capsys, "verify", "oracle", "--format", "json")
+        assert code == 0
+        routes = [r for r in json.loads(out) if r["name"].startswith("routes:")]
+        assert len(routes) == 72
+        for r in routes:
+            assert r["passed"] and r["residual"] <= r["tolerance"] <= 2e-9, r
+            # the tolerance is the sum of the two routes' certificates
+            f = parse_forest(r["name"].removeprefix("routes:"))
+            assert r["tolerance"] == eval_tree_bounded(f, 1e-9)[1] + eval_comb_bounded(arborify_y(f), 1e-9)[1]
 
     def test_unknown_suite(self, capsys):
         assert run(capsys, "verify", "nope")[0] == 2
@@ -339,3 +357,19 @@ class TestUsage:
                                    capture_output=True, text=True, timeout=60)
             assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
         assert fresh.stdout.startswith("2 trees\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["zeta", "y1(" * 599 + "y2" + ")" * 599], ["expand", "--contracting", "y2(" * 1199 + "y2" + ")" * 1199]],
+        ids=["zeta-600-deep", "expand-1200-deep"],
+    )
+    def test_deep_nesting_gives_no_traceback(self, argv):
+        # exit 1 means a failed verification, so deep input either works or is refused
+        env = dict(os.environ, PYTHONPATH=str(Path(arborzeta.__file__).parent.parent))
+        script = "import sys; from arborzeta.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0 or (
+            proc.returncode == 2 and proc.stdout == "" and proc.stderr.startswith("error: ")
+        ), (proc.returncode, proc.stderr[-500:])

@@ -40,7 +40,23 @@ def test_negative_max_weight_refused(script):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: max weight must be nonnegative, got -1\n")
 
 
-@pytest.mark.parametrize("script", ["scripts/run_checks.py", "scripts/bmz_sweep.py"])
+@pytest.mark.parametrize("script", ["scripts/run_checks.py", "scripts/bmz_sweep.py", "scripts/oracle_convergence.py"])
 def test_tolerance_below_precision_refused(script):
     proc = _refusal(script, "--tol", "1e-13")
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: tolerance below supported precision (min 1e-12)\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["x1(x0)"], "expected y-decorations, found x0"),
+        (["y2", "y2(y1)"], "leaf decorated y1 makes the nested sum divergent (needs index >= 2)"),
+        (["y2(y3"], "expected ')', found 'end of input' (at position 5)"),
+        (["--cutoffs", "100", "10"], "tail bound derivation assumes N >= 50"),
+    ],
+    ids=["x-tree", "divergent", "parse-error", "small-cutoff"],
+)
+def test_oracle_convergence_refusals(argv, message):
+    # every tree and cutoff is checked before the first line is printed
+    proc = _refusal("scripts/oracle_convergence.py", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")

@@ -26,6 +26,7 @@ from arborzeta.zeta import (
     brute_tree_sum,
     check_bmz,
     eval_mzv,
+    eval_comb_bounded,
     eval_mzv_bounded,
     eval_tree_bounded,
     eval_reg,
@@ -40,8 +41,6 @@ from arborzeta.zeta import (
     zeta_comb_y,
     zeta_tree_x,
     zeta_tree_y,
-    zeta_word_x,
-    zeta_word_y,
 )
 
 
@@ -171,16 +170,16 @@ class TestEvalMzv:
 class TestWordValues:
     def test_both_alphabets_agree(self):
         for w in [y_word(2), y_word(2, 1), y_word(3, 2), y_word(2, 1, 1)]:
-            assert zeta_word_y(w) == zeta_word_x(s_map(w))
+            assert zeta_comb_y(LinComb.unit(w)) == zeta_comb_x(LinComb.unit(s_map(w)))
 
     def test_divergent_words_rejected(self):
-        with pytest.raises(ValueError):
-            zeta_word_y(y_word(1, 2))
-        with pytest.raises(ValueError):
-            zeta_word_x(x_word(1, 1))
+        with pytest.raises(ValueError, match=r"^word y1\.y2 is divergent: it starts with y1$"):
+            zeta_comb_y(LinComb.unit(y_word(1, 2)))
+        with pytest.raises(ValueError, match=r"^word x1\.x1 is divergent: it must start with x0 and end with x1$"):
+            zeta_comb_x(LinComb.unit(x_word(1, 1)))
 
     def test_empty_word(self):
-        assert zeta_word_y(Word(())) == 1.0
+        assert zeta_comb_y(LinComb.unit(Word(()))) == 1.0
 
     def test_quasi_shuffle_character(self):
         from arborzeta.words import quasi_shuffle
@@ -194,7 +193,7 @@ class TestWordValues:
         ]
         for u, v in pairs:
             lhs = zeta_comb_y(quasi_shuffle(u, v), 1e-10)
-            rhs = zeta_word_y(u, 1e-10) * zeta_word_y(v, 1e-10)
+            rhs = zeta_comb_y(LinComb.unit(u), 1e-10) * zeta_comb_y(LinComb.unit(v), 1e-10)
             assert abs(lhs - rhs) <= 1e-8, (u, v)
 
     def test_shuffle_character(self):
@@ -207,8 +206,29 @@ class TestWordValues:
         ]
         for u, v in pairs:
             lhs = zeta_comb_x(shuffle(u, v), 1e-10)
-            rhs = zeta_word_x(u, 1e-10) * zeta_word_x(v, 1e-10)
+            rhs = zeta_comb_x(LinComb.unit(u), 1e-10) * zeta_comb_x(LinComb.unit(v), 1e-10)
             assert abs(lhs - rhs) <= 1e-8, (u, v)
+
+
+class TestCombinationBound:
+    """eval_comb_bounded on both alphabets: |value - reference| <= bound <= tol."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-10])
+    def test_certified_against_references(self, tol):
+        from arborzeta.words import quasi_shuffle, shuffle
+
+        with mpmath.workdps(30):
+            z2z3, z3 = float(mpmath.zeta(2) * mpmath.zeta(3)), float(mpmath.zeta(3))
+        cases = [
+            (quasi_shuffle(y_word(2), y_word(3)), z2z3),
+            (shuffle(x_word(0, 1), x_word(0, 0, 1)), z2z3),
+            (LinComb.unit(y_word(2, 1)), z3),
+            # exact combinations of integration words whose value is zero
+            *((hoffman_reg_relation(y_word(*e)), 0.0) for e in [(2,), (3,), (2, 1), (2, 2), (3, 1, 2)]),
+        ]
+        for comb, reference in cases:
+            value, bound = eval_comb_bounded(comb, tol)
+            assert abs(value - reference) <= bound <= tol, comb
 
 
 class TestRegularization:
@@ -520,12 +540,12 @@ class TestTreeValues:
     def test_ladder_section_consistency(self):
         for w in [y_word(2), y_word(2, 1), y_word(3, 2, 1)]:
             t = ladder(s_map(w))
-            assert abs(zeta_tree_x(t, 1e-10) - zeta_word_y(w, 1e-10)) <= 1e-9
+            assert abs(zeta_tree_x(t, 1e-10) - zeta_comb_y(LinComb.unit(w), 1e-10)) <= 1e-9
 
     def test_multiplicative_over_forests(self):
         f = Forest((parse_tree("y2"), parse_tree("y2")))
         lhs = zeta_tree_y(f, 1e-10)
-        rhs = zeta_word_y(y_word(2), 1e-10) ** 2
+        rhs = zeta_comb_y(LinComb.unit(y_word(2)), 1e-10) ** 2
         assert abs(lhs - rhs) <= 1e-8
 
 
