@@ -3,7 +3,8 @@
 A tree is a root decoration plus a multiset of child subtrees; a forest is a
 multiset of trees and the empty forest is the algebra unit.  Multisets are
 stored as tuples sorted by a canonical key, so structural equality is
-multiset equality.  The canonical order compares (vertex count, root
+multiset equality; ``Tree`` and ``Forest`` store their hash and compare it
+before their fields.  The canonical order compares (vertex count, root
 decoration, the sorted child list, recursively); serialization follows the
 grammar::
 
@@ -35,50 +36,66 @@ key ranks a decoration by its value alone.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable, Sequence, Tuple
 
-from .lincomb import LinComb, TensorPair, bilinear
+from .lincomb import Immutable, LinComb, TensorPair, bilinear
 from .words import Letter, ParseError, letter_rank, letter_weight, parse_letter_at
 
 
-@dataclass(frozen=True, slots=True)
-class Tree:
+class Tree(Immutable):
     """Root decoration plus canonically sorted children.
 
     The canonical key (vertex count, root decoration rank, child keys) and the
     hash are computed once, from the children's stored values.
     """
 
-    decoration: Letter
-    children: Tuple["Tree", ...] = ()
-    key: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("decoration", "children", "key", "_hash")
 
-    def __post_init__(self):
-        kids = tuple(c.key for c in self.children)
-        size = 1 + sum(k[0] for k in kids)
-        object.__setattr__(self, "key", (size, letter_rank(self.decoration), kids))
-        object.__setattr__(self, "_hash", hash((self.decoration, self.children)))
+    def __init__(self, decoration: Letter, children: Tuple["Tree", ...] = ()):
+        kids = tuple(c.key for c in children)
+        object.__setattr__(self, "decoration", decoration)
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "key", (1 + sum(k[0] for k in kids), letter_rank(decoration), kids))
+        object.__setattr__(self, "_hash", hash((decoration, children)))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Tree:
+            return NotImplemented
+        # letters are interned, so the decorations compare by identity
+        return (self._hash == other._hash and self.decoration is other.decoration
+                and self.children == other.children)
 
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        return Tree, (self.decoration, self.children)
 
-@dataclass(frozen=True, slots=True)
-class Forest:
+    def __repr__(self) -> str:
+        return f"Tree(decoration={self.decoration!r}, children={self.children!r})"
+
+
+class Forest(Immutable):
     """Canonically sorted tuple of trees; the hash is computed once, at construction."""
 
-    trees: Tuple[Tree, ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("trees", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.trees))
+    def __init__(self, trees: Tuple[Tree, ...] = ()):
+        object.__setattr__(self, "trees", trees)
+        object.__setattr__(self, "_hash", hash(trees))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Forest:
+            return NotImplemented
+        return self._hash == other._hash and self.trees == other.trees
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        return Forest, (self.trees,)
 
     def __str__(self) -> str:
         if not self.trees:

@@ -1,8 +1,11 @@
 """Exact coefficient substrate for the symbolic layer.
 
-Three building blocks live here: exact rational scalars, formal linear
-combinations over an arbitrary hashable basis, and polynomials in the
-regularization variable theta with coefficients in any additive type.
+Four building blocks live here: exact rational scalars, formal linear
+combinations over an arbitrary hashable basis, the elementary tensor
+``TensorPair``, and polynomials in the regularization variable theta with
+coefficients in any additive type.  ``Immutable`` is the base of the value
+types (letters, words, trees, forests, tensor pairs): slotted classes written
+by hand, since importing ``dataclasses`` costs more than the package itself.
 
 A stored coefficient is an ``int`` when it is integral and otherwise a stdlib
 ``Fraction`` in lowest terms with denominator greater than 1.  Arborification,
@@ -21,7 +24,6 @@ empty word or the empty forest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Tuple, Union
 
@@ -39,22 +41,44 @@ def _coerce(c: Scalar) -> Scalar:
     raise TypeError(f"expected an exact rational coefficient, got {type(c).__name__}")
 
 
-@dataclass(frozen=True, slots=True)
-class TensorPair:
+class Immutable:
+    """Base of the slotted value types: each sets its slots once, in ``__init__``,
+    through ``object.__setattr__``, and setting or deleting one later raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class TensorPair(Immutable):
     """Elementary tensor with a left and a right component; its hash is computed once."""
 
-    left: object
-    right: object
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("left", "right", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+    def __init__(self, left: object, right: object):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "_hash", hash((left, right)))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not TensorPair:
+            return NotImplemented
+        return self._hash == other._hash and (self.left, self.right) == (other.left, other.right)
 
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        return TensorPair, (self.left, self.right)
+
     def __str__(self) -> str:
         return f"[{self.left} (x) {self.right}]"
+
+    def __repr__(self) -> str:
+        return f"TensorPair(left={self.left!r}, right={self.right!r})"
 
 
 class LinComb:

@@ -22,9 +22,8 @@ Every check becomes a ``CheckRow``; exact checks report instance counts
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+import math
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .arborify import arborify_x, arborify_y, ladder
 from .forests import (
@@ -54,17 +53,14 @@ from .zeta import (
     brute_tree_sum,
     compare_bmz,
     eval_comb_bounded,
-    eval_mzv,
+    eval_mzv_bounded,
     eval_tree_bounded,
     tree_truncation_bound,
-    zeta_comb_x,
-    zeta_comb_y,
     zeta_tree_y,
 )
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     """One verified identity: name, both sides, residual, tolerance, verdict."""
 
     name: str
@@ -92,28 +88,28 @@ def _exact_row(name: str, pairs: Iterable[Tuple[object, object]]) -> CheckRow:
 # ---------------------------------------------------------------------------
 # relations
 
+def _times(a: Tuple[float, float], b: Tuple[float, float]) -> Tuple[float, float]:
+    """The float product of two certified (value, bound) pairs, with its bound:
+    the propagated bounds plus the rounding of the product."""
+    (x, bx), (y, by) = a, b
+    p = x * y
+    return p, bx * abs(y) + by * abs(x) + bx * by + math.ulp(p) / 2
+
+
 def suite_relations(tol: float = 1e-9) -> List[CheckRow]:
-    """Low-weight product identities, each side computed along its own route."""
-    slack = 10.0 * tol
-    z2 = eval_mzv((2,), tol)
-    z3 = eval_mzv((3,), tol)
-    z4 = eval_mzv((4,), tol)
-    return [
-        _row(
-            "zeta(2,3)+zeta(3,2)+zeta(5)=zeta(2)zeta(3)",
-            zeta_comb_y(quasi_shuffle(y_word(2), y_word(3)), tol),
-            z2 * z3,
-            slack,
-        ),
-        _row(
-            "zeta(2,3)+3zeta(3,2)+6zeta(4,1)=zeta(2)zeta(3)",
-            zeta_comb_x(shuffle(x_word(0, 1), x_word(0, 0, 1)), tol),
-            z2 * z3,
-            slack,
-        ),
-        _row("zeta(2,1)=zeta(3)", eval_mzv((2, 1), tol), z3, slack),
-        _row("2zeta(2)^2=5zeta(4)", 2.0 * z2 * z2, 5.0 * z4, slack),
+    """Low-weight product identities, each side computed along its own route
+    as a certified (value, bound) pair."""
+    z2, z3, z4 = (eval_mzv_bounded((n,), tol) for n in (2, 3, 4))
+    sides = [
+        ("zeta(2,3)+zeta(3,2)+zeta(5)=zeta(2)zeta(3)",
+         eval_comb_bounded(quasi_shuffle(y_word(2), y_word(3)), tol), _times(z2, z3)),
+        ("zeta(2,3)+3zeta(3,2)+6zeta(4,1)=zeta(2)zeta(3)",
+         eval_comb_bounded(shuffle(x_word(0, 1), x_word(0, 0, 1)), tol), _times(z2, z3)),
+        ("zeta(2,1)=zeta(3)", eval_mzv_bounded((2, 1), tol), z3),
+        ("2zeta(2)^2=5zeta(4)", _times(z2, (2.0 * z2[0], 2.0 * z2[1])), _times((5.0, 0.0), z4)),
     ]
+    # the exact sides are equal, so the computed ones differ by at most the sum of their bounds
+    return [_row(name, lhs, rhs, lhs_bound + rhs_bound) for name, (lhs, lhs_bound), (rhs, rhs_bound) in sides]
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +239,9 @@ def run_suite(name: str, tol: float = 1e-9, max_weight: Optional[int] = None) ->
 
 def format_rows(rows: Sequence[CheckRow], fmt: str = "text") -> str:
     if fmt == "json":
-        return json.dumps([asdict(r) for r in rows], indent=2)
+        import json  # here only, so that importing the command line does not load it
+
+        return json.dumps([r._asdict() for r in rows], indent=2)
     if fmt == "tsv":
         lines = ["name\tlhs\trhs\tresidual\ttolerance\tstatus"]
         for r in rows:

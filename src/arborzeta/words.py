@@ -17,7 +17,8 @@ sequence of letters from one alphabet.  This module provides:
 
 Letters are interned: ``YLetter(2)`` always returns the same object, so a
 letter compares and hashes by identity and costs no Python call to hash.  A
-letter value must be an int (not a bool) in the letter's range.
+letter value must be an int (not a bool) in the letter's range.  A ``Word``
+stores the hash of its letter tuple and compares that hash before the letters.
 
 Serialization: letters print as ``x0``, ``x1``, ``y1``, ``y2``, ...; a word
 is the dot-joined sequence of its letters (``x0.x1.x1``) and the empty word
@@ -29,16 +30,15 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache, total_ordering
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Tuple, Union
 
-from .lincomb import LinComb, TensorPair
+from .lincomb import Immutable, LinComb, TensorPair
 
 
 @total_ordering
-class _Letter:
+class _Letter(Immutable):
     """A letter, interned: one object per value, so equality is identity, the
     hash is ``object``'s, and a copy or a pickle comes back as the same object."""
 
@@ -54,11 +54,6 @@ class _Letter:
             object.__setattr__(letter, "_str", f"{cls._prefix}{int(n)}")
             letter = cls._interned.setdefault(int(n), letter)
         return letter
-
-    def __setattr__(self, *args):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
 
     def __reduce__(self):
         return type(self), (getattr(self, self._field),)
@@ -109,21 +104,28 @@ def letter_weight(letter: Letter) -> int:
     return 1 if isinstance(letter, XLetter) else letter.index
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+class Word(Immutable):
     """Immutable word; the empty word is the product unit of both algebras.
 
     The hash of the letter tuple is computed once, at construction.
     """
 
-    letters: Tuple[Letter, ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("letters", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.letters))
+    def __init__(self, letters: Tuple[Letter, ...] = ()):
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "_hash", hash(letters))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Word:
+            return NotImplemented
+        return self._hash == other._hash and self.letters == other.letters
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        return Word, (self.letters,)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -277,32 +279,32 @@ def parse_letter_at(text: str, pos: int) -> Tuple[Letter, int]:
     """Parse one letter token at pos; returns the letter and the next position."""
     m = _LETTER_RE.match(text, pos)
     if not m:
-        raise ParseError(f"expected a letter token (x0, x1, or y<n>), found {text[pos:pos + 8]!r}", pos)
+        found = repr(text[pos:pos + 8]) if pos < len(text) else "end of input"
+        raise ParseError(f"expected a letter token (x0, x1, or y<n>), found {found}", pos)
     tok = m.group(0)
     letter: Letter = XLetter(int(tok[1])) if tok[0] == "x" else YLetter(int(tok[1:]))
     return letter, m.end()
 
 
 def parse_word(text: str) -> Word:
-    """Parse ``letter ('.' letter)* | 'e'``; whitespace at the ends is ignored."""
-    s = text.strip()
-    offset = len(text) - len(text.lstrip())
-    if s == "e":
+    """Parse ``letter ('.' letter)* | 'e'``; whitespace at the ends is ignored,
+    and an error's position counts from the start of ``text``."""
+    body = text.rstrip()  # the letters lie in body[start:], at their places in text
+    start = pos = len(body) - len(body.lstrip())
+    if body[start:] == "e":
         return EMPTY_WORD
-    if not s:
+    if start == len(body):
         raise ParseError("empty input, expected a word", 0)
     letters = []
-    pos = 0
     while True:
-        letter, pos = parse_letter_at(s, pos)
+        letter, pos = parse_letter_at(body, pos)
         letters.append(letter)
-        if pos == len(s):
+        if pos == len(body):
             break
-        if s[pos] != ".":
-            raise ParseError(f"expected '.' between letters, found {s[pos]!r}", offset + pos)
+        if body[pos] != ".":
+            raise ParseError(f"expected '.' between letters, found {body[pos]!r}", pos)
         pos += 1
     kinds = {type(l) for l in letters}
     if len(kinds) > 1:
-        raise ParseError("word mixes the x and y alphabets", offset)
+        raise ParseError("word mixes the x and y alphabets", start)
     return Word(tuple(letters))
-

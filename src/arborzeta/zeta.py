@@ -101,12 +101,11 @@ the depth-one values zeta(n), n >= 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from .arborify import (
     arborify_x,
@@ -499,8 +498,7 @@ def reg_sh(v: Word) -> ThetaPoly:
     return _eliminate(v, shuffle(_X1W, Word(v.letters[1:])), reg_sh)
 
 
-@dataclass(frozen=True)
-class NumericRegValue:
+class NumericRegValue(NamedTuple):
     """Numerically evaluated theta-polynomial plus its evaluation tolerance."""
 
     poly: ThetaPoly

@@ -15,8 +15,8 @@ from arborzeta.arborify import arborify_y
 from arborzeta.cli import _zeta_line, main
 from arborzeta.forests import parse_forest, parse_tree, print_tree
 from arborzeta.lincomb import LinComb
-from arborzeta.words import s_inverse, s_map, y_word
-from arborzeta.zeta import eval_comb_bounded, eval_mzv, eval_tree_bounded
+from arborzeta.words import quasi_shuffle, s_inverse, s_map, y_word
+from arborzeta.zeta import eval_comb_bounded, eval_mzv, eval_mzv_bounded, eval_tree_bounded
 
 
 def run(capsys, *argv):
@@ -227,6 +227,18 @@ class TestVerify:
         assert all(r["passed"] for r in rows)
         assert {"name", "lhs", "rhs", "residual", "tolerance", "passed"} <= set(rows[0])
 
+    def test_relations_tolerances_are_derived(self, capsys):
+        # each tolerance is the sum of the two sides' certified bounds, far below tol
+        code, out, _ = run(capsys, "verify", "relations", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        z2, z3 = eval_mzv_bounded((2,), 1e-9), eval_mzv_bounded((3,), 1e-9)
+        assert rows[2]["tolerance"] == eval_mzv_bounded((2, 1), 1e-9)[1] + z3[1]
+        z2z3_bound = rows[0]["tolerance"] - eval_comb_bounded(quasi_shuffle(y_word(2), y_word(3)), 1e-9)[1]
+        assert z2z3_bound >= z2[1] * z3[0] + z3[1] * z2[0]
+        for r in rows:
+            assert r["passed"] and r["residual"] <= r["tolerance"] < 1e-11, r
+
     def test_bmz_bounded(self, capsys):
         code, out, _ = run(capsys, "verify", "bmz", "--max-weight", "3")
         assert code == 0
@@ -271,6 +283,16 @@ class TestVerify:
 
     def test_unknown_suite(self, capsys):
         assert run(capsys, "verify", "nope")[0] == 2
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_heavy_modules(self):
+        # dataclasses pulls in inspect, ast, dis and tokenize; json is needed only for --format json
+        script = ("import sys; sys.path.insert(0, sys.argv[1]); import arborzeta.cli; "
+                  "print(*(m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules))")
+        src = str(Path(arborzeta.__file__).parent.parent)
+        proc = subprocess.run([sys.executable, "-S", "-c", script, src], capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
 
 class TestEnumerate:

@@ -374,6 +374,14 @@ class TestParsePrint:
         with pytest.raises(ParseError):
             parse_forest(text)
 
+    @pytest.mark.parametrize("text, position", [("y2(y3);", 7), ("y2(y3,", 6), ("y2(y3, ", 7), ("y2(", 3)])
+    def test_end_of_input_named(self, text, position):
+        with pytest.raises(ParseError) as info:
+            parse_forest(text)
+        assert str(info.value) == (
+            f"expected a letter token (x0, x1, or y<n>), found end of input (at position {position})"
+        )
+
     def test_tree_rejects_forest(self):
         with pytest.raises(ParseError):
             parse_tree("y1;y2")

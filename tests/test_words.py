@@ -450,3 +450,17 @@ class TestParsePrint:
         with pytest.raises(ParseError) as info:
             parse_word("y1.q2")
         assert info.value.position == 3
+
+    def test_error_position_counts_in_the_callers_text(self):
+        for text, position in [("  y2..y3", 5), ("\ty2.y3.q", 7), (" y2 .y3", 3), ("  y2.x0", 2)]:
+            with pytest.raises(ParseError) as info:
+                parse_word(text)
+            assert info.value.position == position, text
+
+    @pytest.mark.parametrize("text, position", [("y2.", 3), ("  y2. ", 5), ("x0.x1.", 6)])
+    def test_end_of_input_named(self, text, position):
+        with pytest.raises(ParseError) as info:
+            parse_word(text)
+        assert str(info.value) == (
+            f"expected a letter token (x0, x1, or y<n>), found end of input (at position {position})"
+        )
