@@ -10,7 +10,9 @@ precondition error, including a tolerance that cannot be certified.
 
 The argument parser is built once per process, on the first ``main`` call
 (not at import), and reused by every later call; each call still parses
-into a fresh namespace, so nothing carries over from one call to the next.
+into a fresh namespace, so no parsed argument carries over from one call to
+the next.  (Library caches, such as the tree evaluator's table of vertex
+tails, do persist; they never change a printed value.)
 """
 
 from __future__ import annotations

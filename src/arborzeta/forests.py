@@ -243,9 +243,9 @@ class _Scanner:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            found = self.peek() or "end of input"
-            raise ParseError(f"expected {ch!r}, found {found!r}", self.pos)
+        found = self.peek()
+        if found != ch:
+            raise ParseError(f"expected {ch!r}, found {repr(found) if found else 'end of input'}", self.pos)
         self.pos += 1
 
     def letter(self) -> Letter:

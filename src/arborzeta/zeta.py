@@ -53,8 +53,7 @@ with children c the tail is
     T_v(m) = sum over k > m of k^(-n) prod_c T_c(k),
 
 a tree's value is T_root(0) and a forest's value the product over its trees.
-``eval_tree_bounded`` sums this recursion directly in O(K * vertices), with
-no word expansion:
+``eval_tree_bounded`` sums this recursion directly, with no word expansion:
 
 * Above the cutoff K each T_v has an expansion E_v in powers x^(-a): the
   summand g = x^(-n) prod E_c is pruned at order _A_MAX and its tail is
@@ -79,6 +78,14 @@ no word expansion:
   inflated by the relative rounding of its own pass.  K starts at 125 and
   doubles up to 64000; once the rounding term alone exceeds tol the
   tolerance is refused.
+* The cost.  A vertex tail (E_v, err_v, T_v, eps_v) depends only on the
+  subtree and K, so one table per process, keyed by K and then by subtree,
+  keeps the tails of subtrees of at most 32 vertices and the k^-n tables
+  from one call to the next.  A lookup compares trees recursively, so larger
+  subtrees live for one pass.  A call costs O(K) per subtree not yet in the
+  table, and the values and bounds do not depend on what it holds.
+  After a pass the table holds at most 2^18 floats, or it is cleared: about
+  3.3 MB at K = 125, where T_v and eps_v are arrays of doubles.
 
 Regularization
 --------------
@@ -101,6 +108,8 @@ the depth-one values zeta(n), n >= 2.
 from __future__ import annotations
 
 import math
+from array import array
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -589,6 +598,18 @@ def hoffman_reg_relation(w: Word) -> LinComb:
 # tree-level values; a dense power list's entry a is the coefficient of x^-a
 
 _TREE_K0 = 125  # doubled up to 125 * 2**9 = 64000, the ceiling of eval_mzv_bounded
+# the table of vertex tails, K -> {subtree: tail, n: k^-n list}; see "The cost" above
+_TAILS: Dict[int, dict] = defaultdict(dict)
+_TAILS_VERTICES = 32     # larger subtrees stay on the memo of one pass
+_TAILS_FLOATS = 1 << 18  # a pass that leaves more floats in the table clears it
+_tails_floats = 0        # the floats held in _TAILS: list and array entries
+
+
+def _clear_tails() -> None:
+    """Empty the table of vertex tails."""
+    global _tails_floats
+    _TAILS.clear()
+    _tails_floats = 0
 
 
 def _gamma(n: int) -> float:
@@ -631,19 +652,33 @@ def _em_tail(kept: list) -> Tuple[list, list]:
     return _ps_add(E, kept, -1.0), g5
 
 
+def _suffix_sums(terms: list, last: float) -> array:
+    """[last + sum(terms[m:]) for m = 0..len(terms)], each summed from the end."""
+    out = array("d", accumulate(reversed(terms), initial=last))
+    out.reverse()
+    return out
+
+
 def _vertex_tail(t: Tree, K: int, memo: dict) -> tuple:
     """(E, err, T, eps, M) for the tail T_t(m) = sum_{k>m} k^-n prod_c T_c(k).
 
     |T_t(x) - E(x)| <= err(x) at every integer x >= K; T[m] is computed for
     m = 0..K with |T_t(m) - T[m]| <= eps[m] up to rounding, and each T[m] is
-    within a relative gamma_M of its exact-arithmetic value.
+    within a relative gamma_M of its exact-arithmetic value.  The tail is kept
+    in _TAILS[K] when t has at most _TAILS_VERTICES vertices, else in memo.
     """
-    if t in memo:
-        return memo[t]
+    global _tails_floats
+    shared = _TAILS[K]
+    table = shared if size(t) <= _TAILS_VERTICES else memo
+    got = table.get(t)
+    if got is not None:
+        return got
     if not isinstance(t.decoration, YLetter):
         raise ValueError(f"expected y-decorations, found {t.decoration}")
     n = t.decoration.index
-    kids = [_vertex_tail(c, K, memo) for c in t.children]
+    kids = []
+    for c in t.children:  # a loop, not a comprehension: one frame per level of the tree
+        kids.append(_vertex_tail(c, K, memo))
 
     # above K: g = x^-n prod E_c; P = x^-n prod |E_c| majorizes |g|, and
     # D = x^-n (prod(|E_c| + err_c) - prod |E_c|) majorizes x^-n |prod T_c - prod E_c|
@@ -675,21 +710,26 @@ def _vertex_tail(t: Tree, K: int, memo: dict) -> tuple:
 
     # below K: T(m) = T(m+1) + (m+1)^-n prod T_c(m+1) from T(K) = E_t(K), and
     # eps(m) = eps(m+1) + (m+1)^-n (prod(T_c + eps_c) - prod T_c) from err_t(K);
-    # memo[n] holds k^-n for k = 1..K, shared by every vertex decorated y_n
-    summand = memo.get(n) or memo.setdefault(n, [float(k) ** -n for k in range(1, K + 1)])
+    # shared[n] holds k^-n for k = 1..K, used by every vertex decorated y_n
+    summand = shared.get(n)
+    if summand is None:
+        summand = shared[n] = [float(k) ** -n for k in range(1, K + 1)]
+        _tails_floats += K
     defect = None
     for _, _, T, eps, _ in kids:
         defect = (list(map(mul, summand, eps[1:])) if defect is None  # first child: d = 0
                   else [d * (tc + ec) + p * ec for d, p, tc, ec in zip(defect, summand, T[1:], eps[1:])])
         summand = list(map(mul, summand, T[1:]))
     E_K, err_K = (sum(p[a] * K ** -a for a in range(len(p) - 1, -1, -1) if p[a]) for p in (E_t, err_t))
-    T_t = list(accumulate(reversed(summand), initial=E_K))[::-1]
-    eps_t = [err_K] * (K + 1) if defect is None else list(accumulate(reversed(defect), initial=err_K))[::-1]
+    T_t = _suffix_sums(summand, E_K)
+    eps_t = array("d", [err_K]) * (K + 1) if defect is None else _suffix_sums(defect, err_K)
     # M bounds the roundings behind each T[m] (at most K + 2 + len(kids) plus the
     # children's) and, less K, those behind each coefficient of err_t
     M = K + 24 + sum(map(bool, err_t)) + sum(m + sum(map(bool, E + err)) + 6 for E, err, _, _, m in kids)
-    memo[t] = (E_t, err_t, T_t, eps_t, M)
-    return memo[t]
+    tail = table[t] = (E_t, err_t, T_t, eps_t, M)
+    if table is shared:
+        _tails_floats += len(E_t) + len(err_t) + 2 * (K + 1)
+    return tail
 
 
 def _convergent(f: Union[Forest, Tree], divergence_reason: Callable) -> Forest:
@@ -704,9 +744,10 @@ def _convergent(f: Union[Forest, Tree], divergence_reason: Callable) -> Forest:
 def eval_tree_bounded(f: Union[Forest, Tree], tol: float = 1e-9) -> Tuple[float, float]:
     """Value and certified bound of a convergent y-decorated forest, summed directly.
 
-    No word expansion is formed: each tree costs O(K * vertices) and a forest
-    is the product of its trees.  Raises ValueError for divergent input or an
-    unsupported tolerance, ArithmeticError when no cutoff certifies tol.
+    No word expansion is formed: a call costs O(K) per subtree not yet in the
+    table of vertex tails, and a forest is the product of its trees.  Raises
+    ValueError for divergent input or an unsupported tolerance,
+    ArithmeticError when no cutoff certifies tol.
     """
     f = _convergent(f, divergence_reason_y)
     _check_tol(tol)
@@ -714,12 +755,16 @@ def eval_tree_bounded(f: Union[Forest, Tree], tol: float = 1e-9) -> Tuple[float,
     while True:
         memo: dict = {}
         value, eps, M, V = 1.0, 0.0, 0, 0
-        for t in f.trees:
-            _, _, T, e, m = _vertex_tail(t, K, memo)
-            eps = eps * (T[0] + e[0]) + value * e[0]
-            value *= T[0]
-            M += m + 4
-            V += size(t)
+        try:
+            for t in f.trees:
+                _, _, T, e, m = _vertex_tail(t, K, memo)
+                eps = eps * (T[0] + e[0]) + value * e[0]
+                value *= T[0]
+                M += m + 4
+                V += size(t)
+        finally:
+            if _tails_floats > _TAILS_FLOATS:
+                _clear_tails()
         # value is within gamma_M of exact arithmetic.  The majorant pass has
         # its own roundings and uses the computed T in place of the exact ones,
         # which adds 2 M_c per level: (2V + 1) M roundings in all

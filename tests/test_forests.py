@@ -382,6 +382,16 @@ class TestParsePrint:
             f"expected a letter token (x0, x1, or y<n>), found end of input (at position {position})"
         )
 
+    @pytest.mark.parametrize("text, message", [
+        ("y1(y2", "expected ')', found end of input (at position 5)"),
+        ("y1(y2 y3)", "expected ')', found 'y' (at position 6)"),
+    ])
+    def test_expected_token_named(self, text, message):
+        # the end of input is named as the letter parser names it, unquoted
+        with pytest.raises(ParseError) as info:
+            parse_forest(text)
+        assert str(info.value) == message
+
     def test_tree_rejects_forest(self):
         with pytest.raises(ParseError):
             parse_tree("y1;y2")

@@ -51,7 +51,7 @@ def test_tolerance_below_precision_refused(script):
     [
         (["x1(x0)"], "expected y-decorations, found x0"),
         (["y2", "y2(y1)"], "leaf decorated y1 makes the nested sum divergent (needs index >= 2)"),
-        (["y2(y3"], "expected ')', found 'end of input' (at position 5)"),
+        (["y2(y3"], "expected ')', found end of input (at position 5)"),
         (["--cutoffs", "100", "10"], "tail bound derivation assumes N >= 50"),
     ],
     ids=["x-tree", "divergent", "parse-error", "small-cutoff"],

@@ -720,3 +720,65 @@ class TestTreeEvaluator:
         mass = sum(abs(c) for _, c in comb.items())
         word_tol = max(tol, 1e-12 * math.ceil(mass))
         assert abs(v - zeta_comb_y(comb, word_tol)) <= bound + word_tol
+
+
+# ---------------------------------------------------------------------------
+# the process-wide table of vertex tails
+
+def _chain(depth):
+    return "y1(" * (depth - 1) + "y2" + ")" * (depth - 1)
+
+
+def _stored_floats(zeta_mod):
+    """The floats the table holds, counted from its entries: a k^-n list, or a
+    tail's E, err, T and eps."""
+    return sum(len(v) if isinstance(v, list) else sum(map(len, v[:4]))
+               for table in zeta_mod._TAILS.values() for v in table.values())
+
+
+class TestTailTable:
+    def test_separately_parsed_deep_chains(self):
+        # the second chain finds the first one's small subtrees in the table;
+        # the lookup compares trees recursively, so only small ones are stored
+        a = eval_tree_bounded(parse_forest(_chain(490)), 1e-9)
+        b = eval_tree_bounded(parse_forest(_chain(490)), 1e-9)
+        assert a == b
+        assert b[1] <= 1e-9
+
+    def test_cold_and_warm_are_bit_identical(self):
+        import arborzeta.zeta as zeta_mod
+        from arborzeta.forests import enumerate_trees
+
+        trees = [t for n in range(1, 7) for t in enumerate_trees(n, (YLetter(2), YLetter(3)))]
+        assert len(trees) == 1202
+        cases = [*trees, *map(parse_forest, ["y2;y3(y2)", "y2(y2,y2);y2(y2,y2)", "y3(y2(y3));y2(y3,y2,y2)"])]
+        cases.append(parse_forest(_chain(7)))  # needs K = 250 at 1e-12
+        for tol in (1e-9, 1e-12):
+            cold = []
+            for f in cases:
+                zeta_mod._clear_tails()
+                cold.append(eval_tree_bounded(f, tol))
+            cutoffs = sorted(zeta_mod._TAILS)  # those of the chain alone
+            zeta_mod._clear_tails()
+            warm = [eval_tree_bounded(f, tol) for f in cases]
+            assert cold == warm, tol
+        assert cutoffs == [125, 250]
+
+    def test_stored_floats_stay_within_budget(self, monkeypatch):
+        import arborzeta.zeta as zeta_mod
+        from arborzeta.forests import enumerate_trees
+
+        budget = 20_000
+        monkeypatch.setattr(zeta_mod, "_TAILS_FLOATS", budget)
+        zeta_mod._clear_tails()
+        cases = [t for n in (4, 5) for t in enumerate_trees(n, (YLetter(2), YLetter(3)))]
+        cases.insert(len(cases) // 2, parse_forest(_chain(7)))
+        counts = []
+        for f in cases:
+            tol = 1e-12 if isinstance(f, Forest) else 1e-9
+            eval_tree_bounded(f, tol)
+            assert _stored_floats(zeta_mod) == zeta_mod._tails_floats <= budget, f
+            counts.append(zeta_mod._tails_floats)
+        # the loop stores more than the budget, so the table was cleared on the way
+        assert any(b < a for a, b in zip(counts, counts[1:]))
+        zeta_mod._clear_tails()
