@@ -4,9 +4,12 @@ A tree is a root decoration plus a multiset of child subtrees; a forest is a
 multiset of trees and the empty forest is the algebra unit.  Multisets are
 stored as tuples sorted by a canonical key, so structural equality is
 multiset equality; ``Tree`` and ``Forest`` store their hash and compare it
-before their fields.  The canonical order compares (vertex count, root
-decoration, the sorted child list, recursively); serialization follows the
-grammar::
+before their fields.  Two trees compare equal in a loop, not a recursion,
+that walks both in the same order and checks identity, stored hash,
+decoration and child count at each pair of vertices, so trees of any depth
+compare; ``print_tree`` likewise keeps its own stack.  The canonical order
+compares (vertex count, root decoration, the sorted child list,
+recursively); serialization follows the grammar::
 
     tree   := decoration ('(' tree (',' tree)* ')')?
     forest := tree (';' tree)* | 'e'
@@ -64,8 +67,17 @@ class Tree(Immutable):
         if type(other) is not Tree:
             return NotImplemented
         # letters are interned, so the decorations compare by identity
-        return (self._hash == other._hash and self.decoration is other.decoration
-                and self.children == other.children)
+        if not self.children:  # most calls compare leaves: no lists for them
+            return self.decoration is other.decoration and not other.children
+        left, right = [self], [other]  # walked in step by a loop, so any depth compares
+        for a, b in zip(left, right):
+            if a is not b:
+                if (a._hash != b._hash or a.decoration is not b.decoration
+                        or len(a.children) != len(b.children)):
+                    return False
+                left += a.children
+                right += b.children
+        return True
 
     def __hash__(self) -> int:
         return self._hash
@@ -223,9 +235,21 @@ def _census(n: int, decorations: Sequence[Letter]) -> Tuple[list, list]:
 
 
 def print_tree(t: Tree) -> str:
-    if not t.children:
-        return str(t.decoration)
-    return f"{t.decoration}({','.join(print_tree(c) for c in t.children)})"
+    # a stack of trees still to print and of the text between them, so any depth prints
+    out, stack = [], [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        out.append(str(item.decoration))
+        if item.children:
+            out.append("(")
+            stack.append(")")
+            for c in reversed(item.children[1:]):
+                stack += (c, ",")
+            stack.append(item.children[0])
+    return "".join(out)
 
 
 class _Scanner:

@@ -80,10 +80,10 @@ a tree's value is T_root(0) and a forest's value the product over its trees.
   tolerance is refused.
 * The cost.  A vertex tail (E_v, err_v, T_v, eps_v) depends only on the
   subtree and K, so one table per process, keyed by K and then by subtree,
-  keeps the tails of subtrees of at most 32 vertices and the k^-n tables
-  from one call to the next.  A lookup compares trees recursively, so larger
-  subtrees live for one pass.  A call costs O(K) per subtree not yet in the
-  table, and the values and bounds do not depend on what it holds.
+  keeps the tails of every subtree and the k^-n tables from one call to the
+  next; a lookup compares trees without recursion, so a subtree of any size
+  is stored.  A call costs O(K) per subtree not yet in the table, and the
+  values and bounds do not depend on what it holds.
   After a pass the table holds at most 2^18 floats, or it is cleared: about
   3.3 MB at K = 125, where T_v and eps_v are arrays of doubles.
 
@@ -600,7 +600,6 @@ def hoffman_reg_relation(w: Word) -> LinComb:
 _TREE_K0 = 125  # doubled up to 125 * 2**9 = 64000, the ceiling of eval_mzv_bounded
 # the table of vertex tails, K -> {subtree: tail, n: k^-n list}; see "The cost" above
 _TAILS: Dict[int, dict] = defaultdict(dict)
-_TAILS_VERTICES = 32     # larger subtrees stay on the memo of one pass
 _TAILS_FLOATS = 1 << 18  # a pass that leaves more floats in the table clears it
 _tails_floats = 0        # the floats held in _TAILS: list and array entries
 
@@ -659,17 +658,16 @@ def _suffix_sums(terms: list, last: float) -> array:
     return out
 
 
-def _vertex_tail(t: Tree, K: int, memo: dict) -> tuple:
+def _vertex_tail(t: Tree, K: int) -> tuple:
     """(E, err, T, eps, M) for the tail T_t(m) = sum_{k>m} k^-n prod_c T_c(k).
 
     |T_t(x) - E(x)| <= err(x) at every integer x >= K; T[m] is computed for
     m = 0..K with |T_t(m) - T[m]| <= eps[m] up to rounding, and each T[m] is
     within a relative gamma_M of its exact-arithmetic value.  The tail is kept
-    in _TAILS[K] when t has at most _TAILS_VERTICES vertices, else in memo.
+    in _TAILS[K], whatever the size of t.
     """
     global _tails_floats
-    shared = _TAILS[K]
-    table = shared if size(t) <= _TAILS_VERTICES else memo
+    table = _TAILS[K]
     got = table.get(t)
     if got is not None:
         return got
@@ -678,7 +676,7 @@ def _vertex_tail(t: Tree, K: int, memo: dict) -> tuple:
     n = t.decoration.index
     kids = []
     for c in t.children:  # a loop, not a comprehension: one frame per level of the tree
-        kids.append(_vertex_tail(c, K, memo))
+        kids.append(_vertex_tail(c, K))
 
     # above K: g = x^-n prod E_c; P = x^-n prod |E_c| majorizes |g|, and
     # D = x^-n (prod(|E_c| + err_c) - prod |E_c|) majorizes x^-n |prod T_c - prod E_c|
@@ -710,10 +708,10 @@ def _vertex_tail(t: Tree, K: int, memo: dict) -> tuple:
 
     # below K: T(m) = T(m+1) + (m+1)^-n prod T_c(m+1) from T(K) = E_t(K), and
     # eps(m) = eps(m+1) + (m+1)^-n (prod(T_c + eps_c) - prod T_c) from err_t(K);
-    # shared[n] holds k^-n for k = 1..K, used by every vertex decorated y_n
-    summand = shared.get(n)
+    # table[n] holds k^-n for k = 1..K, used by every vertex decorated y_n
+    summand = table.get(n)
     if summand is None:
-        summand = shared[n] = [float(k) ** -n for k in range(1, K + 1)]
+        summand = table[n] = [float(k) ** -n for k in range(1, K + 1)]
         _tails_floats += K
     defect = None
     for _, _, T, eps, _ in kids:
@@ -727,8 +725,7 @@ def _vertex_tail(t: Tree, K: int, memo: dict) -> tuple:
     # children's) and, less K, those behind each coefficient of err_t
     M = K + 24 + sum(map(bool, err_t)) + sum(m + sum(map(bool, E + err)) + 6 for E, err, _, _, m in kids)
     tail = table[t] = (E_t, err_t, T_t, eps_t, M)
-    if table is shared:
-        _tails_floats += len(E_t) + len(err_t) + 2 * (K + 1)
+    _tails_floats += len(E_t) + len(err_t) + 2 * (K + 1)
     return tail
 
 
@@ -753,11 +750,10 @@ def eval_tree_bounded(f: Union[Forest, Tree], tol: float = 1e-9) -> Tuple[float,
     _check_tol(tol)
     K = _TREE_K0
     while True:
-        memo: dict = {}
         value, eps, M, V = 1.0, 0.0, 0, 0
         try:
             for t in f.trees:
-                _, _, T, e, m = _vertex_tail(t, K, memo)
+                _, _, T, e, m = _vertex_tail(t, K)
                 eps = eps * (T[0] + e[0]) + value * e[0]
                 value *= T[0]
                 M += m + 4

@@ -12,6 +12,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arborzeta.lincomb import LinComb, TensorPair, bilinear
 from arborzeta.words import X0, X1, YLetter
@@ -345,6 +346,56 @@ class TestCoproductStructure:
                 for q, d in coproduct(p.right).items():
                     rhs = rhs + LinComb.unit((p.left, q.left, q.right), c * d)
             assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# equality and printing at any depth, and equality against printing
+
+def _chain(depth, top):
+    """A y2 leaf under depth - 2 y1 vertices under a root decorated top, built bottom-up."""
+    t = vertex(Y2)
+    for _ in range(depth - 2):
+        t = Tree(Y1, (t,))
+    return Tree(top, (t,))
+
+
+def _build(decos, parents):
+    # vertex i > 0 hangs under parents[i - 1] < i, so building from the last
+    # vertex down finishes every vertex's children before the vertex itself
+    kids = [[] for _ in decos]
+    for i in range(len(decos) - 1, 0, -1):
+        kids[parents[i - 1]].append(make_tree(decos[i], kids[i]))
+    return make_tree(decos[0], kids[0])
+
+
+@st.composite
+def tree_specs(draw, letters):
+    n = draw(st.integers(1, 6))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    return draw(st.lists(st.sampled_from(letters), min_size=n, max_size=n)), parents
+
+
+class TestDeepTrees:
+    def test_separately_built_deep_chains_compare(self):
+        a, b = _chain(5000, Y1), _chain(5000, Y1)
+        assert a is not b and a.children[0] is not b.children[0]
+        assert a == b and hash(a) == hash(b)
+        assert a != _chain(5000, Y2)
+        assert make_forest((a, vertex(Y1))) == make_forest((vertex(Y1), b))
+
+    def test_deep_chain_prints(self):
+        assert print_tree(_chain(5000, Y1)) == "y1(" * 4999 + "y2" + ")" * 4999
+
+    @given(st.sampled_from([(Y1, Y2, YLetter(3)), (X0, X1)]).flatmap(
+        lambda letters: st.tuples(tree_specs(letters), tree_specs(letters), st.booleans())))
+    @settings(max_examples=300, deadline=None)
+    def test_equal_exactly_when_printed_equal(self, specs):
+        spec_a, spec_b, same = specs
+        # the same spec built twice gives an equal tree made of distinct objects
+        a, b = _build(*spec_a), _build(*(spec_a if same else spec_b))
+        assert (a == b) == (print_tree(a) == print_tree(b))
+        if a == b:
+            assert hash(a) == hash(b)
 
 
 class TestParsePrint:

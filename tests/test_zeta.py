@@ -479,7 +479,7 @@ class TestDenseKernel:
         from arborzeta.zeta import _vertex_tail
 
         with pytest.raises(AssertionError, match=r"a tree tail needs summands decaying like x\^-2"):
-            _vertex_tail(parse_tree("y1"), 16, {})
+            _vertex_tail(parse_tree("y1"), 16)
 
 
 class TestCheckBmz:
@@ -738,12 +738,25 @@ def _stored_floats(zeta_mod):
 
 class TestTailTable:
     def test_separately_parsed_deep_chains(self):
-        # the second chain finds the first one's small subtrees in the table;
-        # the lookup compares trees recursively, so only small ones are stored
+        # the second chain finds every subtree of the first one in the table,
+        # whose lookup compares the trees without recursion
         a = eval_tree_bounded(parse_forest(_chain(490)), 1e-9)
         b = eval_tree_bounded(parse_forest(_chain(490)), 1e-9)
         assert a == b
         assert b[1] <= 1e-9
+
+    def test_large_subtrees_are_found(self, monkeypatch):
+        import arborzeta.zeta as zeta_mod
+
+        zeta_mod._clear_tails()
+        first = eval_tree_bounded(parse_forest(_chain(40)), 1e-9)
+        stored = zeta_mod._tails_floats
+        calls = []
+        em_tail = zeta_mod._em_tail
+        monkeypatch.setattr(zeta_mod, "_em_tail", lambda kept: calls.append(kept) or em_tail(kept))
+        # a separately parsed tree of 40 vertices: every tail comes from the table
+        assert eval_tree_bounded(parse_forest(_chain(40)), 1e-9) == first
+        assert calls == [] and zeta_mod._tails_floats == stored
 
     def test_cold_and_warm_are_bit_identical(self):
         import arborzeta.zeta as zeta_mod
@@ -782,3 +795,17 @@ class TestTailTable:
         # the loop stores more than the budget, so the table was cleared on the way
         assert any(b < a for a, b in zip(counts, counts[1:]))
         zeta_mod._clear_tails()
+
+
+class TestDeepTrees:
+    def test_twin_deep_subtrees(self):
+        # the second twin's lookup compares two 349-deep chains
+        c = _chain(349)
+        value, bound = eval_tree_bounded(parse_forest(f"y3({c},{c})"), 1e-9)
+        assert bound <= 1e-9
+        assert 0.26 < value < 0.27
+
+    def test_deep_refusal_names_the_forest(self):
+        # the refusal prints the 400-deep forest it could not certify
+        with pytest.raises(ArithmeticError, match="cannot certify the forest y1"):
+            eval_tree_bounded(parse_forest(_chain(400)), 1e-12)
