@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .lincomb import LinComb
-from .forests import EMPTY_FOREST, Forest, Tree, make_tree
+from .forests import EMPTY_FOREST, Forest, Tree, bottom_up, make_tree
 from .words import (
     Word,
     XLetter,
@@ -37,42 +37,35 @@ from .words import (
 )
 
 
-def _arborify_forest(trees: tuple, merge, memo: dict) -> dict:
-    # a map letters -> coefficient; the empty forest gives the unit word, any
-    # other forest's product starts from its first tree
-    total = _arborify_tree(trees[0], merge, memo) if trees else {(): 1}
+def _product(trees: tuple, memo: dict, merge) -> dict:
+    # a map letters -> coefficient from the trees' maps in memo; the empty
+    # forest gives the unit word, any other forest's product starts from its first tree
+    total = memo[trees[0]] if trees else {(): 1}
     for t in trees[1:]:
-        total = interleave_sum(total, _arborify_tree(t, merge, memo), merge)
+        total = interleave_sum(total, memo[t], merge)
     return total
 
 
-def _arborify_tree(t: Tree, merge, memo: dict) -> dict:
-    got = memo.get(t)
-    if got is None:
-        root, inner = (t.decoration,), _arborify_forest(t.children, merge, memo)
-        got = memo[t] = {ls + root: c for ls, c in inner.items()}
-    return got
-
-
-def _check_decorations(f: Forest, letter_type: type, needs: str) -> None:
-    stack = list(f.trees)
-    while stack:
-        t = stack.pop()
+def _arborify(f: Forest, merge, letter_type: type, needs: str) -> LinComb:
+    order = bottom_up(f.trees)
+    for t in reversed(order):  # roots first: a forest of the other alphabet is named by its last root
         if not isinstance(t.decoration, letter_type):
             raise ValueError(f"{needs} decorations, found {t.decoration}")
-        stack.extend(t.children)
+    memo: dict = {}  # subtree -> its map: its children's product, each word ending in its root
+    for t in order:
+        if t not in memo:
+            memo[t] = {ls + (t.decoration,): c for ls, c in _product(t.children, memo, merge).items()}
+    return as_comb(_product(f.trees, memo, merge))
 
 
 def arborify_x(f: Forest) -> LinComb:
     """Simple arborification: shuffle over trees, decorations from {x0, x1}."""
-    _check_decorations(f, XLetter, "simple arborification needs integration (x)")
-    return as_comb(_arborify_forest(f.trees, None, {}))
+    return _arborify(f, None, XLetter, "simple arborification needs integration (x)")
 
 
 def arborify_y(f: Forest) -> LinComb:
     """Contracting arborification: quasi-shuffle over trees, y-decorations."""
-    _check_decorations(f, YLetter, "contracting arborification needs summation (y)")
-    return as_comb(_arborify_forest(f.trees, merge_y, {}))
+    return _arborify(f, merge_y, YLetter, "contracting arborification needs summation (y)")
 
 
 def ladder(w: Word) -> Tree:
@@ -96,17 +89,6 @@ def s_tree(f: Forest) -> LinComb:
     return arborify_y(f).map_basis(to_ladder_forest)
 
 
-def _leaves(t: Tree):
-    leaves = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if not node.children:
-            leaves.append(node)
-        stack.extend(node.children)
-    return leaves
-
-
 def is_convergent_tree_y(f: Forest) -> bool:
     """Every leaf of every tree must carry an index >= 2 (a single vertex is
     its own leaf)."""
@@ -121,8 +103,8 @@ def is_convergent_tree_x(f: Forest) -> bool:
 
 def divergence_reason_y(f: Forest) -> Optional[str]:
     """None when convergent, else a message naming the offending vertex."""
-    for t in f.trees:
-        for leaf in _leaves(t):
+    for leaf in bottom_up(f.trees):
+        if not leaf.children:
             d = leaf.decoration
             if not isinstance(d, YLetter):
                 raise ValueError(f"expected y-decorations, found {d}")
@@ -141,7 +123,7 @@ def divergence_reason_x(f: Forest) -> Optional[str]:
             return "a single vertex is both root and leaf, so the tree cannot converge"
         if d != X1:
             return f"root decorated {d} makes the value divergent (root must be x1)"
-        for leaf in _leaves(t):
-            if leaf.decoration != X0:
+        for leaf in bottom_up((t,)):
+            if not leaf.children and leaf.decoration != X0:
                 return f"leaf decorated {leaf.decoration} makes the value divergent (leaves must be x0)"
     return None

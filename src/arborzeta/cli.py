@@ -170,7 +170,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:  # a ParseError is a ValueError
         return _fail(str(exc))
-    except RecursionError as exc:  # deeply nested input, until the tree layers stop recursing
+    except RecursionError as exc:  # the (quasi-)shuffle of a long branch, or near-equal deep siblings
         return _fail(f"input nested too deeply ({exc})")
 
 

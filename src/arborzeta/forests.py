@@ -15,7 +15,16 @@ recursively); serialization follows the grammar::
     forest := tree (';' tree)* | 'e'
 
 with decorations written as letter tokens (x0, x1, y3, ...) and whitespace
-insignificant.  Printing always emits the canonical form.
+insignificant.  Printing always emits the canonical form.  ``parse_forest``
+is one loop over a stack of the vertices still open: a letter opens a vertex
+on '(' and otherwise closes it and every vertex whose ')' follows.  Within
+one call it keeps a single object per distinct subtree, so equal siblings
+sort by one shared key.
+
+The tree folds of the paper (both arborifications, the tree sums, the
+weight) run from the leaves up; ``bottom_up`` lists every vertex after all
+of its descendants, a preorder taken with a stack and reversed, so none of
+them recurses.
 
 The coproduct implemented here is the admissible-cut coproduct of the
 Butcher-Connes-Kreimer Hopf algebra, computed through the grafting recursion
@@ -38,6 +47,7 @@ key ranks a decoration by its value alone.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from functools import lru_cache
 from operator import attrgetter
@@ -158,8 +168,22 @@ def grade(f: Forest) -> int:
     return sum(size(t) for t in f.trees)
 
 
+def bottom_up(trees: Iterable[Tree], known=()) -> list:
+    """Every vertex of the trees, as its subtree, each after all of its
+    descendants, leaving out the subtrees in ``known`` with all of theirs:
+    a preorder taken with a stack, reversed."""
+    order, stack = [], list(trees)
+    while stack:
+        t = stack.pop()
+        if t not in known:
+            order.append(t)
+            stack += t.children
+    order.reverse()
+    return order
+
+
 def tree_weight(t: Tree) -> int:
-    return letter_weight(t.decoration) + sum(tree_weight(c) for c in t.children)
+    return sum(letter_weight(s.decoration) for s in bottom_up((t,)))
 
 
 def forest_weight(f: Forest) -> int:
@@ -252,69 +276,44 @@ def print_tree(t: Tree) -> str:
     return "".join(out)
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.alphabets = set()  # the letter classes read so far
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        found = self.peek()
-        if found != ch:
-            raise ParseError(f"expected {ch!r}, found {repr(found) if found else 'end of input'}", self.pos)
-        self.pos += 1
-
-    def letter(self) -> Letter:
-        self.skip_ws()
-        letter, self.pos = parse_letter_at(self.text, self.pos)
-        self.alphabets.add(type(letter))
-        return letter
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-
-def _parse_tree_node(sc: _Scanner) -> Tree:
-    deco = sc.letter()
-    children = []
-    if sc.peek() == "(":
-        sc.expect("(")
-        children.append(_parse_tree_node(sc))
-        while sc.peek() == ",":
-            sc.expect(",")
-            children.append(_parse_tree_node(sc))
-        sc.expect(")")
-    return make_tree(deco, children)
-
-
 def parse_forest(text: str) -> Forest:
     """Parse the forest grammar; raises ParseError with a position on bad input."""
-    sc = _Scanner(text)
-    if sc.peek() == "e":
-        sc.pos += 1
-        if not sc.at_end():
-            raise ParseError("unexpected input after the empty forest 'e'", sc.pos)
+    space = re.compile(r"\s*").match  # \s is exactly str.isspace
+    pos = space(text).end()
+    if text.startswith("e", pos):
+        pos = space(text, pos + 1).end()
+        if pos < len(text):
+            raise ParseError("unexpected input after the empty forest 'e'", pos)
         return EMPTY_FOREST
-    if sc.at_end():
-        raise ParseError("empty input, expected a forest", sc.pos)
-    trees = [_parse_tree_node(sc)]
-    while sc.peek() == ";":
-        sc.expect(";")
-        trees.append(_parse_tree_node(sc))
-    if not sc.at_end():
-        raise ParseError(f"unexpected trailing input {sc.text[sc.pos:sc.pos + 8]!r}", sc.pos)
-    if len(sc.alphabets) > 1:
-        raise ParseError("forest mixes the x and y alphabets", 0)
-    return make_forest(trees)
+    if pos == len(text):
+        raise ParseError("empty input, expected a forest", pos)
+    stack = [(None, [])]  # the open vertices as (decoration, children); the bottom one holds the trees
+    built: dict = {}  # one object per distinct subtree, so equal siblings sort by one key
+    alphabets = set()
+    while True:
+        letter, pos = parse_letter_at(text, space(text, pos).end())
+        alphabets.add(type(letter))
+        stack.append((letter, []))
+        pos = space(text, pos).end()
+        if text.startswith("(", pos):
+            pos += 1
+            continue
+        while True:  # close the vertex just read, and each one whose ')' follows
+            node = make_tree(*stack.pop())
+            stack[-1][1].append(built.setdefault(node, node))
+            found = text[pos:pos + 1]
+            if found == (";" if len(stack) == 1 else ","):
+                break
+            if len(stack) == 1:
+                if found:
+                    raise ParseError(f"unexpected trailing input {text[pos:pos + 8]!r}", pos)
+                if len(alphabets) > 1:
+                    raise ParseError("forest mixes the x and y alphabets", 0)
+                return make_forest(stack[0][1])
+            if found != ")":
+                raise ParseError(f"expected ')', found {repr(found) if found else 'end of input'}", pos)
+            pos = space(text, pos + 1).end()
+        pos += 1
 
 
 def parse_tree(text: str) -> Tree:

@@ -82,8 +82,12 @@ a tree's value is T_root(0) and a forest's value the product over its trees.
   subtree and K, so one table per process, keyed by K and then by subtree,
   keeps the tails of every subtree and the k^-n tables from one call to the
   next; a lookup compares trees without recursion, so a subtree of any size
-  is stored.  A call costs O(K) per subtree not yet in the table, and the
-  values and bounds do not depend on what it holds.
+  is stored.  A tree not in the table is walked from the leaves up, stopping
+  at the subtrees the table holds, so no depth is too deep.  A call costs
+  O(K) per subtree not yet in the table, and the values and bounds do not
+  depend on what it holds.  A decoration y_n with n > _A_MAX + 1 enters the
+  expansion as its majorant K^(_A_MAX + 1 - n) x^-(_A_MAX + 1), so every n
+  costs the same.
   After a pass the table holds at most 2^18 floats, or it is cleared: about
   3.3 MB at K = 125, where T_v and eps_v are arrays of doubles.
 
@@ -122,7 +126,7 @@ from .arborify import (
     divergence_reason_x,
     divergence_reason_y,
 )
-from .forests import Forest, Tree, size
+from .forests import Forest, Tree, bottom_up, size
 from .lincomb import NEG_INF, LinComb, ThetaPoly
 from .words import (
     Word,
@@ -663,24 +667,33 @@ def _vertex_tail(t: Tree, K: int) -> tuple:
 
     |T_t(x) - E(x)| <= err(x) at every integer x >= K; T[m] is computed for
     m = 0..K with |T_t(m) - T[m]| <= eps[m] up to rounding, and each T[m] is
-    within a relative gamma_M of its exact-arithmetic value.  The tail is kept
-    in _TAILS[K], whatever the size of t.
+    within a relative gamma_M of its exact-arithmetic value.  A tail not yet
+    in _TAILS[K] is added there with those of its subtrees, bottom-up.
     """
-    global _tails_floats
     table = _TAILS[K]
     got = table.get(t)
-    if got is not None:
-        return got
+    if got is None:
+        for s in bottom_up((t,), table):
+            if s not in table:  # a subtree met twice in the walk is added once
+                _add_tail(s, table, K)
+        got = table[t]
+    return got
+
+
+def _add_tail(t: Tree, table: dict, K: int) -> None:
+    """Put the tail of t in the table, which holds those of its children."""
+    global _tails_floats
     if not isinstance(t.decoration, YLetter):
         raise ValueError(f"expected y-decorations, found {t.decoration}")
     n = t.decoration.index
-    kids = []
-    for c in t.children:  # a loop, not a comprehension: one frame per level of the tree
-        kids.append(_vertex_tail(c, K))
+    kids = [table[c] for c in t.children]
 
     # above K: g = x^-n prod E_c; P = x^-n prod |E_c| majorizes |g|, and
-    # D = x^-n (prod(|E_c| + err_c) - prod |E_c|) majorizes x^-n |prod T_c - prod E_c|
-    g = P = [0.0] * n + [1.0]
+    # D = x^-n (prod(|E_c| + err_c) - prod |E_c|) majorizes x^-n |prod T_c - prod E_c|.
+    # Orders beyond _A_MAX only enter the bound, so x^-n is stored as its
+    # majorant K^(m-n) x^-m, m = min(n, _A_MAX + 1): any n costs O(_A_MAX)
+    m = min(n, _A_MAX + 1)
+    g = P = [0.0] * m + [float(K) ** (m - n)]
     D: list = []
     for E, err, *_ in kids:
         bar = [abs(c) for c in E]
@@ -724,9 +737,8 @@ def _vertex_tail(t: Tree, K: int) -> tuple:
     # M bounds the roundings behind each T[m] (at most K + 2 + len(kids) plus the
     # children's) and, less K, those behind each coefficient of err_t
     M = K + 24 + sum(map(bool, err_t)) + sum(m + sum(map(bool, E + err)) + 6 for E, err, _, _, m in kids)
-    tail = table[t] = (E_t, err_t, T_t, eps_t, M)
+    table[t] = (E_t, err_t, T_t, eps_t, M)
     _tails_floats += len(E_t) + len(err_t) + 2 * (K + 1)
-    return tail
 
 
 def _convergent(f: Union[Forest, Tree], divergence_reason: Callable) -> Forest:
@@ -796,21 +808,20 @@ def brute_tree_sum(t: Tree, N: int) -> float:
     """
     if N < 1:
         raise ValueError("truncation bound N must be >= 1")
-
-    def suffix(t: Tree) -> list:
-        kids = [suffix(c) for c in t.children]
-        d = t.decoration
+    suffix: dict = {}  # subtree -> its array g
+    for s in bottom_up((t,)):
+        d = s.decoration
         if not isinstance(d, YLetter):
             raise ValueError(f"expected y-decorations, found {d}")
+        kids = [suffix[c] for c in s.children]
         g = [0.0] * (N + 2)
         for m in range(N, 0, -1):
             prod = float(m) ** (-d.index)
             for arr in kids:
                 prod *= arr[m + 1]
             g[m] = g[m + 1] + prod
-        return g
-
-    return suffix(t)[1]
+        suffix[s] = g
+    return suffix[t][1]
 
 
 def tree_truncation_bound(t: Union[Forest, Tree], N: int) -> float:

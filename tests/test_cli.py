@@ -54,6 +54,16 @@ class TestExpand:
         code, _, err = run(capsys, "expand", "--contracting", "x1(x0)")
         assert code == 2
 
+    def test_wrong_alphabet_names_the_root(self, capsys):
+        code, _, err = run(capsys, "expand", "--simple", "y2(y3)")
+        assert (code, err) == (2, "error: simple arborification needs integration (x) decorations, found y2\n")
+
+    @pytest.mark.parametrize("flavor, top, leaf", [("--contracting", "y2", "y2"), ("--simple", "x1", "x0")])
+    def test_deep_chain(self, capsys, flavor, top, leaf):
+        code, out, _ = run(capsys, "expand", flavor, f"{top}(" * 4999 + leaf + ")" * 4999)
+        assert code == 0
+        assert out == "1*" + ".".join([leaf] + [top] * 4999) + "\n"
+
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "expand", "--contracting", "y3(y1")
         assert code == 2
@@ -89,6 +99,18 @@ class TestZeta:
         assert line == "1*zeta(4,2) + 2*zeta(2,2,2)"
         expected = eval_mzv((4, 2), 1e-10) + 2.0 * eval_mzv((2, 2, 2), 1e-10)
         assert abs(value - expected) < 1e-8
+
+    def test_deep_chain(self, capsys):
+        # y1(...(y2)...) sums to zeta(2,1,...,1) = zeta(5001)
+        code, out, _ = run(capsys, "zeta", "y1(" * 4999 + "y2" + ")" * 4999)
+        assert code == 0
+        line, value, _ = _value_line(out)
+        assert line == f"1*zeta(2{',1' * 4999})" and value == 1.0
+
+    @pytest.mark.parametrize("index", ["1000000", "100000000", "99999999999999999999"])
+    def test_huge_decoration(self, capsys, index):
+        code, out, _ = run(capsys, "zeta", f"y{index}")
+        assert (code, out) == (0, f"1*zeta({index})\nvalue = 1 (tol = 1e-09)\n")
 
     def test_plain_word(self, capsys):
         code, out, _ = run(capsys, "zeta", "--word", "y2.y3")

@@ -22,6 +22,7 @@ from arborzeta.forests import (
     ParseError,
     Tree,
     _pair_product,
+    bottom_up,
     bplus,
     coproduct,
     counit,
@@ -386,6 +387,31 @@ class TestDeepTrees:
     def test_deep_chain_prints(self):
         assert print_tree(_chain(5000, Y1)) == "y1(" * 4999 + "y2" + ")" * 4999
 
+    def test_deep_chain_parses(self):
+        text = "y1(" * 4999 + "y2" + ")" * 4999
+        assert parse_tree(text) == _chain(5000, Y1)
+        assert str(parse_forest(f"{text};y3( {text} )")) == f"{text};y3({text})"
+
+    def test_equal_subtrees_parse_to_one_object(self):
+        c = "y1(" * 599 + "y2" + ")" * 599
+        t = parse_tree(f"y3({c},{c})")
+        assert t.children[0] is t.children[1]
+        assert t == Tree(YLetter(3), (_chain(600, Y1), _chain(600, Y1)))
+
+    def test_bottom_up(self):
+        f = parse_forest("y3(y1,y2(y1));y1;y2(y2)")
+        order = bottom_up(f.trees)
+        assert len(order) == grade(f)
+        for i, t in enumerate(order):  # every child comes before its parent
+            assert all(c in order[:i] for c in t.children)
+        # a subtree in known is left out with its descendants
+        assert [print_tree(t) for t in order] == ["y1", "y2", "y2(y2)", "y1", "y1", "y2(y1)", "y3(y1,y2(y1))"]
+        assert [print_tree(t) for t in bottom_up(f.trees, {parse_tree("y2(y1)")})] == [
+            "y1", "y2", "y2(y2)", "y1", "y3(y1,y2(y1))"]
+        deep = _chain(5000, Y1)
+        assert len(bottom_up((deep,))) == 5000 and bottom_up((deep,))[-1] is deep
+        assert tree_weight(deep) == 5001
+
     @given(st.sampled_from([(Y1, Y2, YLetter(3)), (X0, X1)]).flatmap(
         lambda letters: st.tuples(tree_specs(letters), tree_specs(letters), st.booleans())))
     @settings(max_examples=300, deadline=None)
@@ -439,6 +465,25 @@ class TestParsePrint:
     ])
     def test_expected_token_named(self, text, message):
         # the end of input is named as the letter parser names it, unquoted
+        with pytest.raises(ParseError) as info:
+            parse_forest(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("y2(y3,)", "expected a letter token (x0, x1, or y<n>), found ')' (at position 6)"),
+        ("(y2)", "expected a letter token (x0, x1, or y<n>), found '(y2)' (at position 0)"),
+        ("y2(y3 y4)", "expected ')', found 'y' (at position 6)"),
+        ("y2(y3(y4),y5 ;", "expected ')', found ';' (at position 13)"),
+        ("y2(y3),y4", "unexpected trailing input ',y4' (at position 6)"),
+        ("y2(y3))", "unexpected trailing input ')' (at position 6)"),
+        ("e y2", "unexpected input after the empty forest 'e' (at position 2)"),
+        (" e(", "unexpected input after the empty forest 'e' (at position 2)"),
+        ("   ", "empty input, expected a forest (at position 3)"),
+        ("", "empty input, expected a forest (at position 0)"),
+        ("y2(x0)", "forest mixes the x and y alphabets (at position 0)"),
+        ("y2;x1", "forest mixes the x and y alphabets (at position 0)"),
+    ])
+    def test_every_error_site(self, text, message):
         with pytest.raises(ParseError) as info:
             parse_forest(text)
         assert str(info.value) == message

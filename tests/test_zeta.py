@@ -799,11 +799,39 @@ class TestTailTable:
 
 class TestDeepTrees:
     def test_twin_deep_subtrees(self):
-        # the second twin's lookup compares two 349-deep chains
-        c = _chain(349)
-        value, bound = eval_tree_bounded(parse_forest(f"y3({c},{c})"), 1e-9)
-        assert bound <= 1e-9
-        assert 0.26 < value < 0.27
+        # parse_forest builds the twins as one object, so sorting them compares one key
+        for depth in (349, 600, 2000):
+            c = _chain(depth)
+            value, bound = eval_tree_bounded(parse_forest(f"y3({c},{c})"), 1e-9)
+            assert bound <= 1e-9, depth
+            assert 0.26 < value < 0.27, depth
+
+    def test_deep_chain_cold_and_warm(self):
+        import arborzeta.zeta as zeta_mod
+
+        zeta_mod._clear_tails()
+        cold = eval_tree_bounded(parse_forest(_chain(3000)), 1e-9)
+        # warm: every proper subtree is in the table, from a separately parsed chain
+        zeta_mod._clear_tails()
+        eval_tree_bounded(parse_forest(_chain(2999)), 1e-9)
+        assert eval_tree_bounded(parse_forest(_chain(3000)), 1e-9) == cold
+        assert abs(cold[0] - 1.0) <= cold[1] <= 1e-9  # zeta(3001)
+        zeta_mod._clear_tails()
+
+    def test_huge_decoration_costs_no_memory(self):
+        import tracemalloc
+        import arborzeta.zeta as zeta_mod
+
+        t = parse_tree("y1000000")
+        zeta_mod._clear_tails()
+        tracemalloc.start()
+        try:
+            value, bound = eval_tree_bounded(t, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 1.0 and bound <= 1e-9
+        assert peak < 1 << 20, peak
 
     def test_deep_refusal_names_the_forest(self):
         # the refusal prints the 400-deep forest it could not certify
