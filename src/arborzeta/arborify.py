@@ -37,35 +37,45 @@ from .words import (
 )
 
 
-def _product(trees: tuple, memo: dict, merge) -> dict:
-    # a map letters -> coefficient from the trees' maps in memo; the empty
-    # forest gives the unit word, any other forest's product starts from its first tree
-    total = memo[trees[0]] if trees else {(): 1}
-    for t in trees[1:]:
-        total = interleave_sum(total, memo[t], merge)
+def _product(maps: list, merge) -> dict:
+    # the product of the trees' maps letters -> coefficient; the empty forest
+    # gives the unit word, any other forest's product starts from its first tree
+    total = maps[0] if maps else {(): 1}
+    for m in maps[1:]:
+        total = interleave_sum(total, m, merge)
     return total
 
 
-def _arborify(f: Forest, merge, letter_type: type, needs: str) -> LinComb:
+_FLAVORS = {"x": (None, XLetter, "simple arborification needs integration (x)"),
+            "y": (merge_y, YLetter, "contracting arborification needs summation (y)")}
+
+
+def letter_map(f: Forest, alphabet: str) -> dict:
+    """arborify_x (alphabet "x") or arborify_y ("y") of f as a map letters -> coefficient."""
+    merge, letter_type, needs = _FLAVORS[alphabet]
     order = bottom_up(f.trees)
     for t in reversed(order):  # roots first: a forest of the other alphabet is named by its last root
         if not isinstance(t.decoration, letter_type):
             raise ValueError(f"{needs} decorations, found {t.decoration}")
-    memo: dict = {}  # subtree -> its map: its children's product, each word ending in its root
+    # The walk puts a vertex's children, in order, right before it, so the maps of subtrees
+    # whose parent is not built yet form a stack with those children on top; a child's map is
+    # dropped once its parent's is built, and a repeated subtree is expanded again
+    maps: list = []
     for t in order:
-        if t not in memo:
-            memo[t] = {ls + (t.decoration,): c for ls, c in _product(t.children, memo, merge).items()}
-    return as_comb(_product(f.trees, memo, merge))
+        kids = maps[len(maps) - len(t.children):]
+        del maps[len(maps) - len(t.children):]
+        maps.append({ls + (t.decoration,): c for ls, c in _product(kids, merge).items()})
+    return _product(maps, merge)
 
 
 def arborify_x(f: Forest) -> LinComb:
     """Simple arborification: shuffle over trees, decorations from {x0, x1}."""
-    return _arborify(f, None, XLetter, "simple arborification needs integration (x)")
+    return as_comb(letter_map(f, "x"))
 
 
 def arborify_y(f: Forest) -> LinComb:
     """Contracting arborification: quasi-shuffle over trees, y-decorations."""
-    return _arborify(f, merge_y, YLetter, "contracting arborification needs summation (y)")
+    return as_comb(letter_map(f, "y"))
 
 
 def ladder(w: Word) -> Tree:

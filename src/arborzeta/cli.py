@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Verbs: expand (arborification of a forest into words), zeta (exact expansion
-of an arborified value into ordinary zeta values plus a certified numeric),
-verify (identity suites as report tables), enumerate (canonical decorated
-trees of a given size), and hoffman (the exp/log isomorphism on one word).
+of an arborified value into ordinary zeta values, printed from arborification's
+letter map with no word objects, plus a certified numeric), verify (identity
+suites as report tables), enumerate (canonical decorated trees of a given
+size), and hoffman (the exp/log isomorphism on one word).
 
 Exit codes: 0 success, 1 verification failure, 2 usage, parse, or
 precondition error, including a tolerance that cannot be certified.
@@ -20,13 +21,13 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .arborify import arborify_x, arborify_y
+from .arborify import arborify_x, arborify_y, divergence_reason_x, letter_map
 from .forests import enumerate_trees, parse_forest, print_tree
 from .hoffman import exp_word, log_word
 from .lincomb import LinComb
-from .words import XLetter, YLetter, parse_word, s_inverse
+from .words import Word, XLetter, YLetter, parse_word, s_inverse
 from . import verify as verify_mod
 from . import zeta as zeta_mod
 
@@ -53,14 +54,16 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # zeta
 
-def _zeta_line(comb: LinComb, alphabet: str) -> str:
-    # rows in the order of the x-words: y_n is x0^(n-1) x1, so x-words compare
-    # as the tuples of negated indices do, and s_map is a bijection, so no ties
-    rows = sorted(
-        (tuple(-l.index for l in (w if alphabet == "y" else s_inverse(w)).letters), c)
-        for w, c in comb.items()
-    )
-    return " + ".join(f"{c}*zeta({','.join(str(-n) for n in neg)})" for neg, c in rows)
+def _zeta_line(coeffs: Mapping, alphabet: str) -> str:
+    # coeffs: letters -> coefficient.  Rows in the order of the x-words: y_n is x0^(n-1) x1, so
+    # x-words compare as the tuples of negated indices do, and s_map is a bijection, so no ties
+    if alphabet == "x":
+        coeffs = {s_inverse(Word(ls)).letters: c for ls, c in coeffs.items()}
+    letters = set().union(*coeffs)
+    neg = {l: -l.index for l in letters}.__getitem__
+    name = {l: str(l.index) for l in letters}.__getitem__
+    rows = sorted((tuple(map(neg, ls)), ls, c) for ls, c in coeffs.items() if c)
+    return " + ".join(f"{c}*zeta({','.join(map(name, ls))})" for _, ls, c in rows)
 
 
 def _cmd_zeta(args: argparse.Namespace) -> int:
@@ -69,17 +72,16 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
     if args.word is not None:
         w = parse_word(args.word)
         alphabet = _alphabet(w.letters[0] if w.letters else None)
-        comb = LinComb.unit(w)
-        value = zeta_mod.eval_comb_bounded(comb, args.tol)[0]
+        value, coeffs = zeta_mod.eval_comb_bounded(LinComb.unit(w), args.tol)[0], {w.letters: 1}
     else:
         f = parse_forest(args.forest)
         alphabet = _alphabet(f.trees[0].decoration if f.trees else None)
-        # a y-forest is summed directly, so its expansion is only printed
-        if alphabet == "y":
-            value, comb = zeta_mod.zeta_tree_y(f, args.tol), arborify_y(f)
-        else:
-            value, comb = zeta_mod.zeta_tree_x(f, args.tol), arborify_x(f)
-    print(_zeta_line(comb, alphabet))
+        if alphabet == "y":  # summed directly, so the expansion is only printed
+            value, coeffs = zeta_mod.zeta_tree_y(f, args.tol), letter_map(f, "y")
+        else:  # refused if divergent, else expanded once for the value and the line
+            comb = arborify_x(zeta_mod._convergent(f, divergence_reason_x))
+            value, coeffs = zeta_mod.zeta_comb_x(comb, args.tol), {w.letters: c for w, c in comb.items()}
+    print(_zeta_line(coeffs, alphabet))
     print(f"value = {value:.12g} (tol = {args.tol:g})")
     return 0
 

@@ -87,7 +87,8 @@ a tree's value is T_root(0) and a forest's value the product over its trees.
   O(K) per subtree not yet in the table, and the values and bounds do not
   depend on what it holds.  A decoration y_n with n > _A_MAX + 1 enters the
   expansion as its majorant K^(_A_MAX + 1 - n) x^-(_A_MAX + 1), so every n
-  costs the same.
+  costs the same.  Each K also keeps K^-a and the weights _sum_tail(a, 0, K)
+  of the pruned orders a > _A_MAX, in lists that grow on demand.
   After a pass the table holds at most 2^18 floats, or it is cleared: about
   3.3 MB at K = 125, where T_v and eps_v are arrays of doubles.
 
@@ -602,7 +603,7 @@ def hoffman_reg_relation(w: Word) -> LinComb:
 # tree-level values; a dense power list's entry a is the coefficient of x^-a
 
 _TREE_K0 = 125  # doubled up to 125 * 2**9 = 64000, the ceiling of eval_mzv_bounded
-# the table of vertex tails, K -> {subtree: tail, n: k^-n list}; see "The cost" above
+# the table of vertex tails, K -> {subtree: tail, n: k^-n list, "pow"/"pruned": weights}; see "The cost" above
 _TAILS: Dict[int, dict] = defaultdict(dict)
 _TAILS_FLOATS = 1 << 18  # a pass that leaves more floats in the table clears it
 _tails_floats = 0        # the floats held in _TAILS: list and array entries
@@ -657,18 +658,19 @@ def _em_tail(kept: list) -> Tuple[list, list]:
 
 def _suffix_sums(terms: list, last: float) -> array:
     """[last + sum(terms[m:]) for m = 0..len(terms)], each summed from the end."""
-    out = array("d", accumulate(reversed(terms), initial=last))
+    out = list(accumulate(reversed(terms), initial=last))
     out.reverse()
-    return out
+    return array("d", out)
 
 
 def _vertex_tail(t: Tree, K: int) -> tuple:
-    """(E, err, T, eps, M) for the tail T_t(m) = sum_{k>m} k^-n prod_c T_c(k).
+    """(E, err, T, eps, M, nE, nerr) for the tail T_t(m) = sum_{k>m} k^-n prod_c T_c(k).
 
     |T_t(x) - E(x)| <= err(x) at every integer x >= K; T[m] is computed for
     m = 0..K with |T_t(m) - T[m]| <= eps[m] up to rounding, and each T[m] is
-    within a relative gamma_M of its exact-arithmetic value.  A tail not yet
-    in _TAILS[K] is added there with those of its subtrees, bottom-up.
+    within a relative gamma_M of its exact-arithmetic value; nE and nerr count
+    the nonzero coefficients of E and err, for the parents.  A tail not yet in
+    _TAILS[K] is added there with those of its subtrees, bottom-up.
     """
     table = _TAILS[K]
     got = table.get(t)
@@ -697,12 +699,15 @@ def _add_tail(t: Tree, table: dict, K: int) -> None:
     D: list = []
     for E, err, *_ in kids:
         bar = [abs(c) for c in E]
-        D = _ps_add(_ps_mul(D, _ps_add(bar, err)), _ps_mul(P, err))
+        D = _ps_add(_ps_mul(D, _ps_add(bar, err)), _ps_mul(P, err)) if D else _ps_mul(P, err)
         g, P = _ps_mul(g, E), _ps_mul(P, bar)
     kept = g[:_A_MAX + 1]
-    dropped = sum(abs(c) * _sum_tail(a, 0, K) for a, c in enumerate(g[_A_MAX + 1:], _A_MAX + 1) if c)
+    pruned = table.setdefault("pruned", [])  # _sum_tail(a, 0, K) from a = _A_MAX + 1
+    _tails_floats += max(0, len(g) - _A_MAX - 1 - len(pruned))
+    pruned += [_sum_tail(a, 0, K) for a in range(_A_MAX + 1 + len(pruned), len(g))]
+    dropped = sum(abs(c) * w for c, w in zip(g[_A_MAX + 1:], pruned) if c)
     # the float product has at most as many roundings per coefficient as the E_c have terms
-    D = _ps_add(D, P, _gamma(sum(sum(map(bool, E)) for E, *_ in kids)))
+    D = _ps_add(D, P, _gamma(sum(nE for *_, nE, _ in kids)))
     if any(kept[:2]) or any(D[:2]):
         raise AssertionError("a tree tail needs summands decaying like x^-2")
     # sum_{k>x} g(k) = -Phi(x) - g(x) + remainder, with Phi as in the word evaluator
@@ -717,27 +722,30 @@ def _add_tail(t: Tree, table: dict, K: int) -> None:
     if dropped:  # orders beyond _A_MAX (then err_t reaches _A_MAX + 4), whose tail decays like x^-_A_MAX
         err_t[_A_MAX] += dropped * float(K) ** _A_MAX
     # evaluating E_t at K: one power (2 roundings), one product, the sum
-    err_t = _ps_add(err_t, [abs(c) for c in E_t], _gamma(sum(map(bool, E_t)) + 3))
+    nE = sum(map(bool, E_t))
+    err_t = _ps_add(err_t, [abs(c) for c in E_t], _gamma(nE + 3))
 
     # below K: T(m) = T(m+1) + (m+1)^-n prod T_c(m+1) from T(K) = E_t(K), and
     # eps(m) = eps(m+1) + (m+1)^-n (prod(T_c + eps_c) - prod T_c) from err_t(K);
     # table[n] holds k^-n for k = 1..K, used by every vertex decorated y_n
-    summand = table.get(n)
-    if summand is None:
-        summand = table[n] = [float(k) ** -n for k in range(1, K + 1)]
-        _tails_floats += K
+    summand = table.setdefault(n, [])
+    _tails_floats += K - len(summand)
+    summand += [float(k) ** -n for k in range(len(summand) + 1, K + 1)]
     defect = None
-    for _, _, T, eps, _ in kids:
+    for _, _, T, eps, *_ in kids:
         defect = (list(map(mul, summand, eps[1:])) if defect is None  # first child: d = 0
                   else [d * (tc + ec) + p * ec for d, p, tc, ec in zip(defect, summand, T[1:], eps[1:])])
         summand = list(map(mul, summand, T[1:]))
-    E_K, err_K = (sum(p[a] * K ** -a for a in range(len(p) - 1, -1, -1) if p[a]) for p in (E_t, err_t))
+    pw = table.setdefault("pow", [])  # K^-a from a = 0; err_t is at least as long as E_t
+    _tails_floats += max(0, len(err_t) - len(pw))
+    pw += [K ** -a for a in range(len(pw), len(err_t))]
+    E_K, err_K = (sum(p[a] * pw[a] for a in range(len(p) - 1, -1, -1) if p[a]) for p in (E_t, err_t))
     T_t = _suffix_sums(summand, E_K)
     eps_t = array("d", [err_K]) * (K + 1) if defect is None else _suffix_sums(defect, err_K)
     # M bounds the roundings behind each T[m] (at most K + 2 + len(kids) plus the
     # children's) and, less K, those behind each coefficient of err_t
-    M = K + 24 + sum(map(bool, err_t)) + sum(m + sum(map(bool, E + err)) + 6 for E, err, _, _, m in kids)
-    table[t] = (E_t, err_t, T_t, eps_t, M)
+    M = K + 24 + (nerr := sum(map(bool, err_t))) + sum(m + nE_c + nerr_c + 6 for *_, m, nE_c, nerr_c in kids)
+    table[t] = (E_t, err_t, T_t, eps_t, M, nE, nerr)
     _tails_floats += len(E_t) + len(err_t) + 2 * (K + 1)
 
 
@@ -765,7 +773,7 @@ def eval_tree_bounded(f: Union[Forest, Tree], tol: float = 1e-9) -> Tuple[float,
         value, eps, M, V = 1.0, 0.0, 0, 0
         try:
             for t in f.trees:
-                _, _, T, e, m = _vertex_tail(t, K)
+                _, _, T, e, m, *_ = _vertex_tail(t, K)
                 eps = eps * (T[0] + e[0]) + value * e[0]
                 value *= T[0]
                 M += m + 4

@@ -32,6 +32,7 @@ from arborzeta.arborify import (
     is_convergent_tree_x,
     is_convergent_tree_y,
     ladder,
+    letter_map,
     s_tree,
 )
 
@@ -145,6 +146,35 @@ class TestFrozenExpansions:
             arborify_y(Forest((parse_tree("x1(x0)"),)))
         with pytest.raises(ValueError):
             arborify_x(Forest((parse_tree("y2(y2)"),)))
+
+
+class TestLetterMap:
+    def test_wraps_both_flavors(self):
+        for text, arb, alphabet in (("y3(y1,y2);y2", arborify_y, "y"), ("x1(x0,x1(x0))", arborify_x, "x")):
+            f = parse_forest(text)
+            assert LinComb({Word(ls): c for ls, c in letter_map(f, alphabet).items()}) == arb(f)
+
+    def test_shared_subtrees(self):
+        # parse_forest builds equal subtrees as one object: twins, a root that
+        # is also a child, and a subtree read by two different parents
+        for text in ("y3(y2(y2),y2(y2))", "y2;y3(y2)", "y2(y3(y2),y4(y3(y2)))", "y2;y2(y2);y2"):
+            f = parse_forest(text)
+            assert arborify_y(f) == contracting_oracle(f), text
+
+    def test_deep_chain_memory(self):
+        # a child's map is dropped once its parent is built, so a 3,000-deep
+        # chain holds a few words at a time, not one word per depth
+        import tracemalloc
+
+        f = parse_forest("y1(" * 2999 + "y2" + ")" * 2999)
+        tracemalloc.start()
+        try:
+            comb = arborify_y(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert comb == LinComb.unit(y_word(2, *[1] * 2999))  # the leaf first, the root last
+        assert peak < 2 << 20, peak
 
 
 class TestLadder:

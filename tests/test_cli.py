@@ -1,5 +1,7 @@
 """End-to-end CLI behaviour through main(argv): exact output strings and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,10 +10,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import arborzeta
-from arborzeta.arborify import arborify_y
+import arborzeta.cli as cli_mod
+import arborzeta.zeta as zeta_mod
+from arborzeta.arborify import arborify_x, arborify_y, letter_map
 from arborzeta.cli import _zeta_line, main
 from arborzeta.forests import parse_forest, parse_tree, print_tree
 from arborzeta.lincomb import LinComb
@@ -172,7 +176,7 @@ class TestZeta:
         code, out, _ = run(capsys, "zeta", text, "--tol", "1e-7")
         assert code == 0
         line, value, tol = _value_line(out)
-        assert line == _zeta_line(arborify_y(parse_forest(text)), "y")
+        assert line == _zeta_line(letter_map(parse_forest(text), "y"), "y")
         terms = line.split(" + ")
         assert len(terms) == 212
         assert sum(int(term.split("*")[0]) for term in terms) == 184683
@@ -200,6 +204,22 @@ class TestZeta:
         assert run(capsys, "zeta")[0] == 2
         assert run(capsys, "zeta", "y2(y2)", "--word", "y2")[0] == 2
 
+    def test_x_forest_expanded_once(self, capsys, monkeypatch):
+        calls = []
+        for module in (cli_mod, zeta_mod):  # every binding of arborify_x the verb could reach
+            monkeypatch.setattr(module, "arborify_x", lambda f: calls.append(f) or arborify_x(f))
+        code, out, _ = run(capsys, "zeta", "x1(x0,x1(x0))")
+        assert code == 0 and len(calls) == 1
+        assert out.splitlines()[0] == "2*zeta(3,1) + 1*zeta(2,2)"
+        # a divergent x-forest is refused before it is expanded
+        code, _, err = run(capsys, "zeta", "x0(x0)")
+        assert code == 2 and len(calls) == 1
+        assert err == "error: root decorated x0 makes the value divergent (root must be x1)\n"
+
+
+def _letters(comb):
+    return {w.letters: c for w, c in comb.items()}
+
 
 def _zeta_line_by_strings(comb, alphabet):
     """The expansion line sorted by the serialization of each term's x-word."""
@@ -219,10 +239,56 @@ class TestZetaLineOrder:
     @given(y_combs)
     @settings(max_examples=150, deadline=None)
     def test_matches_x_word_string_order(self, comb):
-        assert _zeta_line(comb, "y") == _zeta_line_by_strings(comb, "y")
+        assert _zeta_line(_letters(comb), "y") == _zeta_line_by_strings(comb, "y")
         x_comb = comb.map_basis(s_map)
-        assert _zeta_line(x_comb, "x") == _zeta_line_by_strings(x_comb, "x")
-        assert _zeta_line(x_comb, "x") == _zeta_line(comb, "y")
+        assert _zeta_line(_letters(x_comb), "x") == _zeta_line_by_strings(x_comb, "x")
+        assert _zeta_line(_letters(x_comb), "x") == _zeta_line(_letters(comb), "y")
+
+
+@st.composite
+def forest_texts(draw, alphabet):
+    """A convergent forest of at most 6 vertices: y1-y4 with leaves from y2,
+    or x-trees of at least two vertices, rooted at x1 with x0 leaves."""
+    n = draw(st.integers(2 if alphabet == "x" else 0, 6))
+    parents = [draw(st.integers(-1, i - 1)) for i in range(n)]  # -1: a root
+    kids = [[j for j in range(n) if parents[j] == i] for i in range(n)]
+    if alphabet == "x":
+        assume(all(kids[i] for i in range(n) if parents[i] < 0))
+
+    def text(i):
+        if alphabet == "y":
+            label = f"y{draw(st.integers(1 if kids[i] else 2, 4))}"
+        else:
+            label = "x0" if not kids[i] else "x1" if parents[i] < 0 else draw(st.sampled_from(["x0", "x1"]))
+        return label + (f"({','.join(map(text, kids[i]))})" if kids[i] else "")
+
+    return ";".join(text(i) for i in range(n) if parents[i] < 0) or "e"
+
+
+def _zeta_out(text):
+    """(exit code, stdout) of the zeta verb; Hypothesis tests take no capsys."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["zeta", text])
+    return code, out.getvalue()
+
+
+class TestZetaLineOfForests:
+    """The verb prints the expansion of arborify_y/x, in the order of the x-words."""
+
+    @given(forest_texts("y"))
+    @settings(max_examples=60, deadline=None)
+    def test_y_forests(self, text):
+        code, out = _zeta_out(text)
+        assert code == 0
+        assert out.splitlines()[0] == _zeta_line_by_strings(arborify_y(parse_forest(text)), "y")
+
+    @given(forest_texts("x"))
+    @settings(max_examples=25, deadline=None)
+    def test_x_forests(self, text):
+        code, out = _zeta_out(text)
+        assert code == 0
+        assert out.splitlines()[0] == _zeta_line_by_strings(arborify_x(parse_forest(text)), "x")
 
 
 class TestVerify:

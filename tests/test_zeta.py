@@ -730,8 +730,8 @@ def _chain(depth):
 
 
 def _stored_floats(zeta_mod):
-    """The floats the table holds, counted from its entries: a k^-n list, or a
-    tail's E, err, T and eps."""
+    """The floats the table holds, counted from its entries: a k^-n list, a
+    per-cutoff list of weights, or a tail's E, err, T and eps."""
     return sum(len(v) if isinstance(v, list) else sum(map(len, v[:4]))
                for table in zeta_mod._TAILS.values() for v in table.values())
 
@@ -794,6 +794,56 @@ class TestTailTable:
             counts.append(zeta_mod._tails_floats)
         # the loop stores more than the budget, so the table was cleared on the way
         assert any(b < a for a, b in zip(counts, counts[1:]))
+        zeta_mod._clear_tails()
+
+
+class TestPerCutoffTables:
+    """_TAILS[K]["pow"] holds K^-a and _TAILS[K]["pruned"] the weights of the pruned orders."""
+
+    def test_tables_are_exact(self):
+        import arborzeta.zeta as zeta_mod
+
+        zeta_mod._clear_tails()
+        eval_tree_bounded(parse_forest("y2(y2,y3(y2),y2(y2,y2,y2))"), 1e-9)
+        eval_tree_bounded(parse_forest(_chain(7)), 1e-12)  # K = 125 and 250
+        assert sorted(zeta_mod._TAILS) == [125, 250]
+        for K, table in zeta_mod._TAILS.items():
+            pw, pruned = table["pow"], table["pruned"]
+            assert len(pw) > 16 and pruned
+            assert pw == [K ** -a for a in range(len(pw))]
+            assert pruned == [zeta_mod._sum_tail(zeta_mod._A_MAX + 1 + i, 0, K) for i in range(len(pruned))]
+        zeta_mod._clear_tails()
+
+    def test_cold_and_warm_tables(self):
+        import arborzeta.zeta as zeta_mod
+        from arborzeta.forests import enumerate_trees
+
+        trees = [t for n in range(1, 6) for t in enumerate_trees(n, (YLetter(2), YLetter(3)))]
+        cold = []
+        for t in trees:
+            zeta_mod._clear_tails()
+            cold.append(eval_tree_bounded(t, 1e-9))
+        zeta_mod._clear_tails()
+        eval_tree_bounded(parse_tree("y2(y2,y2,y2,y2,y2,y2)"), 1e-9)  # longer tables than any tree below needs
+        assert [eval_tree_bounded(t, 1e-9) for t in trees] == cold
+        zeta_mod._clear_tails()
+
+    def test_threshold_counts_the_tables(self, monkeypatch):
+        import arborzeta.zeta as zeta_mod
+
+        tree = parse_tree("y2(y2,y3(y2,y2))")
+        zeta_mod._clear_tails()
+        eval_tree_bounded(tree, 1e-9)
+        stored = zeta_mod._tails_floats
+        table = zeta_mod._TAILS[125]
+        weights = len(table["pow"]) + len(table["pruned"])
+        assert stored == _stored_floats(zeta_mod) and weights > 0
+        # a budget the tails and k^-n lists alone fit in is exceeded by the weights
+        for budget, cleared in ((stored, False), (stored - weights, True)):
+            monkeypatch.setattr(zeta_mod, "_TAILS_FLOATS", budget)
+            zeta_mod._clear_tails()
+            eval_tree_bounded(tree, 1e-9)
+            assert (zeta_mod._tails_floats == 0) == cleared
         zeta_mod._clear_tails()
 
 
