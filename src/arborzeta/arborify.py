@@ -99,20 +99,9 @@ def s_tree(f: Forest) -> LinComb:
     return arborify_y(f).map_basis(to_ladder_forest)
 
 
-def is_convergent_tree_y(f: Forest) -> bool:
-    """Every leaf of every tree must carry an index >= 2 (a single vertex is
-    its own leaf)."""
-    return divergence_reason_y(f) is None
-
-
-def is_convergent_tree_x(f: Forest) -> bool:
-    """Every root must be decorated x1 and every leaf x0; a single vertex is
-    both, so it is never convergent."""
-    return divergence_reason_x(f) is None
-
-
 def divergence_reason_y(f: Forest) -> Optional[str]:
-    """None when convergent, else a message naming the offending vertex."""
+    """None when every leaf carries an index >= 2 (a single vertex is its own
+    leaf), else a message naming the offending vertex."""
     for leaf in bottom_up(f.trees):
         if not leaf.children:
             d = leaf.decoration
@@ -124,7 +113,8 @@ def divergence_reason_y(f: Forest) -> Optional[str]:
 
 
 def divergence_reason_x(f: Forest) -> Optional[str]:
-    """None when convergent, else a message naming the offending vertex."""
+    """None when every root is x1 and every leaf x0 (so a single vertex never
+    converges), else a message naming the offending vertex."""
     for t in f.trees:
         d = t.decoration
         if not isinstance(d, XLetter):

@@ -149,10 +149,6 @@ def vertex(decoration: Letter) -> Tree:
     return Tree(decoration, ())
 
 
-def forest_of(*trees: Tree) -> Forest:
-    return make_forest(trees)
-
-
 def bplus(decoration: Letter, forest: Forest = EMPTY_FOREST) -> Tree:
     """Grafting operator: attach every tree of the forest under a new root."""
     return make_tree(decoration, forest.trees)

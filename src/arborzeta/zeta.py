@@ -339,7 +339,7 @@ def eval_mzv_bounded(exponents: MzvIndex, tol: float = 1e-9) -> Tuple[float, flo
     """Value and certified absolute error bound; raises if tol is unreachable."""
     exponents = tuple(exponents)
     for n in exponents:
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"exponents must be positive integers, got {exponents}")
     _check_tol(tol)
     if not exponents:
@@ -363,11 +363,6 @@ def eval_mzv_bounded(exponents: MzvIndex, tol: float = 1e-9) -> Tuple[float, flo
         K *= 2
     _EVAL_CACHE[key] = (value, bound)  # atomic insert; concurrent reads are safe
     return value, bound
-
-
-def eval_mzv(exponents: MzvIndex, tol: float = 1e-9) -> float:
-    """Certified numerical multiple zeta value (absolute error <= tol)."""
-    return eval_mzv_bounded(exponents, tol)[0]
 
 
 def naive_mzv(exponents: MzvIndex, N: int) -> float:
@@ -546,7 +541,7 @@ def rho(val: NumericRegValue) -> NumericRegValue:
             return out
         for n in range(2, int(d) + 1):
             sign = 1.0 if n % 2 == 0 else -1.0
-            out = out + q.derive(n).scale(sign * eval_mzv((n,), tol) / n)
+            out = out + q.derive(n).scale(sign * eval_mzv_bounded((n,), tol)[0] / n)
         return out
 
     out = val.poly
@@ -574,11 +569,6 @@ def compare_bmz(w: Word, tol: float = 1e-9) -> Tuple[ThetaPoly, ThetaPoly, float
     degrees = {k for k, _ in lhs.items()} | {k for k, _ in rhs.items()}
     residual = max((abs(lhs.coeff(k, 0.0) - rhs.coeff(k, 0.0)) for k in degrees), default=0.0)
     return lhs, rhs, residual
-
-
-def check_bmz(w: Word, tol: float = 1e-9) -> float:
-    """Residual of the regularization comparison on one summation word."""
-    return compare_bmz(w, tol)[2]
 
 
 def hoffman_reg_relation(w: Word) -> LinComb:

@@ -17,7 +17,7 @@ from arborzeta.forests import (
     bplus,
     coproduct,
     enumerate_trees,
-    forest_of,
+    make_forest,
     vertex,
 )
 from arborzeta.hoffman import exp_word, log_word
@@ -26,7 +26,7 @@ from arborzeta.verify import all_passed, suite_hopf, suite_oracle, suite_relatio
 from arborzeta.words import Word, YLetter, parse_word, x_word, y_word
 from arborzeta.zeta import (
     NumericRegValue,
-    check_bmz,
+    compare_bmz,
     hoffman_reg_relation,
     rho,
     zeta_comb_x,
@@ -87,9 +87,9 @@ def test_c2_relation_suite():
 
 def test_c3_coproduct_displays():
     dot = vertex(YLetter(1))
-    f_dot = forest_of(dot)
-    ladder2 = forest_of(bplus(YLetter(1), f_dot))
-    cherry = forest_of(bplus(YLetter(1), forest_of(dot, dot)))
+    f_dot = make_forest((dot,))
+    ladder2 = make_forest((bplus(YLetter(1), f_dot),))
+    cherry = make_forest((bplus(YLetter(1), make_forest((dot, dot))),))
 
     def pair(a, b, c=1):
         return LinComb.unit(TensorPair(a, b), Fraction(c))
@@ -101,7 +101,7 @@ def test_c3_coproduct_displays():
         pair(cherry, EMPTY_FOREST)
         + pair(EMPTY_FOREST, cherry)
         + pair(f_dot, ladder2, 2)
-        + pair(forest_of(dot, dot), f_dot)
+        + pair(make_forest((dot, dot)), f_dot)
     )
     record(3, "ladder and cherry coproducts exact, coefficient 2 included", ladder_ok and cherry_ok)
 
@@ -142,7 +142,7 @@ def test_c4_exp_log():
 def test_c5_bmz_and_degree_drop():
     t0 = time.perf_counter()
     words = _y_words(4)
-    sweep_ok = len(words) == 16 and all(check_bmz(w, 1e-9) <= 1e-8 for w in words)
+    sweep_ok = len(words) == 16 and all(compare_bmz(w, 1e-9)[2] <= 1e-8 for w in words)
 
     rng = random.Random(20260822)
     degree_ok = True

@@ -18,8 +18,8 @@ from arborzeta.forests import (
     Forest,
     Tree,
     enumerate_forests,
-    forest_of,
     forest_product,
+    make_forest,
     parse_forest,
     parse_tree,
     vertex,
@@ -29,8 +29,6 @@ from arborzeta.arborify import (
     arborify_y,
     divergence_reason_x,
     divergence_reason_y,
-    is_convergent_tree_x,
-    is_convergent_tree_y,
     ladder,
     letter_map,
     s_tree,
@@ -194,10 +192,10 @@ class TestLadder:
         for k in range(1, 6):
             for letters in itertools.product((Y1, Y2), repeat=k):
                 w = Word(letters)
-                assert arborify_y(forest_of(ladder(w))) == LinComb.unit(w)
+                assert arborify_y(make_forest((ladder(w),))) == LinComb.unit(w)
             for letters in itertools.product((X0, X1), repeat=k):
                 w = Word(letters)
-                assert arborify_x(forest_of(ladder(w))) == LinComb.unit(w)
+                assert arborify_x(make_forest((ladder(w),))) == LinComb.unit(w)
 
 
 class TestMorphisms:
@@ -241,9 +239,9 @@ class TestTreeSubstitution:
         got = s_tree(f)
         expected = LinComb(
             {
-                forest_of(ladder(s_map(y_word(1, 2, 3)))): Fraction(1),
-                forest_of(ladder(s_map(y_word(2, 1, 3)))): Fraction(1),
-                forest_of(ladder(s_map(y_word(3, 3)))): Fraction(1),
+                make_forest((ladder(s_map(y_word(1, 2, 3))),)): Fraction(1),
+                make_forest((ladder(s_map(y_word(2, 1, 3))),)): Fraction(1),
+                make_forest((ladder(s_map(y_word(3, 3))),)): Fraction(1),
             }
         )
         assert got == expected
@@ -272,23 +270,23 @@ def _ladder_length(t: Tree) -> int:
 
 class TestConvergencePredicates:
     def test_y_trees(self):
-        assert is_convergent_tree_y(Forest((parse_tree("y2(y2,y2)"),)))
+        assert divergence_reason_y(Forest((parse_tree("y2(y2,y2)"),))) is None
         # an inner y1 on the path is fine; a y1 leaf is not
-        assert is_convergent_tree_y(Forest((parse_tree("y2(y1(y2))"),)))
-        assert not is_convergent_tree_y(Forest((parse_tree("y2(y1)"),)))
+        assert divergence_reason_y(Forest((parse_tree("y2(y1(y2))"),))) is None
+        assert divergence_reason_y(Forest((parse_tree("y2(y1)"),))) is not None
         reason = divergence_reason_y(Forest((parse_tree("y3(y1,y2)"),)))
         assert reason is not None and "y1" in reason
 
     def test_inner_y1_is_fine(self):
         # only leaves force divergence in the nested sum
-        assert is_convergent_tree_y(Forest((parse_tree("y1(y2)"),)))
+        assert divergence_reason_y(Forest((parse_tree("y1(y2)"),))) is None
 
     def test_x_trees(self):
-        assert is_convergent_tree_x(Forest((parse_tree("x1(x0)"),)))
-        assert is_convergent_tree_x(Forest((parse_tree("x1(x0,x1(x0))"),)))
-        assert not is_convergent_tree_x(Forest((vertex(X1),)))
-        assert not is_convergent_tree_x(Forest((parse_tree("x0(x0)"),)))
-        assert not is_convergent_tree_x(Forest((parse_tree("x1(x1)"),)))
+        assert divergence_reason_x(Forest((parse_tree("x1(x0)"),))) is None
+        assert divergence_reason_x(Forest((parse_tree("x1(x0,x1(x0))"),))) is None
+        assert divergence_reason_x(Forest((vertex(X1),))) is not None
+        assert divergence_reason_x(Forest((parse_tree("x0(x0)"),))) is not None
+        assert divergence_reason_x(Forest((parse_tree("x1(x1)"),))) is not None
 
     def test_divergence_reasons_name_the_culprit(self):
         assert "root" in divergence_reason_x(Forest((parse_tree("x0(x0)"),)))
@@ -298,8 +296,8 @@ class TestConvergencePredicates:
     def test_empty_forest_converges(self):
         from arborzeta.forests import EMPTY_FOREST
 
-        assert is_convergent_tree_y(EMPTY_FOREST)
-        assert is_convergent_tree_x(EMPTY_FOREST)
+        assert divergence_reason_y(EMPTY_FOREST) is None
+        assert divergence_reason_x(EMPTY_FOREST) is None
 
     def test_convergence_matches_word_expansion(self):
         from arborzeta.words import is_convergent_x, is_convergent_y
@@ -307,7 +305,7 @@ class TestConvergencePredicates:
         for n in range(1, 5):
             for f in enumerate_forests(n, (Y1, Y2)):
                 words_ok = all(is_convergent_y(w) for w, _ in arborify_y(f).items())
-                assert is_convergent_tree_y(f) == words_ok
+                assert (divergence_reason_y(f) is None) == words_ok
             for f in enumerate_forests(n, (X0, X1)):
                 words_ok = all(is_convergent_x(w) for w, _ in arborify_x(f).items())
-                assert is_convergent_tree_x(f) == words_ok
+                assert (divergence_reason_x(f) is None) == words_ok

@@ -28,7 +28,6 @@ from arborzeta.forests import (
     counit,
     enumerate_forests,
     enumerate_trees,
-    forest_of,
     forest_product,
     forest_weight,
     grade,
@@ -135,9 +134,9 @@ def unit_start_coproduct(f: Forest) -> LinComb:
     total = LinComb.unit(TensorPair(EMPTY_FOREST, EMPTY_FOREST))
     for t in f.trees:
         grafted = unit_start_coproduct(Forest(t.children)).map_basis(
-            lambda p, t=t: TensorPair(p.left, forest_of(bplus(t.decoration, p.right)))
+            lambda p, t=t: TensorPair(p.left, make_forest((bplus(t.decoration, p.right),)))
         )
-        tree_cop = grafted + LinComb.unit(TensorPair(forest_of(t), EMPTY_FOREST))
+        tree_cop = grafted + LinComb.unit(TensorPair(make_forest((t,)), EMPTY_FOREST))
         total = bilinear(_pair_product, total, tree_cop)
     return total
 
@@ -281,9 +280,9 @@ class TestCoproductStructure:
 
     def test_ladder_display(self):
         dot = vertex(Y1)
-        l2 = bplus(Y1, forest_of(dot))
-        f = forest_of(l2)
-        fd = forest_of(dot)
+        l2 = bplus(Y1, make_forest((dot,)))
+        f = make_forest((l2,))
+        fd = make_forest((dot,))
         assert coproduct(f) == LinComb(
             {
                 TensorPair(f, EMPTY_FOREST): Fraction(1),
@@ -294,15 +293,15 @@ class TestCoproductStructure:
 
     def test_cherry_display_has_coefficient_two(self):
         dot = vertex(Y1)
-        l2 = bplus(Y1, forest_of(dot))
-        cherry = bplus(Y1, forest_of(dot, dot))
-        f = forest_of(cherry)
+        l2 = bplus(Y1, make_forest((dot,)))
+        cherry = bplus(Y1, make_forest((dot, dot)))
+        f = make_forest((cherry,))
         assert coproduct(f) == LinComb(
             {
                 TensorPair(f, EMPTY_FOREST): Fraction(1),
                 TensorPair(EMPTY_FOREST, f): Fraction(1),
-                TensorPair(forest_of(dot), forest_of(l2)): Fraction(2),
-                TensorPair(forest_of(dot, dot), forest_of(dot)): Fraction(1),
+                TensorPair(make_forest((dot,)), make_forest((l2,))): Fraction(2),
+                TensorPair(make_forest((dot, dot)), make_forest((dot,))): Fraction(1),
             }
         )
 
@@ -331,9 +330,9 @@ class TestCoproductStructure:
             for f in enumerate_forests(n, (Y1, Y2)):
                 for d in (Y1, Y2):
                     t = bplus(d, f)
-                    lhs = coproduct(forest_of(t))
-                    rhs = LinComb.unit(TensorPair(forest_of(t), EMPTY_FOREST)) + coproduct(f).map_basis(
-                        lambda p, d=d: TensorPair(p.left, forest_of(bplus(d, p.right)))
+                    lhs = coproduct(make_forest((t,)))
+                    rhs = LinComb.unit(TensorPair(make_forest((t,)), EMPTY_FOREST)) + coproduct(f).map_basis(
+                        lambda p, d=d: TensorPair(p.left, make_forest((bplus(d, p.right),)))
                     )
                     assert lhs == rhs
 

@@ -24,8 +24,7 @@ from arborzeta.words import YLetter
 from arborzeta.zeta import (
     NumericRegValue,
     brute_tree_sum,
-    check_bmz,
-    eval_mzv,
+    compare_bmz,
     eval_comb_bounded,
     eval_mzv_bounded,
     eval_tree_bounded,
@@ -107,15 +106,15 @@ class TestEvalMzv:
 
     def test_depth_one_against_mpmath(self):
         for n in range(2, 9):
-            v = eval_mzv((n,), 1e-12)
+            v = eval_mzv_bounded((n,), 1e-12)[0]
             assert abs(v - float(mpmath.zeta(n))) <= 3e-12, n
 
     def test_euler_reduction(self):
-        assert abs(eval_mzv((2, 1), 1e-9) - eval_mzv((3,), 1e-9)) <= 2e-9
+        assert abs(eval_mzv_bounded((2, 1), 1e-9)[0] - eval_mzv_bounded((3,), 1e-9)[0]) <= 2e-9
 
     def test_certified_against_truncation_bound(self):
         for idx in [(2,), (2, 1), (3, 2), (2, 1, 1), (4, 1, 1), (2, 2, 2)]:
-            v = eval_mzv(idx, 1e-10)
+            v = eval_mzv_bounded(idx, 1e-10)[0]
             approx = naive_mzv(idx, 2000)
             assert approx <= v + 1e-9
             assert abs(v - approx) <= mzv_truncation_bound(idx, 2000) + 1e-9
@@ -123,7 +122,7 @@ class TestEvalMzv:
     def test_truncation_bound_is_honest(self):
         # high precision value minus truncation must stay under the bound
         for idx in [(2,), (2, 1), (3, 2), (2, 1, 1, 1)]:
-            v = eval_mzv(idx, 1e-12)
+            v = eval_mzv_bounded(idx, 1e-12)[0]
             for N in (100, 400, 1600):
                 tail = v - naive_mzv(idx, N)
                 assert 0.0 <= tail <= mzv_truncation_bound(idx, N) + 1e-11, (idx, N)
@@ -135,29 +134,33 @@ class TestEvalMzv:
     @settings(max_examples=40, deadline=None)
     def test_random_indices_certified(self, rest, first):
         idx = (first,) + rest
-        v = eval_mzv(idx, 1e-9)
+        v = eval_mzv_bounded(idx, 1e-9)[0]
         approx = naive_mzv(idx, 3000)
         assert abs(v - approx) <= mzv_truncation_bound(idx, 3000) + 2e-9
 
     def test_empty_index_is_one(self):
-        assert eval_mzv((), 1e-9) == 1.0
+        assert eval_mzv_bounded((), 1e-9)[0] == 1.0
 
     def test_divergent_rejected(self):
         with pytest.raises(ValueError):
-            eval_mzv((1,), 1e-9)
+            eval_mzv_bounded((1,), 1e-9)
         with pytest.raises(ValueError):
-            eval_mzv((1, 2), 1e-9)
+            eval_mzv_bounded((1, 2), 1e-9)
 
     def test_tiny_tolerance_rejected(self):
         for tol in (1e-13, math.nan, math.inf, True):
             with pytest.raises(ValueError):
-                eval_mzv((2,), tol)
+                eval_mzv_bounded((2,), tol)
 
     def test_bad_exponent_rejected(self):
         with pytest.raises(ValueError):
-            eval_mzv((2, 0), 1e-9)
+            eval_mzv_bounded((2, 0), 1e-9)
         with pytest.raises(ValueError):
-            eval_mzv((2.0,), 1e-9)
+            eval_mzv_bounded((2.0,), 1e-9)
+        # True == 1, so only an explicit check keeps it from passing as zeta(3,1) or zeta(1)
+        for exponents in ((3, True), (True,)):
+            with pytest.raises(ValueError, match=r"^exponents must be positive integers, got \(.*True"):
+                eval_mzv_bounded(exponents, 1e-9)
 
     def test_slow_converger_still_certified(self):
         v, bound = eval_mzv_bounded((2, 1, 1, 1, 1), 1e-10)
@@ -323,7 +326,7 @@ class TestEvalReg:
     def test_numeric_coefficients(self):
         val = eval_reg(reg_qsh(y_word(1, 1)), 1e-10)
         assert abs(val.poly.coeff(2, 0.0) - 0.5) < 1e-15
-        assert abs(val.poly.coeff(0, 0.0) + 0.5 * eval_mzv((2,), 1e-10)) < 1e-9
+        assert abs(val.poly.coeff(0, 0.0) + 0.5 * eval_mzv_bounded((2,), 1e-10)[0]) < 1e-9
         assert val.tol == 1e-10
 
     def test_plain_constant(self):
@@ -339,7 +342,7 @@ class TestRho:
         assert rho(lin).poly == lin.poly
 
     def test_quadratic_example(self):
-        z2 = eval_mzv((2,), 1e-10)
+        z2 = eval_mzv_bounded((2,), 1e-10)[0]
         p = NumericRegValue(ThetaPoly({2: 0.5, 0: -0.5 * z2}), 1e-9)
         out = rho(p).poly
         assert abs(out.coeff(2, 0.0) - 0.5) < 1e-15
@@ -484,16 +487,16 @@ class TestDenseKernel:
 
 class TestCheckBmz:
     def test_trivial_words(self):
-        assert check_bmz(Word(())) == 0.0
-        assert check_bmz(y_word(1)) == 0.0
+        assert compare_bmz(Word(()))[2] == 0.0
+        assert compare_bmz(y_word(1))[2] == 0.0
 
     def test_small_words_tight(self):
         for w in [y_word(1, 1), y_word(1, 2), y_word(2, 1), y_word(2), y_word(1, 1, 1)]:
-            assert check_bmz(w, 1e-10) <= 1e-9, w
+            assert compare_bmz(w, 1e-10)[2] <= 1e-9, w
 
     def test_weight_three_sweep(self):
         for parts in [(3,), (1, 2), (2, 1), (1, 1, 1)]:
-            assert check_bmz(y_word(*parts), 1e-9) <= 1e-8
+            assert compare_bmz(y_word(*parts), 1e-9)[2] <= 1e-8
 
 
 class TestHoffmanRegRelation:
@@ -522,7 +525,7 @@ class TestTreeValues:
     def test_contracted_cherry_value(self):
         t = parse_tree("y2(y2,y2)")
         v = zeta_tree_y(t, 1e-10)
-        expected = 2.0 * eval_mzv((2, 2, 2), 1e-10) + eval_mzv((4, 2), 1e-10)
+        expected = 2.0 * eval_mzv_bounded((2, 2, 2), 1e-10)[0] + eval_mzv_bounded((4, 2), 1e-10)[0]
         assert abs(v - expected) <= 1e-9
 
     def test_divergent_tree_rejected_with_reason(self):
@@ -532,10 +535,10 @@ class TestTreeValues:
 
     def test_simple_tree_values(self):
         v = zeta_tree_x(parse_tree("x1(x0,x1(x0))"), 1e-10)
-        expected = 2.0 * eval_mzv((3, 1), 1e-10) + eval_mzv((2, 2), 1e-10)
+        expected = 2.0 * eval_mzv_bounded((3, 1), 1e-10)[0] + eval_mzv_bounded((2, 2), 1e-10)[0]
         assert abs(v - expected) <= 1e-9
         v2 = zeta_tree_x(parse_tree("x1(x0,x0(x0))"), 1e-10)
-        assert abs(v2 - 3.0 * eval_mzv((4,), 1e-10)) <= 1e-9
+        assert abs(v2 - 3.0 * eval_mzv_bounded((4,), 1e-10)[0]) <= 1e-9
 
     def test_ladder_section_consistency(self):
         for w in [y_word(2), y_word(2, 1), y_word(3, 2, 1)]:
@@ -584,6 +587,22 @@ class TestBruteTreeSum:
             lhs = brute_tree_sum(t, 5000)
             rhs = zeta_tree_y(t, 1e-9)
             assert abs(lhs - rhs) <= tree_truncation_bound(t, 5000) + 1e-8, text
+        # a cutoff sweep: the gap closes inside the tail bound at every N
+        tol = 1e-10
+        for text in ["y2", "y3(y2)", "y2(y3)", "y2(y2,y2)", "y3(y2,y2)"]:
+            t = parse_tree(text)
+            value, bound = eval_tree_bounded(t, tol)
+            assert bound <= tol, text
+            for N in (100, 500, 2500, 12500):
+                gap = abs(value - brute_tree_sum(t, N))
+                assert gap <= tree_truncation_bound(t, N) + 10 * tol, (text, N)
+
+    def test_truncation_bounds_refuse_small_cutoff(self):
+        # both tail bounds are derived for N >= 50 only
+        with pytest.raises(ValueError, match="^tail bound derivation assumes N >= 50$"):
+            tree_truncation_bound(parse_tree("y2(y3)"), 49)
+        with pytest.raises(ValueError, match="^tail bound derivation assumes N >= 50$"):
+            mzv_truncation_bound((2,), 49)
 
     def test_wrong_alphabet_rejected(self):
         with pytest.raises(ValueError):
@@ -704,9 +723,9 @@ class TestTreeEvaluator:
             eval_tree_bounded(Forest((vertex(YLetter(2)),) * 30), 1e-12)
 
     def test_divergent_and_wrong_alphabet_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^leaf decorated y1 makes the nested sum divergent \(needs index >= 2\)$"):
             eval_tree_bounded(parse_tree("y2(y1)"), 1e-9)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^expected y-decorations, found x0$"):
             eval_tree_bounded(parse_tree("x1(x0)"), 1e-9)
 
     @given(convergent_y_forests())
