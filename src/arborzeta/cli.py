@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import cache
+from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 from .arborify import arborify_x, arborify_y, divergence_reason_x, letter_map
@@ -119,7 +119,7 @@ def _cmd_hoffman(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-@cache
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arborzeta",

@@ -27,14 +27,17 @@ of its descendants, a preorder taken with a stack and reversed, so none of
 them recurses.
 
 The coproduct implemented here is the admissible-cut coproduct of the
-Butcher-Connes-Kreimer Hopf algebra, computed through the grafting recursion
+Butcher-Connes-Kreimer Hopf algebra, which satisfies the grafting identity
 
     coproduct(B+_d(f)) = B+_d(f) (x) 1 + (id (x) B+_d) coproduct(f),
 
 where B+_d grafts a forest onto a new root decorated d.  In each tensor the
 left leg is the pruned crown and the right leg is the trunk containing the
 original roots.  Grading is by vertex count; the counit kills everything but
-the empty forest.
+the empty forest.  One table keeps every coproduct computed: a fold over
+``bottom_up`` enters each vertex's one-tree forest by the identity above,
+then the forest as the product of its trees'.  A call that leaves more than
+``_COPRODUCT_TERMS`` terms in the table clears it.
 
 The census (``enumerate_trees``, ``enumerate_forests``) builds every smaller
 size exactly once per call, bottom-up: the trees with m vertices are the
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from functools import lru_cache
+from functools import partial, reduce
 from operator import attrgetter
 from typing import Iterable, Sequence, Tuple
 
@@ -67,10 +70,13 @@ class Tree(Immutable):
     __slots__ = ("decoration", "children", "key", "_hash")
 
     def __init__(self, decoration: Letter, children: Tuple["Tree", ...] = ()):
-        kids = tuple(c.key for c in children)
+        n, kids = 1, []  # a plain loop: the census builds tens of thousands of trees
+        for c in children:
+            kids.append(k := c.key)
+            n += k[0]
         object.__setattr__(self, "decoration", decoration)
         object.__setattr__(self, "children", children)
-        object.__setattr__(self, "key", (1 + sum(k[0] for k in kids), letter_rank(decoration), kids))
+        object.__setattr__(self, "key", (n, letter_rank(decoration), tuple(kids)))
         object.__setattr__(self, "_hash", hash((decoration, children)))
 
     def __eq__(self, other: object) -> bool:
@@ -155,8 +161,8 @@ def bplus(decoration: Letter, forest: Forest = EMPTY_FOREST) -> Tree:
 
 
 def forest_product(f: Forest, g: Forest) -> Forest:
-    """Commutative forest product: disjoint union of the two multisets."""
-    return make_forest(f.trees + g.trees)
+    """Commutative forest product: disjoint union of the two multisets; e is the unit."""
+    return make_forest(f.trees + g.trees) if f.trees and g.trees else (f if f.trees else g)
 
 
 def grade(f: Forest) -> int:
@@ -195,26 +201,39 @@ def _pair_product(p: TensorPair, q: TensorPair) -> TensorPair:
     return TensorPair(forest_product(p.left, q.left), forest_product(p.right, q.right))
 
 
-@lru_cache(maxsize=None)
+_COPRODUCTS: dict = {}      # forest -> coproduct, for the forests asked for and their vertices
+_COPRODUCT_TERMS = 1 << 14  # a call that leaves more terms in the table clears it
+_coproduct_terms = 0        # the terms held in _COPRODUCTS
+
+
+def _product(trees: Tuple[Tree, ...]) -> LinComb:
+    # the product of the trees' entries: e (x) e for none, else started from the first tree's
+    cops = [_COPRODUCTS[Forest((t,))] for t in trees] or [LinComb.unit(TensorPair(EMPTY_FOREST, EMPTY_FOREST))]
+    return reduce(partial(bilinear, _pair_product), cops[1:], cops[0])
+
+
 def _coproduct_tree(t: Tree) -> LinComb:
     # grafting the trunks of distinct terms under the root gives distinct terms
     terms = {TensorPair(p.left, Forest((Tree(t.decoration, p.right.trees),))): c
-             for p, c in _coproduct_trees(t.children).items()}
+             for p, c in _product(t.children).items()}
     terms[TensorPair(Forest((t,)), EMPTY_FOREST)] = 1
     return LinComb(terms)
 
 
-def _coproduct_trees(trees: Tuple[Tree, ...]) -> LinComb:
-    # the empty forest gives e (x) e, any other forest's product starts from its first tree
-    total = _coproduct_tree(trees[0]) if trees else LinComb.unit(TensorPair(EMPTY_FOREST, EMPTY_FOREST))
-    for t in trees[1:]:
-        total = bilinear(_pair_product, total, _coproduct_tree(t))
-    return total
-
-
 def coproduct(f: Forest) -> LinComb:
     """Admissible-cut coproduct, multiplicative over the forest product."""
-    return _coproduct_trees(f.trees)
+    global _coproduct_terms
+    got = _COPRODUCTS.get(f)
+    if got is None:
+        # each vertex's one-tree forest, then f; a one-tree f is its root's, found last
+        for g in [Forest((t,)) for t in bottom_up(f.trees)] + [f]:
+            if g not in _COPRODUCTS:
+                _COPRODUCTS[g] = got = _coproduct_tree(g.trees[0]) if len(g.trees) == 1 else _product(g.trees)
+                _coproduct_terms += len(got)
+        if _coproduct_terms > _COPRODUCT_TERMS:
+            _COPRODUCTS.clear()
+            _coproduct_terms = 0
+    return got
 
 
 def enumerate_trees(n: int, decorations: Sequence[Letter]) -> list:

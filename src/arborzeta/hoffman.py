@@ -50,7 +50,7 @@ def apply_composition(parts: Tuple[int, ...], w: Word) -> Word:
     return Word(tuple(reduce(merge_y, w.letters[end - p:end]) for p, end in zip(parts, accumulate(parts))))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # an entry holds 2^(k-1) compositions
 def _coefficients(k: int) -> tuple:
     """The blocks (start, end) of the compositions of k; then, for exp and for log,
     each composition as the positions of its blocks and its coefficient times k!."""

@@ -117,7 +117,10 @@ class LinComb:
 
     @classmethod
     def unit(cls, elem: object, coeff: Scalar = 1) -> "LinComb":
-        return cls(((elem, coeff),))
+        """coeff * elem, its dict built directly; a zero coeff gives the zero combination."""
+        out, c = cls.__new__(cls), coeff if type(coeff) is int else _coerce(coeff)
+        out._terms = {elem: c} if c else {}
+        return out
 
     def items(self) -> list:
         """Terms as (element, coefficient) pairs, in stored order."""

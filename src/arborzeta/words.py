@@ -166,7 +166,7 @@ def merge_y(a: YLetter, b: YLetter) -> YLetter:
     return YLetter(a.index + b.index)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)  # a round of any bench/ workload fills under 900 entries
 def _interleave(u: Tuple[Letter, ...], v: Tuple[Letter, ...],
                 merge: Optional[Callable[[Letter, Letter], Letter]]) -> Mapping:
     # Recursive expansion into a read-only map letter tuple -> count; merge=None gives the

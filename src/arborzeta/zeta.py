@@ -156,11 +156,12 @@ _ROUNDING_SLOP = 2.0e-13 # double-precision allowance folded into every word bou
 
 
 def _check_tol(tol: float) -> None:
-    """Refuse a tolerance that is a bool, not a finite number, or below 1e-12."""
+    """Refuse a tolerance that is a bool, not a finite number, not positive, or below 1e-12."""
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not math.isfinite(tol):
         raise ValueError(f"tolerance must be a finite number, got {tol!r}")
     if tol < 1e-12:
-        raise ValueError("tolerance below supported precision (min 1e-12)")
+        raise ValueError("tolerance below supported precision (min 1e-12)" if tol > 0
+                         else f"tolerance must be positive, got {tol:g}")
 
 
 def _lp_put(dst: _LogPow, key: Tuple[int, int], v: float) -> None:
@@ -448,6 +449,7 @@ def eval_comb_bounded(comb: LinComb, tol: float = 1e-9) -> Tuple[float, float]:
     Each word w is certified to tol / ceil(mass) by eval_mzv_bounded, so the
     bound sum |c| * bound_w is at most tol.  The value sums in stored order.
     """
+    _check_tol(tol)  # before the split, so that a refusal names the caller's tol
     per = _split_tol(comb, tol)
     terms = [(float(c), eval_mzv_bounded(_mzv_index(w), per)) for w, c in comb.items()]
     return sum(c * v for c, (v, _) in terms), sum(abs(c) * b for c, (_, b) in terms)
@@ -480,7 +482,7 @@ def _eliminate(w: Word, prod: LinComb, reg: Callable[[Word], ThetaPoly]) -> Thet
     return acc.scale(Fraction(1, int(a)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)  # all 256 words of weight <= 8 fill 256 entries
 def reg_qsh(w: Word) -> ThetaPoly:
     """Quasi-shuffle regularization of a summation word.
 
@@ -493,7 +495,7 @@ def reg_qsh(w: Word) -> ThetaPoly:
     return _eliminate(w, quasi_shuffle(_Y1, Word(w.letters[1:])), reg_qsh)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)  # all 256 words of weight <= 8 fill 256 entries
 def reg_sh(v: Word) -> ThetaPoly:
     """Shuffle regularization of an integration word ending in x1 (or empty).
 

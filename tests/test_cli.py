@@ -151,11 +151,18 @@ class TestZeta:
             ("nan", "tolerance must be a finite number, got nan"),
             ("inf", "tolerance must be a finite number, got inf"),
             ("1e-13", "tolerance below supported precision (min 1e-12)"),
+            ("0", "tolerance must be positive, got 0"),
+            ("-1", "tolerance must be positive, got -1"),
         ]:
             code, out, err = run(capsys, "zeta", "y2(y2)", "--tol", tol)
             assert code == 2
             assert out == ""
             assert err == f"error: {message}\n"
+        # the x-forest's expansion has coefficient mass 3: the caller's tol is
+        # named, not the tol/3 each word would get; so is a word's and a suite's
+        for argv in (("zeta", "x1(x0,x1(x0))"), ("zeta", "--word", "y2"), ("verify", "all")):
+            code, out, err = run(capsys, *argv, "--tol", "-1")
+            assert (code, out, err) == (2, "", "error: tolerance must be positive, got -1\n")
         # a boolean never reaches the evaluator: the option parser refuses it
         code, out, _ = run(capsys, "zeta", "y2(y2)", "--tol", "True")
         assert code == 2

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import arborzeta.forests as forests_mod
 from arborzeta.lincomb import LinComb, TensorPair, bilinear
 from arborzeta.words import X0, X1, YLetter
 from arborzeta.forests import (
@@ -116,15 +117,38 @@ def labeled_census(n: int, decorations) -> set:
 TWO_DECO_FORESTS = [f for n in range(0, 5) for f in enumerate_forests(n, (Y1, Y2))]
 
 
+def _table_terms() -> int:
+    return sum(len(c) for c in forests_mod._COPRODUCTS.values())
+
+
+def _check_each_way(letters, oracle):
+    """coproduct agrees with the oracle on every forest of up to 5 vertices over
+    the two letters, asked for three ways: with the table of coproducts empty,
+    again with it warm, and in reverse order once more distinct forests than
+    its budget have cleared it."""
+    fs = [f for n in range(0, 6) for f in enumerate_forests(n, letters)]
+    expected = {f: oracle(f) for f in fs}
+    forests_mod._COPRODUCTS.clear()
+    forests_mod._coproduct_terms = 0
+    for f in fs + fs:
+        assert coproduct(f) == expected[f], str(f)
+    assert set(forests_mod._COPRODUCTS) == set(fs)  # each vertex's one-tree forest is in fs
+    for f in (f for n in itertools.count(6) for f in enumerate_forests(n, letters)):
+        before = forests_mod._coproduct_terms
+        coproduct(f)
+        if forests_mod._coproduct_terms < before:
+            break
+    assert forests_mod._coproduct_terms == _table_terms() <= forests_mod._COPRODUCT_TERMS
+    for f in reversed(fs):
+        assert coproduct(f) == expected[f], str(f)
+
+
 class TestCoproductOracle:
     def test_matches_downset_enumeration_on_all_small_forests(self):
-        for f in TWO_DECO_FORESTS:
-            assert coproduct(f) == downset_coproduct(f), str(f)
+        _check_each_way((Y1, Y2), downset_coproduct)
 
     def test_matches_on_x_decorated(self):
-        for n in range(0, 5):
-            for f in enumerate_forests(n, (X0, X1)):
-                assert coproduct(f) == downset_coproduct(f)
+        _check_each_way((X0, X1), downset_coproduct)
 
 
 def unit_start_coproduct(f: Forest) -> LinComb:
@@ -144,9 +168,7 @@ def unit_start_coproduct(f: Forest) -> LinComb:
 class TestCoproductUnitStart:
     @pytest.mark.parametrize("letters", [(Y1, Y2), (X0, X1)], ids=["y", "x"])
     def test_matches_unit_start_up_to_five_vertices(self, letters):
-        forests = [f for n in range(0, 6) for f in enumerate_forests(n, letters)]
-        for f in forests:
-            assert coproduct(f) == unit_start_coproduct(f), str(f)
+        _check_each_way(letters, unit_start_coproduct)
 
     def test_empty_forest_is_the_unit_pair(self):
         assert unit_start_coproduct(EMPTY_FOREST) == LinComb.unit(TensorPair(EMPTY_FOREST, EMPTY_FOREST))
@@ -246,11 +268,13 @@ class TestCanonicalForm:
             return 1 + sum(ref_size(c) for c in t.children)
 
         def ref_key(t):
-            return (ref_size(t), t.decoration.index, tuple(ref_key(c) for c in t.children))
+            rank = t.decoration.value if t.decoration in (X0, X1) else t.decoration.index
+            return (ref_size(t), rank, tuple(ref_key(c) for c in t.children))
 
         for n in range(1, 6):
-            for t in enumerate_trees(n, (Y1, Y2)):
+            for t in enumerate_trees(n, (Y1, Y2)) + enumerate_trees(n, (X0, X1)):
                 assert t.key == ref_key(t)
+                assert t._hash == hash((t.decoration, t.children))
                 assert size(t) == n
                 flipped = make_tree(t.decoration, reversed(t.children))
                 rebuilt = Tree(t.decoration, tuple(parse_tree(print_tree(c)) for c in t.children))
@@ -382,6 +406,15 @@ class TestDeepTrees:
         assert a == b and hash(a) == hash(b)
         assert a != _chain(5000, Y2)
         assert make_forest((a, vertex(Y1))) == make_forest((vertex(Y1), b))
+
+    def test_deep_chain_coproduct(self):
+        # the fold keeps its own order, so any depth goes; the chain's O(depth^2)
+        # terms in one-tree entries leave the table when the call ends
+        got = coproduct(Forest((_chain(500, Y1),)))
+        assert len(got) == 501
+        assert sorted(grade(p.left) for p, _ in got.items()) == list(range(501))
+        assert all(grade(p.left) + grade(p.right) == 500 and c == 1 for p, c in got.items())
+        assert forests_mod._coproduct_terms == _table_terms() <= forests_mod._COPRODUCT_TERMS
 
     def test_deep_chain_prints(self):
         assert print_tree(_chain(5000, Y1)) == "y1(" * 4999 + "y2" + ")" * 4999

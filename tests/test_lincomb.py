@@ -69,6 +69,12 @@ class TestLinComb:
         assert LinComb.unit("w").coeff("w") == 1
         assert LinComb.unit("w", 3).coeff("w") == 3
         assert not LinComb.unit("w", 0)
+        assert LinComb.unit("w", 0) == LinComb()
+        for given, stored in [(Fraction(4, 2), 2), (True, 1)]:
+            c = LinComb.unit("w", given).coeff("w")
+            assert type(c) is int and c == stored
+        with pytest.raises(TypeError):
+            LinComb.unit("w", 0.5)
 
     def test_missing_coeff_is_zero(self):
         assert LinComb().coeff("nope") == Fraction(0)

@@ -711,6 +711,8 @@ class TestTreeEvaluator:
             (math.inf, "tolerance must be a finite number, got inf"),
             (True, "tolerance must be a finite number, got True"),
             (1e-13, "tolerance below supported precision (min 1e-12)"),
+            (0, "tolerance must be positive, got 0"),
+            (-1, "tolerance must be positive, got -1"),
         ]:
             with pytest.raises(ValueError) as info:
                 eval_tree_bounded(t, tol)
