@@ -7,6 +7,8 @@ product of trees the simple flavor multiplies with the shuffle and the
 contracting flavor with the quasi-shuffle, so the simple expansion counts the
 linear extensions of the forest order while the contracting expansion also
 collects the degenerate extensions where incomparable vertices merge.
+``arborify_x`` and ``arborify_y`` are ``tabled`` (see ``lincomb``); a forest
+of the other alphabet is refused and enters nothing in the table.
 
 The ladder map is a section of both flavors: it turns a nonempty word into
 the linear tree whose root carries the last letter and whose top vertex
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .lincomb import LinComb
+from .lincomb import LinComb, tabled
 from .forests import EMPTY_FOREST, Forest, Tree, bottom_up, make_tree
 from .words import (
     Word,
@@ -68,11 +70,13 @@ def letter_map(f: Forest, alphabet: str) -> dict:
     return _product(maps, merge)
 
 
+@tabled
 def arborify_x(f: Forest) -> LinComb:
     """Simple arborification: shuffle over trees, decorations from {x0, x1}."""
     return as_comb(letter_map(f, "x"))
 
 
+@tabled
 def arborify_y(f: Forest) -> LinComb:
     """Contracting arborification: quasi-shuffle over trees, y-decorations."""
     return as_comb(letter_map(f, "y"))

@@ -34,10 +34,10 @@ Butcher-Connes-Kreimer Hopf algebra, which satisfies the grafting identity
 where B+_d grafts a forest onto a new root decorated d.  In each tensor the
 left leg is the pruned crown and the right leg is the trunk containing the
 original roots.  Grading is by vertex count; the counit kills everything but
-the empty forest.  One table keeps every coproduct computed: a fold over
-``bottom_up`` enters each vertex's one-tree forest by the identity above,
-then the forest as the product of its trees'.  A call that leaves more than
-``_COPRODUCT_TERMS`` terms in the table clears it.
+the empty forest.  ``coproduct`` is ``tabled`` (see ``lincomb``): a forest
+not in the table is entered by a fold over ``bottom_up``, first the one-tree
+forest of each vertex by the identity above, then the forest as the product
+of its trees', and the table's budget is checked once the fold ends.
 
 The census (``enumerate_trees``, ``enumerate_forests``) builds every smaller
 size exactly once per call, bottom-up: the trees with m vertices are the
@@ -56,7 +56,7 @@ from functools import partial, reduce
 from operator import attrgetter
 from typing import Iterable, Sequence, Tuple
 
-from .lincomb import Immutable, LinComb, TensorPair, bilinear
+from .lincomb import _TABLE, Immutable, LinComb, TensorPair, bilinear, table_put, tabled
 from .words import Letter, ParseError, letter_rank, letter_weight, parse_letter_at
 
 
@@ -201,14 +201,9 @@ def _pair_product(p: TensorPair, q: TensorPair) -> TensorPair:
     return TensorPair(forest_product(p.left, q.left), forest_product(p.right, q.right))
 
 
-_COPRODUCTS: dict = {}      # forest -> coproduct, for the forests asked for and their vertices
-_COPRODUCT_TERMS = 1 << 14  # a call that leaves more terms in the table clears it
-_coproduct_terms = 0        # the terms held in _COPRODUCTS
-
-
 def _product(trees: Tuple[Tree, ...]) -> LinComb:
     # the product of the trees' entries: e (x) e for none, else started from the first tree's
-    cops = [_COPRODUCTS[Forest((t,))] for t in trees] or [LinComb.unit(TensorPair(EMPTY_FOREST, EMPTY_FOREST))]
+    cops = [_TABLE["coproduct", Forest((t,))] for t in trees] or [LinComb.unit(TensorPair(EMPTY_FOREST, EMPTY_FOREST))]
     return reduce(partial(bilinear, _pair_product), cops[1:], cops[0])
 
 
@@ -220,20 +215,18 @@ def _coproduct_tree(t: Tree) -> LinComb:
     return LinComb(terms)
 
 
+@tabled
 def coproduct(f: Forest) -> LinComb:
     """Admissible-cut coproduct, multiplicative over the forest product."""
-    global _coproduct_terms
-    got = _COPRODUCTS.get(f)
-    if got is None:
-        # each vertex's one-tree forest, then f; a one-tree f is its root's, found last
-        for g in [Forest((t,)) for t in bottom_up(f.trees)] + [f]:
-            if g not in _COPRODUCTS:
-                _COPRODUCTS[g] = got = _coproduct_tree(g.trees[0]) if len(g.trees) == 1 else _product(g.trees)
-                _coproduct_terms += len(got)
-        if _coproduct_terms > _COPRODUCT_TERMS:
-            _COPRODUCTS.clear()
-            _coproduct_terms = 0
-    return got
+    # enter each vertex's one-tree forest; a one-tree f is its root's, which tabled enters
+    order = bottom_up(f.trees)
+    if len(f.trees) == 1:
+        order.pop()
+    for t in order:
+        key = ("coproduct", Forest((t,)))
+        if key not in _TABLE:
+            table_put(key, _coproduct_tree(t))
+    return _coproduct_tree(f.trees[0]) if len(f.trees) == 1 else _product(f.trees)
 
 
 def enumerate_trees(n: int, decorations: Sequence[Letter]) -> list:

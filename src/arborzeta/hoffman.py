@@ -26,7 +26,7 @@ from itertools import accumulate
 from typing import Tuple
 
 from .lincomb import LinComb
-from .words import Word, YLetter, as_comb, merge_y
+from .words import Word, as_comb, merge_y, y_letter
 
 
 def compositions(k: int) -> list:
@@ -75,7 +75,7 @@ def _composition_sum(terms, which: int) -> LinComb:
             raise ValueError(f"the exp/log isomorphism acts on summation (y) words, got {w}") from None
         table = _coefficients(len(w.letters))
         m = c.numerator * (den // (math.factorial(len(w.letters)) * c.denominator))
-        merged = [YLetter(sums[e] - sums[s]) for s, e in table[0]]
+        merged = [y_letter(sums[e] - sums[s]) for s, e in table[0]]
         for ids, g in table[which]:
             ls = tuple([merged[i] for i in ids])
             out[ls] = out.get(ls, 0) + m * g

@@ -20,11 +20,17 @@ by the lexicographic order of their string serialization.  This module alone
 reads or writes the stored terms.  The zero combination (empty support) is
 distinct from the unit basis element of any algebra built on top, such as the
 empty word or the empty forest.
+
+The exact layer's basis maps (the coproduct, both arborifications,
+deconcatenation) are ``tabled``: one table keeps every image they compute,
+keyed by (map name, argument) so that the maps' keys never collide, and a
+call that leaves more than ``_TABLE_TERMS`` terms in it clears it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import wraps
 from typing import Callable, Iterable, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -161,7 +167,7 @@ class LinComb:
                 data[elem] = s
             else:
                 del data[elem]
-        out = LinComb()
+        out = LinComb.__new__(LinComb)
         out._terms = data
         return out
 
@@ -173,6 +179,8 @@ class LinComb:
 
     def __mul__(self, c: Scalar) -> "LinComb":
         c = _coerce(c)
+        if c == 1:
+            return self  # immutable, so 1 * comb may be comb itself
         if not c:
             return LinComb()
         return LinComb({elem: c * v for elem, v in self._terms.items()})
@@ -208,6 +216,39 @@ def bilinear(f: Callable[[object, object], LinComb], a: LinComb, b: LinComb) -> 
         for v, cv in b._terms.items()
         for w, d in _terms_of(f(u, v))
     )
+
+
+_TABLE: dict = {}       # (map name, argument) -> image, for the basis maps made ``tabled``
+_TABLE_TERMS = 1 << 14  # a call that leaves more terms in the table clears it
+_table_terms = 0        # the terms held in _TABLE
+
+
+def table_put(key: tuple, image: LinComb) -> LinComb:
+    """Enter image in the table under key, counting its terms; returns image."""
+    global _table_terms
+    _TABLE[key] = image
+    _table_terms += len(image)
+    return image
+
+
+def tabled(fn: Callable[[object], LinComb]) -> Callable[[object], LinComb]:
+    """The basis map fn, looked up in the table under (its name, the argument)
+    and computed only on a miss; a call that raises enters nothing.  fn calls
+    no tabled map, whose budget check could clear entries that fn reads."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def lookup(arg):
+        global _table_terms
+        got = _TABLE.get((name, arg))
+        if got is None:
+            got = table_put((name, arg), fn(arg))
+            if _table_terms > _TABLE_TERMS:
+                _TABLE.clear()
+                _table_terms = 0
+        return got
+
+    return lookup
 
 
 class ThetaPoly:

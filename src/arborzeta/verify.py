@@ -50,6 +50,7 @@ from .words import (
     y_word,
 )
 from .zeta import (
+    _check_tol,
     brute_tree_sum,
     compare_bmz,
     eval_comb_bounded,
@@ -234,6 +235,7 @@ def run_suite(name: str, tol: float = 1e-9, max_weight: Optional[int] = None) ->
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     if name != "bmz" and max_weight is not None:
         raise ValueError(f"a max weight applies only to the bmz suite, not to {name}")
+    _check_tol(tol)  # the exact hopf suite reads no tolerance, but refuses one as the others do
     return suite_bmz(tol, max_weight) if name == "bmz" else SUITES[name](tol)
 
 

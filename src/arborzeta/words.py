@@ -8,7 +8,7 @@ sequence of letters from one alphabet.  This module provides:
 * the quasi-shuffle product (interleavings plus contractions, where a letter
   of each factor may merge under an internal product; on the summation
   alphabet the internal product adds indices, [y_k y_l] = y_{k+l}),
-* the deconcatenation coproduct,
+* the deconcatenation coproduct, ``tabled`` (see ``lincomb``),
 * the block substitution s sending y_n to x0^(n-1) x1, a bijection between
   summation words and integration words ending in x1, and its inverse,
 * convergence predicates: a summation word is convergent when it does not
@@ -17,7 +17,8 @@ sequence of letters from one alphabet.  This module provides:
 
 Letters are interned: ``YLetter(2)`` always returns the same object, so a
 letter compares and hashes by identity and costs no Python call to hash.  A
-letter value must be an int (not a bool) in the letter's range.  A ``Word``
+letter value must be an int (not a bool) in the letter's range; ``y_letter``
+calls the constructor only for an index not yet interned.  A ``Word``
 stores the hash of its letter tuple and compares that hash before the letters.
 
 Serialization: letters print as ``x0``, ``x1``, ``y1``, ``y2``, ...; a word
@@ -34,7 +35,7 @@ from functools import lru_cache, total_ordering
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Tuple, Union
 
-from .lincomb import Immutable, LinComb, TensorPair
+from .lincomb import Immutable, LinComb, TensorPair, tabled
 
 
 @total_ordering
@@ -90,6 +91,14 @@ class YLetter(_Letter):
 
 X0 = XLetter(0)
 X1 = XLetter(1)
+_Y_LETTERS = YLetter._interned
+
+
+def y_letter(n: int) -> YLetter:
+    """YLetter(n) for an int n, read from the intern table: the constructor,
+    which checks n, runs only for an index not seen before."""
+    return _Y_LETTERS.get(n) or YLetter(n)
+
 
 Letter = Union[XLetter, YLetter]
 
@@ -163,7 +172,7 @@ def concat(u: Word, v: Word) -> Word:
 
 def merge_y(a: YLetter, b: YLetter) -> YLetter:
     """Internal product of the summation alphabet: indices add."""
-    return YLetter(a.index + b.index)
+    return y_letter(a.index + b.index)
 
 
 @lru_cache(maxsize=1 << 12)  # a round of any bench/ workload fills under 900 entries
@@ -216,6 +225,7 @@ def product_comb(a: LinComb, b: LinComb,
     return as_comb(interleave_sum(*by_letters, merge))
 
 
+@tabled
 def deconcat(w: Word) -> LinComb:
     """Deconcatenation coproduct: sum of all two-part splits of w."""
     ls = w.letters
@@ -247,7 +257,7 @@ def s_inverse(v: Word) -> Word:
         if l == X0:
             run += 1
         else:
-            out.append(YLetter(run + 1))
+            out.append(y_letter(run + 1))
             run = 0
     return Word(tuple(out))
 
@@ -282,7 +292,7 @@ def parse_letter_at(text: str, pos: int) -> Tuple[Letter, int]:
         found = repr(text[pos:pos + 8]) if pos < len(text) else "end of input"
         raise ParseError(f"expected a letter token (x0, x1, or y<n>), found {found}", pos)
     tok = m.group(0)
-    letter: Letter = XLetter(int(tok[1])) if tok[0] == "x" else YLetter(int(tok[1:]))
+    letter: Letter = XLetter(int(tok[1])) if tok[0] == "x" else y_letter(int(tok[1:]))
     return letter, m.end()
 
 

@@ -334,6 +334,7 @@ def _mzv_em(exponents: MzvIndex, K: int) -> Tuple[float, float]:
 
 
 _EVAL_CACHE: Dict[Tuple[MzvIndex, float], Tuple[float, float]] = {}
+_EVAL_CACHE_ENTRIES = 1 << 12  # an insert that finds this many entries clears them first
 
 
 def eval_mzv_bounded(exponents: MzvIndex, tol: float = 1e-9) -> Tuple[float, float]:
@@ -362,6 +363,8 @@ def eval_mzv_bounded(exponents: MzvIndex, tol: float = 1e-9) -> Tuple[float, flo
                 f"cannot certify zeta{exponents} to {tol:g}: best bound {bound:g}"
             )
         K *= 2
+    if len(_EVAL_CACHE) >= _EVAL_CACHE_ENTRIES:
+        _EVAL_CACHE.clear()
     _EVAL_CACHE[key] = (value, bound)  # atomic insert; concurrent reads are safe
     return value, bound
 

@@ -12,11 +12,13 @@ from fractions import Fraction
 
 import pytest
 
+from arborzeta import lincomb
 from arborzeta.lincomb import LinComb
 from arborzeta.words import Word, X0, X1, XLetter, YLetter, merge_y, s_map, x_word, y_word
 from arborzeta.forests import (
     Forest,
     Tree,
+    coproduct,
     enumerate_forests,
     forest_product,
     make_forest,
@@ -103,6 +105,51 @@ class TestOracles:
         for n in range(0, 5):
             for f in enumerate_forests(n, (Y1, Y2)):
                 assert arborify_y(f) == contracting_oracle(f), str(f)
+
+
+class TestTable:
+    """Both maps keep their images in the table of basis map images."""
+
+    @pytest.mark.parametrize("fn, letters, oracle", [(arborify_y, (Y1, Y2), contracting_oracle),
+                                                     (arborify_x, (X0, X1), simple_oracle)], ids=["y", "x"])
+    def test_cold_warm_and_cleared_up_to_five_vertices(self, each_way, fn, letters, oracle):
+        fs = [f for n in range(0, 6) for f in enumerate_forests(n, letters)]
+        later = (f for n in itertools.count(6) for f in enumerate_forests(n, letters))
+        each_way(fn, fn.__name__, fs, {f: oracle(f) for f in fs}, later)
+
+    def test_an_image_over_the_budget_is_not_kept(self):
+        # 7 lone vertices whose index sums never collide: 47,293 words, more than the budget
+        f = parse_forest(";".join(f"y{2 ** i}" for i in range(7)))
+        small = parse_forest("y2(y3)")
+        arborify_y(small)
+        got = arborify_y(f)
+        assert len(got) > lincomb._TABLE_TERMS
+        assert lincomb._table_terms == sum(len(c) for c in lincomb._TABLE.values()) <= lincomb._TABLE_TERMS
+        assert ("arborify_y", f) not in lincomb._TABLE
+        assert arborify_y(small) == contracting_oracle(small)
+
+    @pytest.mark.parametrize("text, fn, other, message", [
+        ("x1(x0,x0)", arborify_x, arborify_y,
+         "contracting arborification needs summation (y) decorations, found x1"),
+        ("y2(y1);y3", arborify_y, arborify_x,
+         "simple arborification needs integration (x) decorations, found y2"),
+    ])
+    def test_wrong_alphabet_refused_with_the_other_entry_kept(self, text, fn, other, message):
+        f = parse_forest(text)
+        expected = fn(f)
+        assert (fn.__name__, f) in lincomb._TABLE
+        for _ in range(2):
+            with pytest.raises(ValueError) as exc:
+                other(f)
+            assert str(exc.value) == message
+            assert (other.__name__, f) not in lincomb._TABLE
+        assert fn(f) == expected
+
+    def test_maps_keep_apart_on_a_shared_argument(self):
+        # the empty forest lies in both alphabets, and the coproduct is tabled too
+        assert arborify_x(Forest()) == arborify_y(Forest()) == LinComb.unit(Word())
+        assert {("arborify_x", Forest()), ("arborify_y", Forest())} <= set(lincomb._TABLE)
+        assert coproduct(Forest()) != arborify_x(Forest())
 
 
 class TestFrozenExpansions:

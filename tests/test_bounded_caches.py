@@ -7,8 +7,19 @@ import pkgutil
 import tracemalloc
 
 import arborzeta
-from arborzeta import words
-from arborzeta.words import Word, YLetter, quasi_shuffle
+from arborzeta import lincomb, words, zeta
+from arborzeta.arborify import arborify_x, arborify_y
+from arborzeta.cli import main
+from arborzeta.forests import coproduct, enumerate_forests
+from arborzeta.words import X0, X1, Word, YLetter, deconcat, quasi_shuffle, y_word
+
+# every module-level table that fills as the package works, and the name of its budget
+BUDGETED = {"lincomb._TABLE": "_TABLE_TERMS", "zeta._EVAL_CACHE": "_EVAL_CACHE_ENTRIES",
+            "zeta._TAILS": "_TAILS_FLOATS"}
+# tables that never change after import; the letter intern table holds one
+# entry per y-letter ever made, which interning needs, and is no cache
+FIXED = {"arborify._FLAVORS", "verify.SUITES"}
+INTERNED = {"words._Y_LETTERS"}
 
 
 def _functools_caches():
@@ -24,6 +35,68 @@ def _functools_caches():
                 if hasattr(value, "cache_parameters"):
                     found.append((f"{mod.__name__}.{name}", value))
     return found
+
+
+def _module_tables() -> dict:
+    """The dicts, lists and sets bound at the top level of arborzeta modules, as
+    name -> object; an imported binding shares its object with the defining
+    one, and the object goes by the name listed above."""
+    bindings = {}  # id -> (object, every "module.name" bound to it)
+    for info in pkgutil.iter_modules(arborzeta.__path__):
+        for name, value in vars(importlib.import_module(f"arborzeta.{info.name}")).items():
+            if isinstance(value, (dict, list, set)) and not name.startswith("__"):
+                bindings.setdefault(id(value), (value, set()))[1].add(f"{info.name}.{name}")
+    known = BUDGETED.keys() | FIXED | INTERNED
+    return {min(names & known or names): value for value, names in bindings.values()}
+
+
+def test_every_module_table_has_a_budget():
+    tables = _module_tables()
+    assert set(tables) == BUDGETED.keys() | FIXED | INTERNED
+    for name, budget in BUDGETED.items():
+        owner = importlib.import_module(f"arborzeta.{name.split('.')[0]}")
+        assert type(getattr(owner, budget)) is int, name
+    fixed = {name: repr(tables[name]) for name in FIXED}
+    for argv in (["expand", "--contracting", "y2(y1,y3);y2"], ["zeta", "y3(y2,y2)"],
+                 ["verify", "hopf"], ["verify", "bmz", "--max-weight", "4"], ["hoffman", "log", "y2.y1.y3"]):
+        assert main(argv) == 0
+    assert {name: repr(tables[name]) for name in FIXED} == fixed
+
+
+def _over_budget_calls():
+    # many distinct arguments for each map that keeps its images in the table
+    for n in range(6):
+        for f in enumerate_forests(n, (YLetter(1), YLetter(2))):
+            yield coproduct, f
+            yield arborify_y, f
+        for f in enumerate_forests(n, (X0, X1)):
+            yield arborify_x, f
+    for n in range(12):
+        yield deconcat, y_word(*range(1, n + 2))
+
+
+def test_basis_table_stays_within_its_budget(monkeypatch):
+    monkeypatch.setattr(lincomb, "_TABLE_TERMS", 500)
+    lincomb._TABLE.clear()
+    lincomb._table_terms = 0
+    cleared = 0
+    for fn, arg in _over_budget_calls():
+        before = lincomb._table_terms
+        image = fn(arg)
+        assert fn(arg) == image  # warm, or recomputed after the call cleared the table
+        cleared += lincomb._table_terms < before
+        assert lincomb._table_terms == sum(len(c) for c in lincomb._TABLE.values()) <= 500
+    assert cleared > 10
+
+
+def test_eval_cache_clears_past_its_bound(monkeypatch):
+    words_in = [(a, b) for a in range(2, 6) for b in range(1, 4)]
+    expected = {w: zeta.eval_mzv_bounded(w, 1e-8) for w in words_in}
+    monkeypatch.setattr(zeta, "_EVAL_CACHE_ENTRIES", 5)
+    zeta._EVAL_CACHE.clear()
+    for w in words_in + words_in:
+        assert zeta.eval_mzv_bounded(w, 1e-8) == expected[w]
+        assert 1 <= len(zeta._EVAL_CACHE) <= 5
 
 
 def test_every_functools_cache_is_bounded():

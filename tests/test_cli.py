@@ -354,6 +354,15 @@ class TestVerify:
             assert out == ""
             assert err == f"error: {message}\n"
 
+    def test_hopf_refuses_a_tolerance_as_every_suite_does(self, capsys):
+        # the exact suite reads no tolerance, but a bad one is refused, not passed through
+        for tol, message in [("-1", "tolerance must be positive, got -1"),
+                             ("nan", "tolerance must be a finite number, got nan"),
+                             ("1e-13", "tolerance below supported precision (min 1e-12)")]:
+            for suite in ("hopf", "all"):
+                code, out, err = run(capsys, "verify", suite, "--tol", tol)
+                assert (code, out, err) == (2, "", f"error: {message}\n"), (suite, tol)
+
     def test_negative_max_weight_refused(self, capsys):
         for suite in ("bmz", "all"):
             code, out, err = run(capsys, "verify", suite, "--max-weight", "-1")

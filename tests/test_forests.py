@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import arborzeta.forests as forests_mod
+from arborzeta import lincomb
 from arborzeta.lincomb import LinComb, TensorPair, bilinear
 from arborzeta.words import X0, X1, YLetter
 from arborzeta.forests import (
@@ -118,37 +118,26 @@ TWO_DECO_FORESTS = [f for n in range(0, 5) for f in enumerate_forests(n, (Y1, Y2
 
 
 def _table_terms() -> int:
-    return sum(len(c) for c in forests_mod._COPRODUCTS.values())
+    return sum(len(c) for c in lincomb._TABLE.values())
 
 
-def _check_each_way(letters, oracle):
+def _check_each_way(each_way, letters, oracle):
     """coproduct agrees with the oracle on every forest of up to 5 vertices over
-    the two letters, asked for three ways: with the table of coproducts empty,
-    again with it warm, and in reverse order once more distinct forests than
-    its budget have cleared it."""
+    the two letters, asked for three ways: with the table of basis map images
+    empty, again with it warm, and in reverse order once more distinct forests
+    than its budget have cleared it.  Each vertex's one-tree forest is among
+    the forests, so they are exactly the coproduct entries of the warm table."""
     fs = [f for n in range(0, 6) for f in enumerate_forests(n, letters)]
-    expected = {f: oracle(f) for f in fs}
-    forests_mod._COPRODUCTS.clear()
-    forests_mod._coproduct_terms = 0
-    for f in fs + fs:
-        assert coproduct(f) == expected[f], str(f)
-    assert set(forests_mod._COPRODUCTS) == set(fs)  # each vertex's one-tree forest is in fs
-    for f in (f for n in itertools.count(6) for f in enumerate_forests(n, letters)):
-        before = forests_mod._coproduct_terms
-        coproduct(f)
-        if forests_mod._coproduct_terms < before:
-            break
-    assert forests_mod._coproduct_terms == _table_terms() <= forests_mod._COPRODUCT_TERMS
-    for f in reversed(fs):
-        assert coproduct(f) == expected[f], str(f)
+    later = (f for n in itertools.count(6) for f in enumerate_forests(n, letters))
+    each_way(coproduct, "coproduct", fs, {f: oracle(f) for f in fs}, later)
 
 
 class TestCoproductOracle:
-    def test_matches_downset_enumeration_on_all_small_forests(self):
-        _check_each_way((Y1, Y2), downset_coproduct)
+    def test_matches_downset_enumeration_on_all_small_forests(self, each_way):
+        _check_each_way(each_way, (Y1, Y2), downset_coproduct)
 
-    def test_matches_on_x_decorated(self):
-        _check_each_way((X0, X1), downset_coproduct)
+    def test_matches_on_x_decorated(self, each_way):
+        _check_each_way(each_way, (X0, X1), downset_coproduct)
 
 
 def unit_start_coproduct(f: Forest) -> LinComb:
@@ -167,8 +156,8 @@ def unit_start_coproduct(f: Forest) -> LinComb:
 
 class TestCoproductUnitStart:
     @pytest.mark.parametrize("letters", [(Y1, Y2), (X0, X1)], ids=["y", "x"])
-    def test_matches_unit_start_up_to_five_vertices(self, letters):
-        _check_each_way(letters, unit_start_coproduct)
+    def test_matches_unit_start_up_to_five_vertices(self, letters, each_way):
+        _check_each_way(each_way, letters, unit_start_coproduct)
 
     def test_empty_forest_is_the_unit_pair(self):
         assert unit_start_coproduct(EMPTY_FOREST) == LinComb.unit(TensorPair(EMPTY_FOREST, EMPTY_FOREST))
@@ -414,7 +403,7 @@ class TestDeepTrees:
         assert len(got) == 501
         assert sorted(grade(p.left) for p, _ in got.items()) == list(range(501))
         assert all(grade(p.left) + grade(p.right) == 500 and c == 1 for p, c in got.items())
-        assert forests_mod._coproduct_terms == _table_terms() <= forests_mod._COPRODUCT_TERMS
+        assert lincomb._table_terms == _table_terms() <= lincomb._TABLE_TERMS
 
     def test_deep_chain_prints(self):
         assert print_tree(_chain(5000, Y1)) == "y1(" * 4999 + "y2" + ")" * 4999

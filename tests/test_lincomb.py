@@ -91,6 +91,7 @@ class TestLinComb:
         assert Fraction(1, 3) * a == lc(x=1, y=-2)
         assert a * 0 == LinComb()
         assert 2 * a == a + a
+        assert 1 * a is a and a * Fraction(2, 2) is a  # immutable, so the unit scalar shares it
 
     def test_items_in_stored_order_without_serializing(self):
         class Opaque:

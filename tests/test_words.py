@@ -35,6 +35,7 @@ from arborzeta.words import (
     shuffle,
     weight,
     x_word,
+    y_letter,
     y_word,
 )
 
@@ -260,6 +261,13 @@ class TestInternedLetters:
         assert merge_y(YLetter(1), YLetter(2)) is YLetter(3)
         assert y_word(2, 2).letters[0] is y_word(2).letters[0]
 
+    def test_y_letter_reads_the_intern_table(self):
+        assert y_letter(3) is YLetter(3) and y_letter(987_654) is YLetter(987_654)
+        assert s_inverse(x_word(0, 0, 1, 1)).letters == (YLetter(3), YLetter(1))
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match=f"^y-letter index must be a positive integer, got {bad}$"):
+                y_letter(bad)
+
     def test_parsed_letters_are_interned(self):
         w = parse_word("y12.y1.y12")
         assert w.letters[0] is YLetter(12) and w.letters[1] is YLetter(1)
@@ -424,6 +432,19 @@ class TestDeconcat:
                         for wr, cr in quasi_shuffle(p.right, q.right).items():
                             rhs = rhs + LinComb.unit(TensorPair(wl, wr), cp * cq * cl * cr)
             assert lhs == rhs
+
+
+def deconcat_oracle(w: Word) -> LinComb:
+    """Every split of w into a prefix and the rest, each counted once."""
+    return LinComb((TensorPair(Word(w.letters[:r]), Word(w.letters[r:])), 1) for r in range(len(w) + 1))
+
+
+class TestDeconcatTable:
+    @pytest.mark.parametrize("letters", [(X0, X1), (YLetter(1), YLetter(2))], ids=["x", "y"])
+    def test_cold_warm_and_cleared_up_to_length_six(self, each_way, letters):
+        ws = [Word(ls) for n in range(0, 7) for ls in itertools.product(letters, repeat=n)]
+        later = (Word(ls) for n in itertools.count(7) for ls in itertools.product(letters, repeat=n))
+        each_way(deconcat, "deconcat", ws, {w: deconcat_oracle(w) for w in ws}, later)
 
 
 class TestParsePrint:
