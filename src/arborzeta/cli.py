@@ -12,8 +12,8 @@ precondition error, including a tolerance that cannot be certified.
 The argument parser is built once per process, on the first ``main`` call
 (not at import), and reused by every later call; each call still parses
 into a fresh namespace, so no parsed argument carries over from one call to
-the next.  (Library caches, such as the tree evaluator's table of vertex
-tails, do persist; they never change a printed value.)
+the next.  (The library's one table of pure results does persist, up to its
+budget; it never changes a printed value.)
 """
 
 from __future__ import annotations

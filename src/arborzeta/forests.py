@@ -56,7 +56,7 @@ from functools import partial, reduce
 from operator import attrgetter
 from typing import Iterable, Sequence, Tuple
 
-from .lincomb import _TABLE, Immutable, LinComb, TensorPair, bilinear, table_put, tabled
+from .lincomb import _TABLE, TERM_COST, Immutable, LinComb, TensorPair, bilinear, table_put, tabled
 from .words import Letter, ParseError, letter_rank, letter_weight, parse_letter_at
 
 
@@ -225,7 +225,7 @@ def coproduct(f: Forest) -> LinComb:
     for t in order:
         key = ("coproduct", Forest((t,)))
         if key not in _TABLE:
-            table_put(key, _coproduct_tree(t))
+            table_put(key, cop := _coproduct_tree(t), TERM_COST * len(cop))
     return _coproduct_tree(f.trees[0]) if len(f.trees) == 1 else _product(f.trees)
 
 

@@ -79,18 +79,17 @@ a tree's value is T_root(0) and a forest's value the product over its trees.
   doubles up to 64000; once the rounding term alone exceeds tol the
   tolerance is refused.
 * The cost.  A vertex tail (E_v, err_v, T_v, eps_v) depends only on the
-  subtree and K, so one table per process, keyed by K and then by subtree,
-  keeps the tails of every subtree and the k^-n tables from one call to the
-  next; a lookup compares trees without recursion, so a subtree of any size
-  is stored.  A tree not in the table is walked from the leaves up, stopping
+  subtree and K, so the package's table (see ``lincomb``) keeps, per K, the
+  tails of every subtree and the k^-n tables from one call to the next; a
+  lookup compares trees without recursion, so a subtree of any size is
+  stored.  A tree not in the table is walked from the leaves up, stopping
   at the subtrees the table holds, so no depth is too deep.  A call costs
   O(K) per subtree not yet in the table, and the values and bounds do not
   depend on what it holds.  A decoration y_n with n > _A_MAX + 1 enters the
   expansion as its majorant K^(_A_MAX + 1 - n) x^-(_A_MAX + 1), so every n
   costs the same.  Each K also keeps K^-a and the weights _sum_tail(a, 0, K)
-  of the pruned orders a > _A_MAX, in lists that grow on demand.
-  After a pass the table holds at most 2^18 floats, or it is cleared: about
-  3.3 MB at K = 125, where T_v and eps_v are arrays of doubles.
+  of the pruned orders a > _A_MAX, in lists that grow on demand.  Each float
+  costs one unit of the table's budget, and a pass ends with its trim.
 
 Regularization
 --------------
@@ -114,7 +113,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -128,7 +126,7 @@ from .arborify import (
     divergence_reason_y,
 )
 from .forests import Forest, Tree, bottom_up, size
-from .lincomb import NEG_INF, LinComb, ThetaPoly
+from .lincomb import _TABLE, NEG_INF, TERM_COST, LinComb, ThetaPoly, table_put, trim
 from .words import (
     Word,
     X1,
@@ -333,10 +331,6 @@ def _mzv_em(exponents: MzvIndex, K: int) -> Tuple[float, float]:
     return 1.0, 0.0  # r == 0: the empty product
 
 
-_EVAL_CACHE: Dict[Tuple[MzvIndex, float], Tuple[float, float]] = {}
-_EVAL_CACHE_ENTRIES = 1 << 12  # an insert that finds this many entries clears them first
-
-
 def eval_mzv_bounded(exponents: MzvIndex, tol: float = 1e-9) -> Tuple[float, float]:
     """Value and certified absolute error bound; raises if tol is unreachable."""
     exponents = tuple(exponents)
@@ -348,8 +342,8 @@ def eval_mzv_bounded(exponents: MzvIndex, tol: float = 1e-9) -> Tuple[float, flo
         return 1.0, 0.0
     if exponents[0] < 2:
         raise ValueError(f"zeta{exponents} diverges: leading exponent must be >= 2")
-    key = (exponents, float(tol))
-    got = _EVAL_CACHE.get(key)
+    key = ("eval_mzv_bounded", (exponents, float(tol)))
+    got = _TABLE.get(key)
     if got is not None:
         return got
     K = 1000
@@ -363,9 +357,8 @@ def eval_mzv_bounded(exponents: MzvIndex, tol: float = 1e-9) -> Tuple[float, flo
                 f"cannot certify zeta{exponents} to {tol:g}: best bound {bound:g}"
             )
         K *= 2
-    if len(_EVAL_CACHE) >= _EVAL_CACHE_ENTRIES:
-        _EVAL_CACHE.clear()
-    _EVAL_CACHE[key] = (value, bound)  # atomic insert; concurrent reads are safe
+    table_put(key, (value, bound), TERM_COST)
+    trim()
     return value, bound
 
 
@@ -598,17 +591,6 @@ def hoffman_reg_relation(w: Word) -> LinComb:
 # tree-level values; a dense power list's entry a is the coefficient of x^-a
 
 _TREE_K0 = 125  # doubled up to 125 * 2**9 = 64000, the ceiling of eval_mzv_bounded
-# the table of vertex tails, K -> {subtree: tail, n: k^-n list, "pow"/"pruned": weights}; see "The cost" above
-_TAILS: Dict[int, dict] = defaultdict(dict)
-_TAILS_FLOATS = 1 << 18  # a pass that leaves more floats in the table clears it
-_tails_floats = 0        # the floats held in _TAILS: list and array entries
-
-
-def _clear_tails() -> None:
-    """Empty the table of vertex tails."""
-    global _tails_floats
-    _TAILS.clear()
-    _tails_floats = 0
 
 
 def _gamma(n: int) -> float:
@@ -665,9 +647,9 @@ def _vertex_tail(t: Tree, K: int) -> tuple:
     m = 0..K with |T_t(m) - T[m]| <= eps[m] up to rounding, and each T[m] is
     within a relative gamma_M of its exact-arithmetic value; nE and nerr count
     the nonzero coefficients of E and err, for the parents.  A tail not yet in
-    _TAILS[K] is added there with those of its subtrees, bottom-up.
+    the table's dict for K is added there with those of its subtrees, bottom-up.
     """
-    table = _TAILS[K]
+    table = _TABLE.get(("tails", K)) or table_put(("tails", K), {}, 0)
     got = table.get(t)
     if got is None:
         for s in bottom_up((t,), table):
@@ -678,8 +660,8 @@ def _vertex_tail(t: Tree, K: int) -> tuple:
 
 
 def _add_tail(t: Tree, table: dict, K: int) -> None:
-    """Put the tail of t in the table, which holds those of its children."""
-    global _tails_floats
+    """Put the tail of t in the table for K, which holds those of its children,
+    and charge the floats it adds there."""
     if not isinstance(t.decoration, YLetter):
         raise ValueError(f"expected y-decorations, found {t.decoration}")
     n = t.decoration.index
@@ -697,14 +679,14 @@ def _add_tail(t: Tree, table: dict, K: int) -> None:
         D = _ps_add(_ps_mul(D, _ps_add(bar, err)), _ps_mul(P, err)) if D else _ps_mul(P, err)
         g, P = _ps_mul(g, E), _ps_mul(P, bar)
     kept = g[:_A_MAX + 1]
-    pruned = table.setdefault("pruned", [])  # _sum_tail(a, 0, K) from a = _A_MAX + 1
-    _tails_floats += max(0, len(g) - _A_MAX - 1 - len(pruned))
-    pruned += [_sum_tail(a, 0, K) for a in range(_A_MAX + 1 + len(pruned), len(g))]
-    dropped = sum(abs(c) * w for c, w in zip(g[_A_MAX + 1:], pruned) if c)
     # the float product has at most as many roundings per coefficient as the E_c have terms
     D = _ps_add(D, P, _gamma(sum(nE for *_, nE, _ in kids)))
     if any(kept[:2]) or any(D[:2]):
         raise AssertionError("a tree tail needs summands decaying like x^-2")
+    pruned = table.setdefault("pruned", [])  # _sum_tail(a, 0, K) from a = _A_MAX + 1
+    floats = max(0, len(g) - _A_MAX - 1 - len(pruned))
+    pruned += [_sum_tail(a, 0, K) for a in range(_A_MAX + 1 + len(pruned), len(g))]
+    dropped = sum(abs(c) * w for c, w in zip(g[_A_MAX + 1:], pruned) if c)
     # sum_{k>x} g(k) = -Phi(x) - g(x) + remainder, with Phi as in the word evaluator
     E_t, g5 = _em_tail(kept)
     # x -> integral from x to infinity of |h| bounds sum_{k>x} |h(k)| at every
@@ -724,7 +706,7 @@ def _add_tail(t: Tree, table: dict, K: int) -> None:
     # eps(m) = eps(m+1) + (m+1)^-n (prod(T_c + eps_c) - prod T_c) from err_t(K);
     # table[n] holds k^-n for k = 1..K, used by every vertex decorated y_n
     summand = table.setdefault(n, [])
-    _tails_floats += K - len(summand)
+    floats += K - len(summand)
     summand += [float(k) ** -n for k in range(len(summand) + 1, K + 1)]
     defect = None
     for _, _, T, eps, *_ in kids:
@@ -732,7 +714,7 @@ def _add_tail(t: Tree, table: dict, K: int) -> None:
                   else [d * (tc + ec) + p * ec for d, p, tc, ec in zip(defect, summand, T[1:], eps[1:])])
         summand = list(map(mul, summand, T[1:]))
     pw = table.setdefault("pow", [])  # K^-a from a = 0; err_t is at least as long as E_t
-    _tails_floats += max(0, len(err_t) - len(pw))
+    floats += max(0, len(err_t) - len(pw))
     pw += [K ** -a for a in range(len(pw), len(err_t))]
     E_K, err_K = (sum(p[a] * pw[a] for a in range(len(p) - 1, -1, -1) if p[a]) for p in (E_t, err_t))
     T_t = _suffix_sums(summand, E_K)
@@ -741,7 +723,7 @@ def _add_tail(t: Tree, table: dict, K: int) -> None:
     # children's) and, less K, those behind each coefficient of err_t
     M = K + 24 + (nerr := sum(map(bool, err_t))) + sum(m + nE_c + nerr_c + 6 for *_, m, nE_c, nerr_c in kids)
     table[t] = (E_t, err_t, T_t, eps_t, M, nE, nerr)
-    _tails_floats += len(E_t) + len(err_t) + 2 * (K + 1)
+    table_put(("tails", K), table, floats + len(E_t) + len(err_t) + 2 * (K + 1))
 
 
 def _convergent(f: Union[Forest, Tree], divergence_reason: Callable) -> Forest:
@@ -756,8 +738,8 @@ def _convergent(f: Union[Forest, Tree], divergence_reason: Callable) -> Forest:
 def eval_tree_bounded(f: Union[Forest, Tree], tol: float = 1e-9) -> Tuple[float, float]:
     """Value and certified bound of a convergent y-decorated forest, summed directly.
 
-    No word expansion is formed: a call costs O(K) per subtree not yet in the
-    table of vertex tails, and a forest is the product of its trees.  Raises
+    No word expansion is formed: a call costs O(K) per subtree whose tail is
+    not yet in the package's table, and a forest is the product of its trees.  Raises
     ValueError for divergent input or an unsupported tolerance,
     ArithmeticError when no cutoff certifies tol.
     """
@@ -774,8 +756,7 @@ def eval_tree_bounded(f: Union[Forest, Tree], tol: float = 1e-9) -> Tuple[float,
                 M += m + 4
                 V += size(t)
         finally:
-            if _tails_floats > _TAILS_FLOATS:
-                _clear_tails()
+            trim()
         # value is within gamma_M of exact arithmetic.  The majorant pass has
         # its own roundings and uses the computed T in place of the exact ones,
         # which adds 2 M_c per level: (2V + 1) M roundings in all

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import table_cost
 from arborzeta import lincomb
 from arborzeta.lincomb import LinComb
 from arborzeta.words import Word, X0, X1, XLetter, YLetter, merge_y, s_map, x_word, y_word
@@ -108,7 +109,7 @@ class TestOracles:
 
 
 class TestTable:
-    """Both maps keep their images in the table of basis map images."""
+    """Both maps keep their images in the package's table."""
 
     @pytest.mark.parametrize("fn, letters, oracle", [(arborify_y, (Y1, Y2), contracting_oracle),
                                                      (arborify_x, (X0, X1), simple_oracle)], ids=["y", "x"])
@@ -123,8 +124,8 @@ class TestTable:
         small = parse_forest("y2(y3)")
         arborify_y(small)
         got = arborify_y(f)
-        assert len(got) > lincomb._TABLE_TERMS
-        assert lincomb._table_terms == sum(len(c) for c in lincomb._TABLE.values()) <= lincomb._TABLE_TERMS
+        assert lincomb.TERM_COST * len(got) > lincomb._TABLE_BUDGET
+        assert lincomb._table_cost == table_cost() <= lincomb._TABLE_BUDGET
         assert ("arborify_y", f) not in lincomb._TABLE
         assert arborify_y(small) == contracting_oracle(small)
 

@@ -5,17 +5,18 @@ import gc
 import importlib
 import pkgutil
 import tracemalloc
+from itertools import zip_longest
 
 import arborzeta
 from arborzeta import lincomb, words, zeta
 from arborzeta.arborify import arborify_x, arborify_y
 from arborzeta.cli import main
-from arborzeta.forests import coproduct, enumerate_forests
+from arborzeta.forests import coproduct, enumerate_forests, enumerate_trees
 from arborzeta.words import X0, X1, Word, YLetter, deconcat, quasi_shuffle, y_word
+from conftest import clear_table, table_cost
 
 # every module-level table that fills as the package works, and the name of its budget
-BUDGETED = {"lincomb._TABLE": "_TABLE_TERMS", "zeta._EVAL_CACHE": "_EVAL_CACHE_ENTRIES",
-            "zeta._TAILS": "_TAILS_FLOATS"}
+BUDGETED = {"lincomb._TABLE": "_TABLE_BUDGET"}
 # tables that never change after import; the letter intern table holds one
 # entry per y-letter ever made, which interning needs, and is no cache
 FIXED = {"arborify._FLAVORS", "verify.SUITES"}
@@ -51,6 +52,7 @@ def _module_tables() -> dict:
 
 
 def test_every_module_table_has_a_budget():
+    assert list(BUDGETED) == ["lincomb._TABLE"]  # the one cache: no second budget comes back unnoticed
     tables = _module_tables()
     assert set(tables) == BUDGETED.keys() | FIXED | INTERNED
     for name, budget in BUDGETED.items():
@@ -76,27 +78,76 @@ def _over_budget_calls():
 
 
 def test_basis_table_stays_within_its_budget(monkeypatch):
-    monkeypatch.setattr(lincomb, "_TABLE_TERMS", 500)
-    lincomb._TABLE.clear()
-    lincomb._table_terms = 0
+    budget = 500 * lincomb.TERM_COST
+    monkeypatch.setattr(lincomb, "_TABLE_BUDGET", budget)
+    clear_table()
     cleared = 0
     for fn, arg in _over_budget_calls():
-        before = lincomb._table_terms
+        before = lincomb._table_cost
         image = fn(arg)
         assert fn(arg) == image  # warm, or recomputed after the call cleared the table
-        cleared += lincomb._table_terms < before
-        assert lincomb._table_terms == sum(len(c) for c in lincomb._TABLE.values()) <= 500
+        cleared += lincomb._table_cost < before
+        assert lincomb._table_cost == table_cost() <= budget
     assert cleared > 10
 
 
 def test_eval_cache_clears_past_its_bound(monkeypatch):
     words_in = [(a, b) for a in range(2, 6) for b in range(1, 4)]
     expected = {w: zeta.eval_mzv_bounded(w, 1e-8) for w in words_in}
-    monkeypatch.setattr(zeta, "_EVAL_CACHE_ENTRIES", 5)
-    zeta._EVAL_CACHE.clear()
+    monkeypatch.setattr(lincomb, "_TABLE_BUDGET", 5 * lincomb.TERM_COST)
+    clear_table()
+    cleared = 0
     for w in words_in + words_in:
         assert zeta.eval_mzv_bounded(w, 1e-8) == expected[w]
-        assert 1 <= len(zeta._EVAL_CACHE) <= 5
+        held = [arg for name, arg in lincomb._TABLE if name == "eval_mzv_bounded"]
+        # the call's entry is held, unless the call cleared the table
+        assert len(held) <= 5 and ((w, 1e-8) in held or not lincomb._TABLE)
+        cleared += not lincomb._TABLE
+    assert cleared > 1
+
+
+def _one_budget_calls():
+    """(kind, call, argument) for every kind of entry the table holds, each
+    kind with more distinct arguments than the small budget below takes."""
+    for f in (f for n in range(4) for f in enumerate_forests(n, (YLetter(1), YLetter(2)))):
+        yield "maps", coproduct, f
+        yield "maps", arborify_y, f
+    for f in (f for n in range(4) for f in enumerate_forests(n, (X0, X1))):
+        yield "maps", arborify_x, f
+    for n in range(6):
+        yield "maps", deconcat, y_word(*range(1, n + 2))
+    for t in (t for n in range(1, 4) for t in enumerate_trees(n, (YLetter(2), YLetter(3)))):
+        yield "tails", zeta.eval_tree_bounded, t
+    for w in ((a, b) for a in range(2, 9) for b in range(1, 11)):
+        yield "words", zeta.eval_mzv_bounded, w
+
+
+def test_one_budget_for_every_kind_of_entry(monkeypatch):
+    calls = list(_one_budget_calls())
+    cold = []
+    for _, fn, arg in calls:
+        clear_table()
+        cold.append(fn(arg))
+    budget = 1000
+    monkeypatch.setattr(lincomb, "_TABLE_BUDGET", budget)
+    # interleaved: each kind's calls in turn, so a clear by one kind drops the others' entries
+    by_kind = [[(i, fn, arg) for i, (k, fn, arg) in enumerate(calls) if k == kind]
+               for kind in ("maps", "tails", "words")]
+    mixed = [c for group in zip_longest(*by_kind) for c in group if c is not None]
+    clear_table()
+    for i, fn, arg in mixed + mixed:
+        assert fn(arg) == cold[i], arg
+        assert lincomb._table_cost == table_cost() <= budget, arg
+    # each kind alone fills the table past the budget
+    for group in by_kind:
+        clear_table()
+        cleared = 0
+        for i, fn, arg in group:
+            before = lincomb._table_cost
+            assert fn(arg) == cold[i], arg
+            assert lincomb._table_cost == table_cost() <= budget, arg
+            cleared += lincomb._table_cost < before
+        assert cleared >= 1, group[0][1].__name__
 
 
 def test_every_functools_cache_is_bounded():

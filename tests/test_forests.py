@@ -14,6 +14,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import table_cost
+
 from arborzeta import lincomb
 from arborzeta.lincomb import LinComb, TensorPair, bilinear
 from arborzeta.words import X0, X1, YLetter
@@ -117,15 +119,11 @@ def labeled_census(n: int, decorations) -> set:
 TWO_DECO_FORESTS = [f for n in range(0, 5) for f in enumerate_forests(n, (Y1, Y2))]
 
 
-def _table_terms() -> int:
-    return sum(len(c) for c in lincomb._TABLE.values())
-
-
 def _check_each_way(each_way, letters, oracle):
     """coproduct agrees with the oracle on every forest of up to 5 vertices over
-    the two letters, asked for three ways: with the table of basis map images
-    empty, again with it warm, and in reverse order once more distinct forests
-    than its budget have cleared it.  Each vertex's one-tree forest is among
+    the two letters, asked for three ways: with the table empty, again with it
+    warm, and in reverse order once more distinct forests than its budget have
+    cleared it.  Each vertex's one-tree forest is among
     the forests, so they are exactly the coproduct entries of the warm table."""
     fs = [f for n in range(0, 6) for f in enumerate_forests(n, letters)]
     later = (f for n in itertools.count(6) for f in enumerate_forests(n, letters))
@@ -403,7 +401,7 @@ class TestDeepTrees:
         assert len(got) == 501
         assert sorted(grade(p.left) for p, _ in got.items()) == list(range(501))
         assert all(grade(p.left) + grade(p.right) == 500 and c == 1 for p, c in got.items())
-        assert lincomb._table_terms == _table_terms() <= lincomb._TABLE_TERMS
+        assert lincomb._table_cost == table_cost() <= lincomb._TABLE_BUDGET
 
     def test_deep_chain_prints(self):
         assert print_tree(_chain(5000, Y1)) == "y1(" * 4999 + "y2" + ")" * 4999

@@ -15,6 +15,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import clear_table, table_cost
+
+from arborzeta import lincomb
 from arborzeta.hoffman import compositions
 from arborzeta.lincomb import LinComb, ThetaPoly
 from arborzeta.words import Word, is_convergent_x, s_inverse, s_map, x_word, y_word
@@ -744,17 +747,14 @@ class TestTreeEvaluator:
 
 
 # ---------------------------------------------------------------------------
-# the process-wide table of vertex tails
+# the vertex tails, one dict per cutoff K in the package's table under ("tails", K)
 
 def _chain(depth):
     return "y1(" * (depth - 1) + "y2" + ")" * (depth - 1)
 
 
-def _stored_floats(zeta_mod):
-    """The floats the table holds, counted from its entries: a k^-n list, a
-    per-cutoff list of weights, or a tail's E, err, T and eps."""
-    return sum(len(v) if isinstance(v, list) else sum(map(len, v[:4]))
-               for table in zeta_mod._TAILS.values() for v in table.values())
+def _cutoffs():
+    return sorted(K for name, K in lincomb._TABLE if name == "tails")
 
 
 class TestTailTable:
@@ -769,18 +769,17 @@ class TestTailTable:
     def test_large_subtrees_are_found(self, monkeypatch):
         import arborzeta.zeta as zeta_mod
 
-        zeta_mod._clear_tails()
+        clear_table()
         first = eval_tree_bounded(parse_forest(_chain(40)), 1e-9)
-        stored = zeta_mod._tails_floats
+        stored = lincomb._table_cost
         calls = []
         em_tail = zeta_mod._em_tail
         monkeypatch.setattr(zeta_mod, "_em_tail", lambda kept: calls.append(kept) or em_tail(kept))
         # a separately parsed tree of 40 vertices: every tail comes from the table
         assert eval_tree_bounded(parse_forest(_chain(40)), 1e-9) == first
-        assert calls == [] and zeta_mod._tails_floats == stored
+        assert calls == [] and lincomb._table_cost == stored
 
     def test_cold_and_warm_are_bit_identical(self):
-        import arborzeta.zeta as zeta_mod
         from arborzeta.forests import enumerate_trees
 
         trees = [t for n in range(1, 7) for t in enumerate_trees(n, (YLetter(2), YLetter(3)))]
@@ -790,82 +789,79 @@ class TestTailTable:
         for tol in (1e-9, 1e-12):
             cold = []
             for f in cases:
-                zeta_mod._clear_tails()
+                clear_table()
                 cold.append(eval_tree_bounded(f, tol))
-            cutoffs = sorted(zeta_mod._TAILS)  # those of the chain alone
-            zeta_mod._clear_tails()
+            cutoffs = _cutoffs()  # those of the chain alone
+            clear_table()
             warm = [eval_tree_bounded(f, tol) for f in cases]
             assert cold == warm, tol
         assert cutoffs == [125, 250]
 
     def test_stored_floats_stay_within_budget(self, monkeypatch):
-        import arborzeta.zeta as zeta_mod
         from arborzeta.forests import enumerate_trees
 
         budget = 20_000
-        monkeypatch.setattr(zeta_mod, "_TAILS_FLOATS", budget)
-        zeta_mod._clear_tails()
+        monkeypatch.setattr(lincomb, "_TABLE_BUDGET", budget)
+        clear_table()
         cases = [t for n in (4, 5) for t in enumerate_trees(n, (YLetter(2), YLetter(3)))]
         cases.insert(len(cases) // 2, parse_forest(_chain(7)))
         counts = []
         for f in cases:
             tol = 1e-12 if isinstance(f, Forest) else 1e-9
             eval_tree_bounded(f, tol)
-            assert _stored_floats(zeta_mod) == zeta_mod._tails_floats <= budget, f
-            counts.append(zeta_mod._tails_floats)
+            assert table_cost() == lincomb._table_cost <= budget, f
+            counts.append(lincomb._table_cost)
         # the loop stores more than the budget, so the table was cleared on the way
         assert any(b < a for a, b in zip(counts, counts[1:]))
-        zeta_mod._clear_tails()
+        clear_table()
 
 
 class TestPerCutoffTables:
-    """_TAILS[K]["pow"] holds K^-a and _TAILS[K]["pruned"] the weights of the pruned orders."""
+    """The dict for K holds K^-a under "pow" and the weights of the pruned orders under "pruned"."""
 
     def test_tables_are_exact(self):
         import arborzeta.zeta as zeta_mod
 
-        zeta_mod._clear_tails()
+        clear_table()
         eval_tree_bounded(parse_forest("y2(y2,y3(y2),y2(y2,y2,y2))"), 1e-9)
         eval_tree_bounded(parse_forest(_chain(7)), 1e-12)  # K = 125 and 250
-        assert sorted(zeta_mod._TAILS) == [125, 250]
-        for K, table in zeta_mod._TAILS.items():
+        assert _cutoffs() == [125, 250]
+        for K in _cutoffs():
+            table = lincomb._TABLE["tails", K]
             pw, pruned = table["pow"], table["pruned"]
             assert len(pw) > 16 and pruned
             assert pw == [K ** -a for a in range(len(pw))]
             assert pruned == [zeta_mod._sum_tail(zeta_mod._A_MAX + 1 + i, 0, K) for i in range(len(pruned))]
-        zeta_mod._clear_tails()
+        clear_table()
 
     def test_cold_and_warm_tables(self):
-        import arborzeta.zeta as zeta_mod
         from arborzeta.forests import enumerate_trees
 
         trees = [t for n in range(1, 6) for t in enumerate_trees(n, (YLetter(2), YLetter(3)))]
         cold = []
         for t in trees:
-            zeta_mod._clear_tails()
+            clear_table()
             cold.append(eval_tree_bounded(t, 1e-9))
-        zeta_mod._clear_tails()
+        clear_table()
         eval_tree_bounded(parse_tree("y2(y2,y2,y2,y2,y2,y2)"), 1e-9)  # longer tables than any tree below needs
         assert [eval_tree_bounded(t, 1e-9) for t in trees] == cold
-        zeta_mod._clear_tails()
+        clear_table()
 
     def test_threshold_counts_the_tables(self, monkeypatch):
-        import arborzeta.zeta as zeta_mod
-
         tree = parse_tree("y2(y2,y3(y2,y2))")
-        zeta_mod._clear_tails()
+        clear_table()
         eval_tree_bounded(tree, 1e-9)
-        stored = zeta_mod._tails_floats
-        table = zeta_mod._TAILS[125]
+        stored = lincomb._table_cost
+        table = lincomb._TABLE["tails", 125]
         weights = len(table["pow"]) + len(table["pruned"])
-        assert stored == _stored_floats(zeta_mod) and weights > 0
+        assert stored == table_cost() and weights > 0
         # a budget the tails and k^-n lists alone fit in is exceeded by the weights
         for budget, cleared in ((stored, False), (stored - weights, True)):
-            monkeypatch.setattr(zeta_mod, "_TAILS_FLOATS", budget)
-            zeta_mod._clear_tails()
+            monkeypatch.setattr(lincomb, "_TABLE_BUDGET", budget)
+            clear_table()
             eval_tree_bounded(tree, 1e-9)
-            assert (zeta_mod._tails_floats == 0) == cleared
-        zeta_mod._clear_tails()
+            assert (lincomb._table_cost == 0) == cleared
+        clear_table()
 
 
 class TestDeepTrees:
@@ -877,24 +873,29 @@ class TestDeepTrees:
             assert bound <= 1e-9, depth
             assert 0.26 < value < 0.27, depth
 
-    def test_deep_chain_cold_and_warm(self):
+    def test_deep_chain_cold_and_warm(self, monkeypatch):
         import arborzeta.zeta as zeta_mod
 
-        zeta_mod._clear_tails()
+        clear_table()
         cold = eval_tree_bounded(parse_forest(_chain(3000)), 1e-9)
-        # warm: every proper subtree is in the table, from a separately parsed chain
-        zeta_mod._clear_tails()
+        # warm: every proper subtree is in the table, from a separately parsed
+        # chain, under a budget that holds its 2,999 tails
+        monkeypatch.setattr(lincomb, "_TABLE_BUDGET", 1 << 21)
+        clear_table()
         eval_tree_bounded(parse_forest(_chain(2999)), 1e-9)
+        calls = []
+        em_tail = zeta_mod._em_tail
+        monkeypatch.setattr(zeta_mod, "_em_tail", lambda kept: calls.append(kept) or em_tail(kept))
         assert eval_tree_bounded(parse_forest(_chain(3000)), 1e-9) == cold
+        assert len(calls) == 1  # the root's tail alone is computed
         assert abs(cold[0] - 1.0) <= cold[1] <= 1e-9  # zeta(3001)
-        zeta_mod._clear_tails()
+        clear_table()
 
     def test_huge_decoration_costs_no_memory(self):
         import tracemalloc
-        import arborzeta.zeta as zeta_mod
 
         t = parse_tree("y1000000")
-        zeta_mod._clear_tails()
+        clear_table()
         tracemalloc.start()
         try:
             value, bound = eval_tree_bounded(t, 1e-9)
