@@ -1,10 +1,10 @@
 """Command-line surface.
 
 Verbs: expand (arborification of a forest into words), zeta (exact expansion
-of an arborified value into ordinary zeta values, printed from arborification's
-letter map with no word objects, plus a certified numeric), verify (identity
-suites as report tables), enumerate (canonical decorated trees of a given
-size), and hoffman (the exp/log isomorphism on one word).
+of an arborified value, a word's as its ladder's, into ordinary zeta values,
+printed from arborification's letter map with no word objects, plus a certified
+numeric), verify (identity suites as report tables), enumerate (canonical
+decorated trees of a given size), and hoffman (the exp/log isomorphism on one word).
 
 Exit codes: 0 success, 1 verification failure, 2 usage, parse, or
 precondition error, including a tolerance that cannot be certified.
@@ -23,10 +23,9 @@ import sys
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
-from .arborify import arborify_x, arborify_y, divergence_reason_x, letter_map
-from .forests import enumerate_trees, parse_forest, print_tree
+from .arborify import arborify_x, arborify_y, ladder, letter_map
+from .forests import EMPTY_FOREST, Forest, enumerate_trees, parse_forest, print_tree
 from .hoffman import exp_word, log_word
-from .lincomb import LinComb
 from .words import Word, XLetter, YLetter, parse_word, s_inverse
 from . import verify as verify_mod
 from . import zeta as zeta_mod
@@ -35,11 +34,6 @@ from . import zeta as zeta_mod
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
-
-
-def _alphabet(first_letter) -> str:
-    # the parsers guarantee one alphabet per input, so its first letter decides
-    return "x" if isinstance(first_letter, XLetter) else "y"
 
 
 # ---------------------------------------------------------------------------
@@ -69,18 +63,17 @@ def _zeta_line(coeffs: Mapping, alphabet: str) -> str:
 def _cmd_zeta(args: argparse.Namespace) -> int:
     if (args.forest is None) == (args.word is None):
         return _fail("give exactly one of a forest argument or --word")
-    if args.word is not None:
+    if args.word is not None:  # a word is its ladder, whose arborification is the word
         w = parse_word(args.word)
-        alphabet = _alphabet(w.letters[0] if w.letters else None)
-        value, coeffs = zeta_mod.eval_comb_bounded(LinComb.unit(w), args.tol)[0], {w.letters: 1}
+        f = Forest((ladder(w),)) if w.letters else EMPTY_FOREST
     else:
         f = parse_forest(args.forest)
-        alphabet = _alphabet(f.trees[0].decoration if f.trees else None)
-        if alphabet == "y":  # summed directly, so the expansion is only printed
-            value, coeffs = zeta_mod.zeta_tree_y(f, args.tol), letter_map(f, "y")
-        else:  # refused if divergent, else expanded once for the value and the line
-            comb = arborify_x(zeta_mod._convergent(f, divergence_reason_x))
-            value, coeffs = zeta_mod.zeta_comb_x(comb, args.tol), {w.letters: c for w, c in comb.items()}
+    # the parsers guarantee one alphabet per input, so the first root decides
+    alphabet = "x" if f.trees and isinstance(f.trees[0].decoration, XLetter) else "y"
+    if alphabet == "y":  # summed directly, so the expansion is only printed
+        value, coeffs = zeta_mod.zeta_tree_y(f, args.tol), letter_map(f, "y")
+    else:  # the value puts the expansion in the table, where the line reads it
+        value, coeffs = zeta_mod.zeta_tree_x(f, args.tol), {w.letters: c for w, c in arborify_x(f).items()}
     print(_zeta_line(coeffs, alphabet))
     print(f"value = {value:.12g} (tol = {args.tol:g})")
     return 0

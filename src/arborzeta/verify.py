@@ -11,9 +11,9 @@ Four suites are exposed through the command line:
   the coalgebra-morphism property of both arborification maps, and the
   ladder section) swept over all small decorated forests.
 * ``oracle``: the direct truncated tree sum against the tree-native
-  evaluator, compared within the documented truncation bound, and the
-  tree-native evaluator against the word expansion on every tree of at most
-  four vertices over {y2, y3}.
+  evaluator, within the truncation bound, the certificate and the rounding
+  bound, and the tree-native evaluator against the word expansion on every
+  tree of at most four vertices over {y2, y3}.
 
 Every check becomes a ``CheckRow``; exact checks report instance counts
 (lhs = instances checked, rhs = instances correct) with tolerance 0.
@@ -51,13 +51,13 @@ from .words import (
 )
 from .zeta import (
     _check_tol,
+    brute_rounding_bound,
     brute_tree_sum,
     compare_bmz,
     eval_comb_bounded,
     eval_mzv_bounded,
     eval_tree_bounded,
     tree_truncation_bound,
-    zeta_tree_y,
 )
 
 
@@ -202,8 +202,8 @@ def suite_oracle(tol: float = 1e-9, N: int = 5000) -> List[CheckRow]:
     for n in range(1, 4):
         for t in enumerate_trees(n, decorations):
             lhs = brute_tree_sum(t, N)
-            rhs = zeta_tree_y(t, tol)
-            bound = tree_truncation_bound(t, N) + 10.0 * tol
+            rhs, tree_bound = eval_tree_bounded(t, tol)
+            bound = tree_truncation_bound(t, N) + tree_bound + brute_rounding_bound(t, N, lhs)
             rows.append(_row(f"oracle:{print_tree(t)}", lhs, rhs, bound))
     for n in range(1, 5):
         for t in enumerate_trees(n, decorations):

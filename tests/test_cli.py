@@ -13,14 +13,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import arborzeta
+import arborzeta.arborify as arborify_mod
 import arborzeta.cli as cli_mod
-import arborzeta.zeta as zeta_mod
-from arborzeta.arborify import arborify_x, arborify_y, letter_map
+from arborzeta.arborify import arborify_x, arborify_y, ladder, letter_map
 from arborzeta.cli import _zeta_line, main
 from arborzeta.forests import parse_forest, parse_tree, print_tree
 from arborzeta.lincomb import LinComb
-from arborzeta.words import quasi_shuffle, s_inverse, s_map, y_word
+from arborzeta.words import parse_word, quasi_shuffle, s_inverse, s_map, y_word
 from arborzeta.zeta import eval_comb_bounded, eval_mzv_bounded, eval_tree_bounded
+
+from conftest import clear_table
 
 
 def run(capsys, *argv):
@@ -207,14 +209,32 @@ class TestZeta:
         assert "divergent" in err
         assert run(capsys, "zeta", "--word", "x1.x0")[0] == 2
 
+    def test_deep_words_are_ladders(self, capsys):
+        # zeta(2,{1}^n) = zeta(n+2) by duality, which is 1 to double precision for these n
+        code, out, _ = run(capsys, "zeta", "--word", ".".join(["y2"] + ["y1"] * 94), "--tol", "1e-9")
+        assert code == 0 and abs(_value_line(out)[1] - 1.0) <= 1e-9
+        assert run(capsys, "zeta", "--word", ".".join(["y2"] + ["y1"] * 149))[0] == 0
+
+    def test_deep_word_refused_honestly(self, capsys):
+        # zeta(2,{1}^13) = zeta(15): the tree bound misses 1e-12, and 1e-11 is certified
+        word = ".".join(["y2"] + ["y1"] * 13)
+        code, out, err = run(capsys, "zeta", "--word", word, "--tol", "1e-12")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot certify the forest {'y1(' * 13}y2{')' * 13} to 1e-12: best bound 1.8")
+        code, out, _ = run(capsys, "zeta", "--word", word, "--tol", "1e-11")
+        assert code == 0 and abs(_value_line(out)[1] - 1.000030588236307) <= 1e-11 + 1e-12
+
     def test_argument_arity(self, capsys):
         assert run(capsys, "zeta")[0] == 2
         assert run(capsys, "zeta", "y2(y2)", "--word", "y2")[0] == 2
 
     def test_x_forest_expanded_once(self, capsys, monkeypatch):
-        calls = []
-        for module in (cli_mod, zeta_mod):  # every binding of arborify_x the verb could reach
-            monkeypatch.setattr(module, "arborify_x", lambda f: calls.append(f) or arborify_x(f))
+        # the expansion itself is counted: the value's arborify_x puts it in the
+        # table, and the line's second call only looks it up
+        calls, expand = [], arborify_mod.letter_map
+        for module in (cli_mod, arborify_mod):  # every binding of letter_map the verb could reach
+            monkeypatch.setattr(module, "letter_map", lambda f, a: calls.append(f) or expand(f, a))
+        clear_table()
         code, out, _ = run(capsys, "zeta", "x1(x0,x1(x0))")
         assert code == 0 and len(calls) == 1
         assert out.splitlines()[0] == "2*zeta(3,1) + 1*zeta(2,2)"
@@ -272,12 +292,12 @@ def forest_texts(draw, alphabet):
     return ";".join(text(i) for i in range(n) if parents[i] < 0) or "e"
 
 
-def _zeta_out(text):
-    """(exit code, stdout) of the zeta verb; Hypothesis tests take no capsys."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["zeta", text])
-    return code, out.getvalue()
+def _zeta_out(*argv):
+    """(exit code, stdout, stderr) of the zeta verb; Hypothesis tests take no capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["zeta", *argv])
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestZetaLineOfForests:
@@ -286,16 +306,31 @@ class TestZetaLineOfForests:
     @given(forest_texts("y"))
     @settings(max_examples=60, deadline=None)
     def test_y_forests(self, text):
-        code, out = _zeta_out(text)
+        code, out, _ = _zeta_out(text)
         assert code == 0
         assert out.splitlines()[0] == _zeta_line_by_strings(arborify_y(parse_forest(text)), "y")
 
     @given(forest_texts("x"))
     @settings(max_examples=25, deadline=None)
     def test_x_forests(self, text):
-        code, out = _zeta_out(text)
+        code, out, _ = _zeta_out(text)
         assert code == 0
         assert out.splitlines()[0] == _zeta_line_by_strings(arborify_x(parse_forest(text)), "x")
+
+
+word_texts = st.one_of(
+    st.lists(st.sampled_from(["y1", "y2", "y3", "y4"]), max_size=8),
+    st.lists(st.sampled_from(["x0", "x1"]), max_size=10),
+).map(lambda letters: ".".join(letters) or "e")
+
+
+class TestZetaWordIsItsLadder:
+    @given(word_texts, st.sampled_from(["1e-9", "1e-12"]))
+    @settings(max_examples=60, deadline=None)
+    def test_same_output_as_the_ladder(self, text, tol):
+        w = parse_word(text)
+        forest = print_tree(ladder(w)) if w.letters else "e"
+        assert _zeta_out("--word", text, "--tol", tol) == _zeta_out(forest, "--tol", tol)
 
 
 class TestVerify:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import clear_table, table_cost
 
@@ -22,10 +22,11 @@ from arborzeta.hoffman import compositions
 from arborzeta.lincomb import LinComb, ThetaPoly
 from arborzeta.words import Word, is_convergent_x, s_inverse, s_map, x_word, y_word
 from arborzeta.forests import Forest, make_tree, parse_forest, parse_tree, vertex
-from arborzeta.arborify import arborify_y, ladder
-from arborzeta.words import YLetter
+from arborzeta.arborify import arborify_x, arborify_y, ladder
+from arborzeta.words import X0, X1, YLetter
 from arborzeta.zeta import (
     NumericRegValue,
+    brute_rounding_bound,
     brute_tree_sum,
     compare_bmz,
     eval_comb_bounded,
@@ -584,12 +585,30 @@ class TestBruteTreeSum:
                     expanded += float(c) * naive_mzv(tuple(l.index for l in w.letters), N)
                 assert abs(brute - expanded) <= 1e-12, t
 
+    def test_rounding_bound_against_exact_sums(self):
+        # the same suffix recursion in exact rationals
+        from arborzeta.forests import bottom_up, enumerate_trees
+
+        N = 60
+        for n in range(1, 4):
+            for t in enumerate_trees(n, (YLetter(2), YLetter(3))):
+                suffix = {}
+                for s in bottom_up((t,)):
+                    g = [Fraction(0)] * (N + 2)
+                    for m in range(N, 0, -1):
+                        g[m] = g[m + 1] + math.prod((suffix[c][m + 1] for c in s.children),
+                                                    start=Fraction(1, m ** s.decoration.index))
+                    suffix[s] = g
+                value = brute_tree_sum(t, N)
+                assert abs(Fraction(value) - suffix[t][1]) <= brute_rounding_bound(t, N, value), t
+
     def test_oracle_equivalence_within_documented_bound(self):
+        # the truncation, the evaluator's certificate and the rounding of the truncated sum
         for text in ["y2", "y3(y2)", "y2(y2,y2)", "y2(y3)"]:
             t = parse_tree(text)
             lhs = brute_tree_sum(t, 5000)
-            rhs = zeta_tree_y(t, 1e-9)
-            assert abs(lhs - rhs) <= tree_truncation_bound(t, 5000) + 1e-8, text
+            rhs, bound = eval_tree_bounded(t, 1e-9)
+            assert abs(lhs - rhs) <= tree_truncation_bound(t, 5000) + bound + brute_rounding_bound(t, 5000, lhs), text
         # a cutoff sweep: the gap closes inside the tail bound at every N
         tol = 1e-10
         for text in ["y2", "y3(y2)", "y2(y3)", "y2(y2,y2)", "y3(y2,y2)"]:
@@ -597,8 +616,9 @@ class TestBruteTreeSum:
             value, bound = eval_tree_bounded(t, tol)
             assert bound <= tol, text
             for N in (100, 500, 2500, 12500):
-                gap = abs(value - brute_tree_sum(t, N))
-                assert gap <= tree_truncation_bound(t, N) + 10 * tol, (text, N)
+                brute = brute_tree_sum(t, N)
+                gap = abs(value - brute)
+                assert gap <= tree_truncation_bound(t, N) + bound + brute_rounding_bound(t, N, brute), (text, N)
 
     def test_truncation_bounds_refuse_small_cutoff(self):
         # both tail bounds are derived for N >= 50 only
@@ -645,6 +665,31 @@ def convergent_y_forests(draw):
         return make_tree(YLetter(index), [build(j) for j in kids[i]])
 
     return Forest(tuple(build(i) for i in roots))
+
+
+@st.composite
+def convergent_x_forests(draw):
+    """Forests of at most 6 vertices over {x0, x1} whose trees have two or more
+    vertices, an x1 root and x0 leaves."""
+    n = draw(st.integers(2, 6))
+    parents = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    roots = [i for i in range(n) if parents[i] is None or draw(st.integers(0, 4)) == 0]
+    kids = {i: [j for j in range(n) if parents[j] == i and j not in roots] for i in range(n)}
+    assume(all(kids[i] for i in roots))
+
+    def build(i, root=False):
+        letter = X1 if root else draw(st.sampled_from((X0, X1))) if kids[i] else X0
+        return make_tree(letter, [build(j) for j in kids[i]])
+
+    return Forest(tuple(build(i, True) for i in roots))
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the refusal it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
 
 
 class TestTreeEvaluator:
@@ -730,8 +775,21 @@ class TestTreeEvaluator:
     def test_divergent_and_wrong_alphabet_rejected(self):
         with pytest.raises(ValueError, match=r"^leaf decorated y1 makes the nested sum divergent \(needs index >= 2\)$"):
             eval_tree_bounded(parse_tree("y2(y1)"), 1e-9)
+        # an x-forest goes through its expansion, and a divergent one is refused before it
+        t = parse_tree("x1(x0)")
+        assert eval_tree_bounded(t, 1e-9) == eval_comb_bounded(arborify_x(Forest((t,))), 1e-9)
+        with pytest.raises(ValueError, match=r"^root decorated x0 makes the value divergent \(root must be x1\)$"):
+            eval_tree_bounded(parse_tree("x0(x0)"), 1e-9)
+        # the first tree names the alphabet, and a tree of the other one is refused
         with pytest.raises(ValueError, match="^expected y-decorations, found x0$"):
-            eval_tree_bounded(parse_tree("x1(x0)"), 1e-9)
+            eval_tree_bounded(Forest((parse_tree("y2"), t)), 1e-9)
+        with pytest.raises(ValueError, match="^expected x-decorations, found y2$"):
+            eval_tree_bounded(Forest((t, parse_tree("y2"))), 1e-9)
+
+    @given(convergent_x_forests(), st.sampled_from([1e-9, 1e-12]))
+    @settings(max_examples=40, deadline=None)
+    def test_x_forests_through_their_expansion(self, f, tol):
+        assert _outcome(eval_tree_bounded, f, tol) == _outcome(eval_comb_bounded, arborify_x(f), tol)
 
     @given(convergent_y_forests())
     @settings(max_examples=30, deadline=None)
