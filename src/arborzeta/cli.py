@@ -99,8 +99,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     trees = enumerate_trees(args.n, letters)
     noun = "tree" if len(trees) == 1 else "trees"
     print(f"{len(trees)} {noun}")
-    for t in trees:
-        print(print_tree(t))
+    print("\n".join(map(print_tree, trees)))
     return 0
 
 

@@ -43,7 +43,10 @@ The census (``enumerate_trees``, ``enumerate_forests``) builds every smaller
 size exactly once per call, bottom-up: the trees with m vertices are the
 canonical forests with m - 1 vertices grafted under each decoration, which
 come out in canonical order with no sorting, and the forests with m vertices
-extend each tree by a smaller forest of trees no smaller than it.  The
+extend each tree by a smaller forest of trees no smaller than it.  A forest
+is one record, its trees, their keys and the index of its first tree, shared
+by every decoration: ``_fill``, which fills every ``Tree(...)``, stores the
+key (m, rank, the record's keys) with no loop over the children.  The
 decorations must be distinct and come from one alphabet, since the canonical
 key ranks a decoration by its value alone.
 """
@@ -53,31 +56,28 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from functools import partial, reduce
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence, Tuple
 
-from .lincomb import _TABLE, TERM_COST, Immutable, LinComb, TensorPair, bilinear, table_put, tabled
+from .lincomb import _TABLE, TERM_COST, Immutable, LinComb, TensorPair, bilinear, slot_setters, table_put, tabled
 from .words import Letter, ParseError, letter_rank, letter_weight, parse_letter_at
 
 
 class Tree(Immutable):
     """Root decoration plus canonically sorted children.
 
-    The canonical key (vertex count, root decoration rank, child keys) and the
-    hash are computed once, from the children's stored values.
+    The canonical key (vertex count, root decoration rank, child keys), built from
+    the children's stored keys, and the hash are stored once, by ``_fill``.
     """
 
     __slots__ = ("decoration", "children", "key", "_hash")
 
     def __init__(self, decoration: Letter, children: Tuple["Tree", ...] = ()):
-        n, kids = 1, []  # a plain loop: the census builds tens of thousands of trees
+        n, kids = 1, []  # a plain loop: for a few children it beats two comprehensions
         for c in children:
             kids.append(k := c.key)
             n += k[0]
-        object.__setattr__(self, "decoration", decoration)
-        object.__setattr__(self, "children", children)
-        object.__setattr__(self, "key", (n, letter_rank(decoration), tuple(kids)))
-        object.__setattr__(self, "_hash", hash((decoration, children)))
+        _fill(self, decoration, children, (n, letter_rank(decoration), tuple(kids)))
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not Tree:
@@ -111,8 +111,8 @@ class Forest(Immutable):
     __slots__ = ("trees", "_hash")
 
     def __init__(self, trees: Tuple[Tree, ...] = ()):
-        object.__setattr__(self, "trees", trees)
-        object.__setattr__(self, "_hash", hash(trees))
+        _set_trees(self, trees)
+        _set_forest_hash(self, hash(trees))
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not Forest:
@@ -126,16 +126,25 @@ class Forest(Immutable):
         return Forest, (self.trees,)
 
     def __str__(self) -> str:
-        if not self.trees:
-            return "e"
-        return ";".join(print_tree(t) for t in self.trees)
+        return ";".join(map(print_tree, self.trees)) or "e"
 
     def __repr__(self) -> str:
         return f"Forest({self})"
 
 
+_set_decoration, _set_children, _set_key, _set_tree_hash = slot_setters(Tree)
+_set_trees, _set_forest_hash = slot_setters(Forest)
 EMPTY_FOREST = Forest()
 _KEY = attrgetter("key")  # canonical sort key: (vertex count, root rank, child keys)
+
+
+def _fill(t: Tree, decoration: Letter, children: Tuple[Tree, ...], key: tuple) -> Tree:
+    """Store a tree's fields, its canonical key and its hash in t; returns t."""
+    _set_decoration(t, decoration)
+    _set_children(t, children)
+    _set_key(t, key)
+    _set_tree_hash(t, hash((decoration, children)))
+    return t
 
 
 def size(t: Tree) -> int:
@@ -234,18 +243,23 @@ def enumerate_trees(n: int, decorations: Sequence[Letter]) -> list:
     set, sorted by the canonical key and free of duplicates."""
     if n == 0:
         return []
-    decos, forests = _census(n - 1, decorations)
-    return [Tree(d, f) for d in decos for f in forests[n - 1]]
+    return _graft(*_census(n - 1, decorations), n)
 
 
 def enumerate_forests(n: int, decorations: Sequence[Letter]) -> list:
     """All canonical forests with exactly n vertices, in canonical order."""
-    return [Forest(f) for f in _census(n, decorations)[1][n]]
+    return [Forest(f) for f, *_ in _census(n, decorations)[1][n]]
+
+
+def _graft(decos: list, records: list, m: int) -> list:
+    """The trees with m vertices: each decoration over each record in records[m - 1]."""
+    return [_fill(Tree.__new__(Tree), d, f, (m, r, keys))
+            for d in decos for r in (letter_rank(d),) for f, keys, _ in records[m - 1]]
 
 
 def _census(n: int, decorations: Sequence[Letter]) -> Tuple[list, list]:
-    """The decorations sorted by rank, and for m = 0..n the canonical forests
-    with m vertices as tuples of trees, in canonical order (see above)."""
+    """The decorations sorted by rank, and for m = 0..n the records of the canonical
+    forests with m vertices, in canonical order (see above)."""
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     decos = sorted(decorations, key=letter_rank)
@@ -253,17 +267,15 @@ def _census(n: int, decorations: Sequence[Letter]) -> Tuple[list, list]:
         names = ", ".join(map(str, decorations))
         raise ValueError(f"decorations must be distinct letters of one alphabet, got {names}")
     trees: list = []  # every tree built so far, in canonical order
-    forests, heads = [[()]], [[float("inf")]]  # heads[m]: index in trees of each forest's first tree
+    records = [[((), (), float("inf"))]]  # per forest: its trees, their keys, the index of its first tree
     for m in range(1, n + 1):
-        trees += [Tree(d, f) for d in decos for f in forests[m - 1]]
-        level, first = [], []
-        for i, t in enumerate(trees):
-            rest = forests[m - t.key[0]][bisect_left(heads[m - t.key[0]], i):]
-            level += [(t,) + r for r in rest]
-            first += [i] * len(rest)
-        forests.append(level)
-        heads.append(first)
-    return decos, forests
+        trees += _graft(decos, records, m)
+        level = []
+        for i, t in enumerate(trees):  # t, then a smaller forest of trees no smaller than t
+            rest = records[m - t.key[0]]
+            level += [((t,) + f, (t.key,) + keys, i) for f, keys, _ in rest[bisect_left(rest, i, key=itemgetter(2)):]]
+        records.append(level)
+    return decos, records
 
 
 def print_tree(t: Tree) -> str:

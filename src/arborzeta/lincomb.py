@@ -4,8 +4,8 @@ Four building blocks live here: exact rational scalars, formal linear
 combinations over an arbitrary hashable basis, the elementary tensor
 ``TensorPair``, and polynomials in the regularization variable theta with
 coefficients in any additive type.  ``Immutable`` is the base of the value
-types (letters, words, trees, forests, tensor pairs): slotted classes written
-by hand, since importing ``dataclasses`` costs more than the package itself.
+types, slotted classes written by hand (importing ``dataclasses`` costs more
+than the package); ``slot_setters`` gives their constructors fast stores.
 
 A stored coefficient is an ``int`` when it is integral and otherwise a stdlib
 ``Fraction`` in lowest terms with denominator greater than 1.  Arborification,
@@ -54,8 +54,8 @@ def _coerce(c: Scalar) -> Scalar:
 
 
 class Immutable:
-    """Base of the slotted value types: each sets its slots once, in ``__init__``,
-    through ``object.__setattr__``, and setting or deleting one later raises."""
+    """Base of the slotted value types: setting or deleting a slot raises, so
+    each type fills its slots once, at construction, past this refusal."""
 
     __slots__ = ()
 
@@ -65,15 +65,20 @@ class Immutable:
     __delattr__ = __setattr__
 
 
+def slot_setters(cls: type) -> tuple:
+    """The C-level setters of cls's own slots, in order: ``setter(obj, value)``."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+
 class TensorPair(Immutable):
     """Elementary tensor with a left and a right component; its hash is computed once."""
 
     __slots__ = ("left", "right", "_hash")
 
     def __init__(self, left: object, right: object):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "_hash", hash((left, right)))
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_pair_hash(self, hash((left, right)))
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not TensorPair:
@@ -91,6 +96,9 @@ class TensorPair(Immutable):
 
     def __repr__(self) -> str:
         return f"TensorPair(left={self.left!r}, right={self.right!r})"
+
+
+_set_left, _set_right, _set_pair_hash = slot_setters(TensorPair)
 
 
 class LinComb:
@@ -160,9 +168,9 @@ class LinComb:
     def __add__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):
             return NotImplemented
-        if not other:
+        if not other._terms:
             return self
-        if not self:
+        if not self._terms:
             return other
         data = dict(self._terms)
         for elem, c in other._terms.items():
@@ -280,10 +288,7 @@ class ThetaPoly:
         for k, c in items:
             if not isinstance(k, int) or k < 0:
                 raise ValueError(f"theta exponent must be a nonnegative integer, got {k!r}")
-            if k in data:
-                data[k] = data[k] + c
-            else:
-                data[k] = c
+            data[k] = data[k] + c if k in data else c
         self._c = {k: c for k, c in data.items() if c}
 
     @classmethod

@@ -35,7 +35,7 @@ from functools import lru_cache, total_ordering
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Tuple, Union
 
-from .lincomb import Immutable, LinComb, TensorPair, tabled
+from .lincomb import Immutable, LinComb, TensorPair, slot_setters, tabled
 
 
 @total_ordering
@@ -122,8 +122,8 @@ class Word(Immutable):
     __slots__ = ("letters", "_hash")
 
     def __init__(self, letters: Tuple[Letter, ...] = ()):
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "_hash", hash(letters))
+        _set_letters(self, letters)
+        _set_word_hash(self, hash(letters))
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not Word:
@@ -140,14 +140,13 @@ class Word(Immutable):
         return len(self.letters)
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "e"
-        return ".".join(str(l) for l in self.letters)
+        return ".".join(map(str, self.letters)) or "e"
 
     def __repr__(self) -> str:
         return f"Word({self})"
 
 
+_set_letters, _set_word_hash = slot_setters(Word)
 EMPTY_WORD = Word()
 
 
@@ -269,9 +268,7 @@ def is_convergent_y(w: Word) -> bool:
 
 def is_convergent_x(v: Word) -> bool:
     """An integration word is convergent when it starts with x0 and ends with x1."""
-    if not v.letters:
-        return True
-    return v.letters[0] == X0 and v.letters[-1] == X1
+    return not v.letters or (v.letters[0] == X0 and v.letters[-1] == X1)
 
 
 class ParseError(ValueError):

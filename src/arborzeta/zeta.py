@@ -126,7 +126,7 @@ from .arborify import (
     divergence_reason_x,
     divergence_reason_y,
 )
-from .forests import Forest, Tree, bottom_up, size
+from .forests import Forest, Tree, bottom_up, grade, size
 from .lincomb import _TABLE, NEG_INF, TERM_COST, LinComb, ThetaPoly, table_put, trim
 from .words import (
     Word,
@@ -152,6 +152,7 @@ _LogPow = Dict[Tuple[int, int], float]
 _EM_REMAINDER = 2.2e-4   # >= 2*zeta(5)/(2*pi)^5, remainder factor after the B4 term
 _A_MAX = 12              # expansion order kept in x^-a
 _ROUNDING_SLOP = 2.0e-13 # double-precision allowance folded into every word bound
+_NAMED_MAX = 120         # a refusal names a forest whose text is longer by a prefix
 
 
 def _check_tol(tol: float) -> None:
@@ -764,7 +765,8 @@ def eval_tree_bounded(f: Union[Forest, Tree], tol: float = 1e-9) -> Tuple[float,
             return value, bound
         # the rounding term grows with K, so once it exceeds tol nothing helps
         if K >= 64000 or rounding > tol:
-            raise ArithmeticError(f"cannot certify the forest {f} to {tol:g}: best bound {bound:g}")
+            named = s if len(s := str(f)) <= _NAMED_MAX else f"{s[:_NAMED_MAX]}... ({grade(f)} vertices)"
+            raise ArithmeticError(f"cannot certify the forest {named} to {tol:g}: best bound {bound:g}")
         K *= 2
 
 

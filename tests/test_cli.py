@@ -224,6 +224,13 @@ class TestZeta:
         code, out, _ = run(capsys, "zeta", "--word", word, "--tol", "1e-11")
         assert code == 0 and abs(_value_line(out)[1] - 1.000030588236307) <= 1e-11 + 1e-12
 
+    def test_long_refusal_names_a_prefix(self, capsys):
+        # a forest whose text is long is named by a prefix and its vertex count
+        code, out, err = run(capsys, "zeta", "--word", "y2." + ".".join(["y1"] * 999), "--tol", "1e-12")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot certify the forest y1(") and len(err.encode()) < 300
+        assert "... (1000 vertices) to 1e-12: best bound " in err
+
     def test_argument_arity(self, capsys):
         assert run(capsys, "zeta")[0] == 2
         assert run(capsys, "zeta", "y2(y2)", "--word", "y2")[0] == 2

@@ -44,7 +44,7 @@ from arborzeta.forests import (
     vertex,
 )
 
-Y1, Y2 = YLetter(1), YLetter(2)
+Y1, Y2, Y3 = YLetter(1), YLetter(2), YLetter(3)
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +173,14 @@ class TestCensusOracle:
         assert len(labeled_census(3, (Y1, Y2))) == 14
 
     def test_enumerate_trees_equals_census(self):
-        for n in range(1, 6):
-            got = set(enumerate_trees(n, (Y1, Y2)))
-            assert got == labeled_census(n, (Y1, Y2))
+        for decorations in ((Y1, Y2), (Y1, Y2, Y3)):
+            for n in range(1, 6):
+                trees = enumerate_trees(n, decorations)
+                assert set(trees) == labeled_census(n, decorations)
+                # each census tree is grafted from a forest record, not by Tree(...)
+                for t in trees:
+                    for other in (Tree(t.decoration, t.children), parse_tree(print_tree(t))):
+                        assert other == t and hash(other) == hash(t) and other.key == t.key
 
 
 class TestEnumeration:
@@ -259,7 +264,7 @@ class TestCanonicalForm:
             return (ref_size(t), rank, tuple(ref_key(c) for c in t.children))
 
         for n in range(1, 6):
-            for t in enumerate_trees(n, (Y1, Y2)) + enumerate_trees(n, (X0, X1)):
+            for t in enumerate_trees(n, (Y1, Y2)) + enumerate_trees(n, (X0, X1)) + enumerate_trees(n, (Y1, Y2, Y3)):
                 assert t.key == ref_key(t)
                 assert t._hash == hash((t.decoration, t.children))
                 assert size(t) == n

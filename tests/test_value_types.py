@@ -8,9 +8,9 @@ import pickle
 
 import pytest
 
-from arborzeta.forests import EMPTY_FOREST, Forest, Tree, parse_forest, parse_tree
+from arborzeta.forests import EMPTY_FOREST, Forest, Tree, enumerate_trees, parse_forest, parse_tree
 from arborzeta.lincomb import TensorPair
-from arborzeta.words import EMPTY_WORD, Word, parse_word
+from arborzeta.words import EMPTY_WORD, Word, YLetter, parse_word
 
 TREE = parse_tree("y3(y1,y2(y2))")
 VALUES = [
@@ -21,6 +21,7 @@ VALUES = [
     EMPTY_FOREST,
     TensorPair(parse_forest("x1(x0);x0"), EMPTY_FOREST),
     TensorPair(parse_word("x0.x1"), EMPTY_WORD),
+    enumerate_trees(4, (YLetter(1), YLetter(2)))[-1],  # built by the census, not by Tree(...)
 ]
 
 
