@@ -23,14 +23,14 @@ empty word or the empty forest.
 
 ``_TABLE`` is the package's one cache, of pure results keyed by (name,
 argument): the images of the ``tabled`` basis maps (the coproduct, both
-arborifications, deconcatenation), the tree kernel's vertex tails in one
-dict per cutoff K under ("tails", K), and word values under
-("eval_mzv_bounded", (index, tol)).  Only this module enters or clears
-entries, under one budget of 2^18 cost units: a tail float costs 1, and a
-``LinComb`` term or a (value, bound) pair 16, as tracemalloc measures about
-14 bytes per float and 270 to 350 per term or pair.  A call done with the
-table calls ``trim``, which clears it if it holds more: at most about
-3.7 MB of tails or 5.7 MB of terms.  What it holds never changes a result.
+arborifications, deconcatenation), the tree kernel's vertex tails and the
+k^-n lists of both evaluators in one dict per cutoff K under ("tails", K),
+and word values under ("eval_mzv_bounded", (index, tol)).  Only this module
+enters or clears entries, under one budget of 2^18 cost units: a tail float
+costs 1, and a ``LinComb`` term or a (value, bound) pair 16, as tracemalloc
+measures about 14 bytes per float and 270 to 350 per term or pair.  A call
+done with the table calls ``trim``, which clears it if it holds more: at most
+about 3.7 MB of tails or 5.7 MB of terms.  What it holds never changes a result.
 """
 
 from __future__ import annotations

@@ -9,8 +9,10 @@ converges far too slowly near the weight-2 boundary, so the evaluator sums
 the region k1 < K exactly and corrects the tail with Euler-Maclaurin,
 recursing on depth:
 
-* One ascending pass computes the exact partial sums F_j(K) of every suffix,
-  where F_j(k) = sum over k > m_j > ... > m_r >= 1 of the suffix factors.
+* The exact partial sums F_j(K) of every suffix, where F_j(k) = sum over
+  k > m_j > ... > m_r >= 1 of the suffix factors, come one level at a time
+  from the innermost: the Kahan-compensated running sum of F_{j+1}(m) m^(-n_j)
+  over m < K, whose terms take k^(-n_j) from the tree kernel's list for K.
 * Walking suffixes from the innermost outwards, each F_j is given an
   asymptotic expansion in the basis x^(-a) ln(x)^b.  If F_{j+1} has expansion
   E(x), then g(x) = x^(-n_j) E(x) and Euler-Maclaurin gives
@@ -65,7 +67,8 @@ a tree's value is T_root(0) and a forest's value the product over its trees.
   products skip zero coefficients, one descending pass applies the monomial
   rules for -Phi - g and g^(5), and values at K sum the highest order first.
 * Below K the exact backward pass T_v(m) = T_v(m+1) + (m+1)^(-n) prod
-  T_c(m+1) runs from the seed T_v(K) = E_v(K), with one table of k^(-n) per n.
+  T_c(m+1) runs from the seed T_v(K) = E_v(K), with one list of k^(-n) per n,
+  which the word route's exact pass reads too.
 * The bound.  Above K a decaying majorant err_v >= |T_v - E_v| collects the
   Euler-Maclaurin remainder 2*zeta(5)/(2*pi)^5 * integral of |g^(5)|, the
   pruned orders, the coefficient rounding of the expansions and the child
@@ -293,23 +296,38 @@ def _stray_terms(err: _LogPow, n: int, K: int) -> Tuple[_LogPow, Optional[float]
     return out, at_inf
 
 
+def _inverse_powers(table: dict, n: int, K: int) -> list:
+    """table[n], the list of k^-n for k = 1..K in the table's dict for K, which
+    both evaluators read; built and charged one unit per float on first use."""
+    got = table.get(n)
+    if got is None:
+        got = table[n] = [float(k) ** -n for k in range(1, K + 1)]
+        table_put(("tails", K), table, K)
+    return got
+
+
+def _exact_sums(exponents: MzvIndex, K: int) -> list:
+    """[0, F_1(K), ..., F_r(K), 1]: one Kahan-compensated running sum per level,
+    from the innermost, of F_{j+1}(m) m^-n_j over m = 1..K-1 in ascending order."""
+    F = [0.0] * (len(exponents) + 1) + [1.0]
+    run, table = [1.0] * (K - 1), _TABLE.get(("tails", K)) or table_put(("tails", K), {}, 0)
+    for j in range(len(exponents), 0, -1):
+        out, s, c = [0.0], 0.0, 0.0
+        for x in map(mul, run, _inverse_powers(table, exponents[j - 1], K)):
+            y = x - c
+            t = s + y
+            c = (t - s) - y
+            s = t
+            out.append(s)
+        F[j] = out.pop()
+        run = out  # F_j(m) for m = 1..K-1, the next level's factors
+    return F
+
+
 def _mzv_em(exponents: MzvIndex, K: int) -> Tuple[float, float]:
     """Accelerated value and certified mathematical tail bound at cutoff K."""
     r = len(exponents)
-    # exact suffix partial sums F_j(K), one ascending Kahan-compensated pass
-    F = [0.0] * (r + 2)
-    F[r + 1] = 1.0
-    comp = [0.0] * (r + 1)
-    powers = [-n for n in exponents]
-    for m in range(1, K):
-        fm = float(m)
-        for j in range(1, r + 1):
-            term = F[j + 1] * fm ** powers[j - 1]
-            y = term - comp[j - 1]
-            t = F[j] + y
-            comp[j - 1] = (t - F[j]) - y
-            F[j] = t
-
+    F = _exact_sums(exponents, K)  # exact suffix partial sums F_j(K)
     expn: _LogPow = {(0, 0): 1.0}
     err: _LogPow = {}
     for j in range(r, 0, -1):
@@ -592,7 +610,7 @@ def hoffman_reg_relation(w: Word) -> LinComb:
 # ---------------------------------------------------------------------------
 # tree-level values; a dense power list's entry a is the coefficient of x^-a
 
-_TREE_K0 = 125  # doubled up to 125 * 2**9 = 64000, the ceiling of eval_mzv_bounded
+_TREE_K0 = 125  # doubled up to 125 * 2**9 = 64000; the word cutoffs 1000 * 2**j are among these
 
 
 def _gamma(n: int) -> float:
@@ -705,11 +723,8 @@ def _add_tail(t: Tree, table: dict, K: int) -> None:
     err_t = _ps_add(err_t, [abs(c) for c in E_t], _gamma(nE + 3))
 
     # below K: T(m) = T(m+1) + (m+1)^-n prod T_c(m+1) from T(K) = E_t(K), and
-    # eps(m) = eps(m+1) + (m+1)^-n (prod(T_c + eps_c) - prod T_c) from err_t(K);
-    # table[n] holds k^-n for k = 1..K, used by every vertex decorated y_n
-    summand = table.setdefault(n, [])
-    floats += K - len(summand)
-    summand += [float(k) ** -n for k in range(len(summand) + 1, K + 1)]
+    # eps(m) = eps(m+1) + (m+1)^-n (prod(T_c + eps_c) - prod T_c) from err_t(K)
+    summand = _inverse_powers(table, n, K)
     defect = None
     for _, _, T, eps, *_ in kids:
         defect = (list(map(mul, summand, eps[1:])) if defect is None  # first child: d = 0

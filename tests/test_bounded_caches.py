@@ -128,7 +128,7 @@ def test_one_budget_for_every_kind_of_entry(monkeypatch):
     for _, fn, arg in calls:
         clear_table()
         cold.append(fn(arg))
-    budget = 1000
+    budget = 2048  # holds one call on a two-letter word: two K = 1000 lists of k^-n and a pair
     monkeypatch.setattr(lincomb, "_TABLE_BUDGET", budget)
     # interleaved: each kind's calls in turn, so a clear by one kind drops the others' entries
     by_kind = [[(i, fn, arg) for i, (k, fn, arg) in enumerate(calls) if k == kind]

@@ -922,6 +922,63 @@ class TestPerCutoffTables:
         clear_table()
 
 
+def _ascending_sums(exponents, K):
+    """The word route's exact pass as one ascending loop over m, which updates
+    the r Kahan-compensated sums in turn: the reference for _exact_sums."""
+    r = len(exponents)
+    F = [0.0] * (r + 2)
+    F[r + 1] = 1.0
+    comp = [0.0] * (r + 1)
+    powers = [-n for n in exponents]
+    for m in range(1, K):
+        fm = float(m)
+        for j in range(1, r + 1):
+            term = F[j + 1] * fm ** powers[j - 1]
+            y = term - comp[j - 1]
+            t = F[j] + y
+            comp[j - 1] = (t - F[j]) - y
+            F[j] = t
+    return F
+
+
+class TestSharedPowerLists:
+    """The word route sums one level at a time over the k^-n lists that the
+    tree kernel keeps in the table's dict for K."""
+
+    def test_word_and_tree_share_the_lists(self, monkeypatch):
+        import arborzeta.zeta as zeta_mod
+
+        clear_table()
+        eval_mzv_bounded((2, 1), 1e-9)
+        assert _cutoffs() == [1000]
+        table = lincomb._TABLE["tails", 1000]
+        lists = {n: table[n] for n in (1, 2)}
+        assert sorted(k for k in table if isinstance(k, int)) == [1, 2]
+        for n, got in lists.items():
+            assert got == [float(k) ** -n for k in range(1, 1001)]
+        assert lincomb._table_cost == table_cost() == 2 * 1000 + lincomb.TERM_COST
+        # the tree kernel at the same cutoff reads the same list objects
+        monkeypatch.setattr(zeta_mod, "_TREE_K0", 1000)
+        eval_tree_bounded(parse_tree("y1(y2)"), 1e-9)
+        assert lincomb._TABLE["tails", 1000] is table
+        assert all(table[n] is got for n, got in lists.items())
+        assert lincomb._table_cost == table_cost()
+        clear_table()
+
+    def test_level_passes_are_bit_identical(self):
+        from arborzeta.zeta import _exact_sums
+
+        indices = [e for w in range(2, 8) for e in compositions(w) if e[0] >= 2]
+        assert len(indices) == 63
+        for K in (1000, 2000):
+            for e in indices:
+                assert [x.hex() for x in _exact_sums(e, K)] == [x.hex() for x in _ascending_sums(e, K)], (e, K)
+        # k^-1000 underflows to 0 for k >= 3
+        e = (2, 1000, 1)
+        assert [x.hex() for x in _exact_sums(e, 1000)] == [x.hex() for x in _ascending_sums(e, 1000)]
+        clear_table()
+
+
 class TestDeepTrees:
     def test_twin_deep_subtrees(self):
         # parse_forest builds the twins as one object, so sorting them compares one key
