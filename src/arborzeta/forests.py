@@ -16,10 +16,12 @@ recursively); serialization follows the grammar::
 
 with decorations written as letter tokens (x0, x1, y3, ...) and whitespace
 insignificant.  Printing always emits the canonical form.  ``parse_forest``
-is one loop over a stack of the vertices still open: a letter opens a vertex
-on '(' and otherwise closes it and every vertex whose ')' follows.  Within
-one call it keeps a single object per distinct subtree, so equal siblings
-sort by one shared key.
+reads the tokens of one regex scan with a stack of the vertices still open:
+a letter opens a vertex on '(' and otherwise closes it and every vertex whose
+')' follows.  A closed subtree is the table's entry ("tree", (decoration,
+children)), built on first use, so equal subtrees of all texts read since the
+table last cleared are one object: equal siblings sort by one shared key, and
+a later lookup of a subtree matches it by identity.
 
 The tree folds of the paper (both arborifications, the tree sums, the
 weight) run from the leaves up; ``bottom_up`` lists every vertex after all
@@ -59,8 +61,8 @@ from functools import partial, reduce
 from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence, Tuple
 
-from .lincomb import _TABLE, TERM_COST, Immutable, LinComb, TensorPair, bilinear, slot_setters, table_put, tabled
-from .words import Letter, ParseError, letter_rank, letter_weight, parse_letter_at
+from .lincomb import _TABLE, TERM_COST, Immutable, LinComb, TensorPair, bilinear, slot_setters, table_put, tabled, trim
+from .words import LETTER_TOKEN, Letter, ParseError, letter_error, letter_of, letter_rank, letter_weight
 
 
 class Tree(Immutable):
@@ -296,44 +298,57 @@ def print_tree(t: Tree) -> str:
     return "".join(out)
 
 
+_TOKEN = re.compile(rf"\s*({LETTER_TOKEN}|\S)")  # a letter or one other character; \s is str.isspace
+
+
+def _token_start(text: str, i: int) -> int:
+    """Where token i of text starts, or len(text) past its last token."""
+    starts = [m.start(1) for m in _TOKEN.finditer(text)]
+    return starts[i] if i < len(starts) else len(text)
+
+
 def parse_forest(text: str) -> Forest:
     """Parse the forest grammar; raises ParseError with a position on bad input."""
-    space = re.compile(r"\s*").match  # \s is exactly str.isspace
-    pos = space(text).end()
-    if text.startswith("e", pos):
-        pos = space(text, pos + 1).end()
-        if pos < len(text):
-            raise ParseError("unexpected input after the empty forest 'e'", pos)
+    tokens = _TOKEN.findall(text)
+    if not tokens:
+        raise ParseError("empty input, expected a forest", len(text))
+    if tokens[0] == "e":
+        if len(tokens) > 1:
+            raise ParseError("unexpected input after the empty forest 'e'", _token_start(text, 1))
         return EMPTY_FOREST
-    if pos == len(text):
-        raise ParseError("empty input, expected a forest", pos)
+    tokens.append("")  # the end of the text
     stack = [(None, [])]  # the open vertices as (decoration, children); the bottom one holds the trees
-    built: dict = {}  # one object per distinct subtree, so equal siblings sort by one key
-    alphabets = set()
+    i = 0
     while True:
-        letter, pos = parse_letter_at(text, space(text, pos).end())
-        alphabets.add(type(letter))
+        letter = letter_of(tokens[i])
+        if letter is None:
+            raise letter_error(text, _token_start(text, i))
         stack.append((letter, []))
-        pos = space(text, pos).end()
-        if text.startswith("(", pos):
-            pos += 1
+        i += 1
+        if tokens[i] == "(":
+            i += 1
             continue
         while True:  # close the vertex just read, and each one whose ')' follows
-            node = make_tree(*stack.pop())
-            stack[-1][1].append(built.setdefault(node, node))
-            found = text[pos:pos + 1]
-            if found == (";" if len(stack) == 1 else ","):
+            decoration, kids = stack.pop()
+            kids = tuple(sorted(kids, key=_KEY) if kids[1:] else kids)  # in canonical order
+            node = _TABLE.get(key := ("tree", (decoration, kids))) or table_put(key, Tree(decoration, kids), TERM_COST)
+            stack[-1][1].append(node)
+            tok = tokens[i]
+            if tok == (";" if len(stack) == 1 else ","):
                 break
             if len(stack) == 1:
-                if found:
+                if tok:
+                    pos = _token_start(text, i)
                     raise ParseError(f"unexpected trailing input {text[pos:pos + 8]!r}", pos)
-                if len(alphabets) > 1:
+                if "x" in text and "y" in text:  # in a valid text only the letters hold an x or a y
                     raise ParseError("forest mixes the x and y alphabets", 0)
+                trim()
                 return make_forest(stack[0][1])
-            if found != ")":
-                raise ParseError(f"expected ')', found {repr(found) if found else 'end of input'}", pos)
-            pos = space(text, pos + 1).end()
-        pos += 1
+            if tok != ")":
+                found = repr(tok[0]) if tok else "end of input"
+                raise ParseError(f"expected ')', found {found}", _token_start(text, i))
+            i += 1
+        i += 1
 
 
 def parse_tree(text: str) -> Tree:

@@ -25,12 +25,15 @@ empty word or the empty forest.
 argument): the images of the ``tabled`` basis maps (the coproduct, both
 arborifications, deconcatenation), the tree kernel's vertex tails and the
 k^-n lists of both evaluators in one dict per cutoff K under ("tails", K),
-and word values under ("eval_mzv_bounded", (index, tol)).  Only this module
-enters or clears entries, under one budget of 2^18 cost units: a tail float
-costs 1, and a ``LinComb`` term or a (value, bound) pair 16, as tracemalloc
-measures about 14 bytes per float and 270 to 350 per term or pair.  A call
-done with the table calls ``trim``, which clears it if it holds more: at most
-about 3.7 MB of tails or 5.7 MB of terms.  What it holds never changes a result.
+word values under ("eval_mzv_bounded", (index, tol)), and the parsed subtrees
+under ("tree", (decoration, children)).  Only this module enters or clears
+entries, under one budget of 2^18 cost units: a float costs 1, and a
+``LinComb`` term, a (value, bound) pair or a subtree 16.  Tracemalloc measures
+per unit about 14 bytes for a tail's floats, 32 for a k^-n list (a list of
+float objects), 17 to 22 for terms and pairs and 26 for subtrees (414 each).
+A call done with the table calls ``trim``, which clears it if it holds more:
+at most about 3.7 MB of tails, 5.7 MB of terms, 6.8 MB of subtrees or 8.5 MB
+of k^-n lists.  What it holds never changes a result.
 """
 
 from __future__ import annotations

@@ -279,39 +279,45 @@ class ParseError(ValueError):
         self.position = position
 
 
-_LETTER_RE = re.compile(r"x[01]|y[1-9][0-9]*")
+LETTER_TOKEN = r"x[01]|y[1-9][0-9]*"
+_LETTER_RE = re.compile(LETTER_TOKEN)
+_WORD_TOKENS = re.compile(LETTER_TOKEN + r"|.", re.S).findall  # a letter, or any one character
 
 
-def parse_letter_at(text: str, pos: int) -> Tuple[Letter, int]:
-    """Parse one letter token at pos; returns the letter and the next position."""
-    m = _LETTER_RE.match(text, pos)
-    if not m:
-        found = repr(text[pos:pos + 8]) if pos < len(text) else "end of input"
-        raise ParseError(f"expected a letter token (x0, x1, or y<n>), found {found}", pos)
-    tok = m.group(0)
-    letter: Letter = XLetter(int(tok[1])) if tok[0] == "x" else y_letter(int(tok[1:]))
-    return letter, m.end()
+@lru_cache(maxsize=1 << 10)  # a round of any bench/ workload reads under 10 distinct tokens
+def letter_of(token: str) -> Optional[Letter]:
+    """The letter a token names (``y2`` gives y2), or None for any other text."""
+    if not _LETTER_RE.fullmatch(token):
+        return None
+    return XLetter(int(token[1])) if token[0] == "x" else y_letter(int(token[1:]))
+
+
+def letter_error(text: str, pos: int) -> ParseError:
+    """The refusal of text at pos, where a letter token should start."""
+    found = repr(text[pos:pos + 8]) if pos < len(text) else "end of input"
+    return ParseError(f"expected a letter token (x0, x1, or y<n>), found {found}", pos)
 
 
 def parse_word(text: str) -> Word:
     """Parse ``letter ('.' letter)* | 'e'``; whitespace at the ends is ignored,
-    and an error's position counts from the start of ``text``."""
+    and an error's position counts from the start of ``text``.  One scan splits
+    the text into tokens, letters at the even places and dots between them."""
     body = text.rstrip()  # the letters lie in body[start:], at their places in text
-    start = pos = len(body) - len(body.lstrip())
+    start = len(body) - len(body.lstrip())
     if body[start:] == "e":
         return EMPTY_WORD
     if start == len(body):
         raise ParseError("empty input, expected a word", 0)
-    letters = []
-    while True:
-        letter, pos = parse_letter_at(body, pos)
-        letters.append(letter)
-        if pos == len(body):
-            break
-        if body[pos] != ".":
-            raise ParseError(f"expected '.' between letters, found {body[pos]!r}", pos)
-        pos += 1
-    kinds = {type(l) for l in letters}
-    if len(kinds) > 1:
+    tokens = _WORD_TOKENS(body, start)
+    letters = tuple(map(letter_of, tokens[::2]))
+    if len(tokens) % 2 == 0 or None in letters or tokens[1::2].count(".") < len(tokens) // 2:
+        pos = start
+        for i, tok in enumerate(tokens + [""]):  # the first token out of place; "" ends the text
+            if i % 2 == 0 and letter_of(tok) is None:
+                raise letter_error(body, pos)
+            if i % 2 and tok != ".":
+                raise ParseError(f"expected '.' between letters, found {tok[0]!r}", pos)
+            pos += len(tok)
+    if "x" in body and "y" in body:  # in a valid text only the letters hold an x or a y
         raise ParseError("word mixes the x and y alphabets", start)
-    return Word(tuple(letters))
+    return Word(letters)

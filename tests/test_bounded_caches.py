@@ -11,7 +11,7 @@ import arborzeta
 from arborzeta import lincomb, words, zeta
 from arborzeta.arborify import arborify_x, arborify_y
 from arborzeta.cli import main
-from arborzeta.forests import coproduct, enumerate_forests, enumerate_trees
+from arborzeta.forests import coproduct, enumerate_forests, enumerate_trees, parse_forest, print_tree
 from arborzeta.words import X0, X1, Word, YLetter, deconcat, quasi_shuffle, y_word
 from conftest import clear_table, table_cost
 
@@ -120,6 +120,8 @@ def _one_budget_calls():
         yield "tails", zeta.eval_tree_bounded, t
     for w in ((a, b) for a in range(2, 9) for b in range(1, 11)):
         yield "words", zeta.eval_mzv_bounded, w
+    for t in (t for n in range(1, 6) for t in enumerate_trees(n, (YLetter(2), YLetter(3)))):
+        yield "trees", parse_forest, print_tree(t)
 
 
 def test_one_budget_for_every_kind_of_entry(monkeypatch):
@@ -132,7 +134,7 @@ def test_one_budget_for_every_kind_of_entry(monkeypatch):
     monkeypatch.setattr(lincomb, "_TABLE_BUDGET", budget)
     # interleaved: each kind's calls in turn, so a clear by one kind drops the others' entries
     by_kind = [[(i, fn, arg) for i, (k, fn, arg) in enumerate(calls) if k == kind]
-               for kind in ("maps", "tails", "words")]
+               for kind in ("maps", "tails", "words", "trees")]
     mixed = [c for group in zip_longest(*by_kind) for c in group if c is not None]
     clear_table()
     for i, fn, arg in mixed + mixed:

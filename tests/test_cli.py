@@ -215,6 +215,18 @@ class TestZeta:
         assert code == 0 and abs(_value_line(out)[1] - 1.0) <= 1e-9
         assert run(capsys, "zeta", "--word", ".".join(["y2"] + ["y1"] * 149))[0] == 0
 
+    def test_long_word_prints_one(self, capsys):
+        # zeta(2,{1}^149) = zeta(151), which is 1 to double precision
+        code, out, _ = run(capsys, "zeta", "--word", ".".join(["y2"] + ["y1"] * 149))
+        assert (code, out.splitlines()[1]) == (0, "value = 1 (tol = 1e-09)")
+
+    def test_near_equal_deep_siblings_refused(self, capsys):
+        # sorting the two chains compares their nested keys down to the leaves
+        chain = "y1(" * 500 + "{}" + ")" * 500
+        code, out, err = run(capsys, "zeta", f"y3({chain.format('y2')},{chain.format('y3')})")
+        assert (code, out) == (2, "")
+        assert err == "error: input nested too deeply (maximum recursion depth exceeded in comparison)\n"
+
     def test_deep_word_refused_honestly(self, capsys):
         # zeta(2,{1}^13) = zeta(15): the tree bound misses 1e-12, and 1e-11 is certified
         word = ".".join(["y2"] + ["y1"] * 13)
