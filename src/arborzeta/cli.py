@@ -9,11 +9,13 @@ decorated trees of a given size), and hoffman (the exp/log isomorphism on one wo
 Exit codes: 0 success, 1 verification failure, 2 usage, parse, or
 precondition error, including a tolerance that cannot be certified.
 
-The argument parser is built once per process, on the first ``main`` call
-(not at import), and reused by every later call; each call still parses
-into a fresh namespace, so no parsed argument carries over from one call to
-the next.  (The library's one table of pure results, parsed subtrees among
-them, does persist, up to its budget; it never changes a printed value.)
+Each verb has its own parser, built on the first call that names it and
+reused by every later one, so a call makes one argparse pass, into a fresh
+namespace.  The top-level parser of all five verbs is built only for --help,
+a missing or unknown verb, or to report arguments a verb leaves over.  Each
+verb's handler imports the layers it alone runs (zeta, verify, hoffman).
+(The library's one table of pure results persists, up to its budget; it
+never changes a printed value.)
 """
 
 from __future__ import annotations
@@ -25,10 +27,7 @@ from typing import Mapping, Optional, Sequence
 
 from .arborify import arborify_x, arborify_y, ladder, letter_map
 from .forests import EMPTY_FOREST, Forest, enumerate_trees, parse_forest, print_tree
-from .hoffman import exp_word, log_word
 from .words import Word, XLetter, YLetter, parse_word, s_inverse
-from . import verify as verify_mod
-from . import zeta as zeta_mod
 
 
 def _fail(message: str) -> int:
@@ -61,6 +60,7 @@ def _zeta_line(coeffs: Mapping, alphabet: str) -> str:
 
 
 def _cmd_zeta(args: argparse.Namespace) -> int:
+    from .zeta import zeta_tree_x, zeta_tree_y
     if (args.forest is None) == (args.word is None):
         return _fail("give exactly one of a forest argument or --word")
     if args.word is not None:  # a word is its ladder, whose arborification is the word
@@ -71,9 +71,9 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
     # the parsers guarantee one alphabet per input, so the first root decides
     alphabet = "x" if f.trees and isinstance(f.trees[0].decoration, XLetter) else "y"
     if alphabet == "y":  # summed directly, so the expansion is only printed
-        value, coeffs = zeta_mod.zeta_tree_y(f, args.tol), letter_map(f, "y")
+        value, coeffs = zeta_tree_y(f, args.tol), letter_map(f, "y")
     else:  # the value puts the expansion in the table, where the line reads it
-        value, coeffs = zeta_mod.zeta_tree_x(f, args.tol), {w.letters: c for w, c in arborify_x(f).items()}
+        value, coeffs = zeta_tree_x(f, args.tol), {w.letters: c for w, c in arborify_x(f).items()}
     print(_zeta_line(coeffs, alphabet))
     print(f"value = {value:.12g} (tol = {args.tol:g})")
     return 0
@@ -83,9 +83,10 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
 # verify / enumerate / hoffman
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    rows = verify_mod.run_suite(args.suite, tol=args.tol, max_weight=args.max_weight)
-    print(verify_mod.format_rows(rows, args.format))
-    return 0 if verify_mod.all_passed(rows) else 1
+    from .verify import all_passed, format_rows, run_suite
+    rows = run_suite(args.suite, tol=args.tol, max_weight=args.max_weight)
+    print(format_rows(rows, args.format))
+    return 0 if all_passed(rows) else 1
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -104,59 +105,67 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_hoffman(args: argparse.Namespace) -> int:
+    from .hoffman import exp_word, log_word
     print((exp_word if args.direction == "exp" else log_word)(parse_word(args.word)))
     return 0
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parsers
 
-@lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=8)
+def _parser(verb: Optional[str]) -> Optional[argparse.ArgumentParser]:
+    """The top-level parser for None, else the subparser of that verb alone (None if no such verb)."""
     parser = argparse.ArgumentParser(
         prog="arborzeta",
         description="Exact arborified zeta values: expand, evaluate, verify.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    add = lambda name, help: sub.add_parser(name, help=help) if verb in (None, name) else None
 
-    p = sub.add_parser("expand", help="arborify a decorated forest into words")
-    flavor = p.add_mutually_exclusive_group(required=True)
-    flavor.add_argument("--contracting", action="store_true", help="quasi-shuffle flavor (y-decorations)")
-    flavor.add_argument("--simple", action="store_true", help="shuffle flavor (x-decorations)")
-    p.add_argument("forest", help="forest text, e.g. \"y3(y1,y2)\" or \"e\"")
-    p.set_defaults(func=_cmd_expand)
+    if p := add("expand", help="arborify a decorated forest into words"):
+        flavor = p.add_mutually_exclusive_group(required=True)
+        flavor.add_argument("--contracting", action="store_true", help="quasi-shuffle flavor (y-decorations)")
+        flavor.add_argument("--simple", action="store_true", help="shuffle flavor (x-decorations)")
+        p.add_argument("forest", help="forest text, e.g. \"y3(y1,y2)\" or \"e\"")
+        p.set_defaults(func=_cmd_expand)
 
-    p = sub.add_parser("zeta", help="exact zeta expansion and certified value")
-    p.add_argument("forest", nargs="?", help="forest text; alternatively use --word")
-    p.add_argument("--word", help="a single word instead of a forest")
-    p.add_argument("--tol", type=float, default=1e-9, help="certified absolute tolerance")
-    p.set_defaults(func=_cmd_zeta)
+    if p := add("zeta", help="exact zeta expansion and certified value"):
+        p.add_argument("forest", nargs="?", help="forest text; alternatively use --word")
+        p.add_argument("--word", help="a single word instead of a forest")
+        p.add_argument("--tol", type=float, default=1e-9, help="certified absolute tolerance")
+        p.set_defaults(func=_cmd_zeta)
 
-    p = sub.add_parser("verify", help="run an identity suite and report rows")
-    p.add_argument("suite", choices=verify_mod.SUITE_NAMES)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-weight", type=int, default=None)
-    p.add_argument("--format", choices=("text", "tsv", "json"), default="text")
-    p.set_defaults(func=_cmd_verify)
+    if p := add("verify", help="run an identity suite and report rows"):
+        from .verify import SUITE_NAMES
+        p.add_argument("suite", choices=SUITE_NAMES)
+        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--max-weight", type=int, default=None)
+        p.add_argument("--format", choices=("text", "tsv", "json"), default="text")
+        p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("enumerate", help="list canonical decorated trees of a size")
-    p.add_argument("n", type=int)
-    p.add_argument("--decorations", type=int, default=1, help="number of y-decorations (default 1)")
-    p.add_argument("--cap", type=int, default=8, help="largest allowed size")
-    p.set_defaults(func=_cmd_enumerate)
+    if p := add("enumerate", help="list canonical decorated trees of a size"):
+        p.add_argument("n", type=int)
+        p.add_argument("--decorations", type=int, default=1, help="number of y-decorations (default 1)")
+        p.add_argument("--cap", type=int, default=8, help="largest allowed size")
+        p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("hoffman", help="exp/log isomorphism on one summation word")
-    p.add_argument("direction", choices=("exp", "log"))
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_hoffman)
+    if p := add("hoffman", help="exp/log isomorphism on one summation word"):
+        p.add_argument("direction", choices=("exp", "log"))
+        p.add_argument("word")
+        p.set_defaults(func=_cmd_hoffman)
 
-    return parser
+    return parser if verb is None else sub.choices.get(verb)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verb = _parser(argv[0]) if argv else None  # None for --help or a missing or unknown verb
     try:
-        args = parser.parse_args(argv)
+        # the top-level parser reports what a verb leaves over, as it did for its subparser
+        args, extra = verb.parse_known_args(argv[1:]) if verb else _parser(None).parse_known_args(argv)
+        if extra:
+            _parser(None).error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

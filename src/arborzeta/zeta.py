@@ -32,9 +32,11 @@ Certified values come at three levels, each a pair (value, bound) with
 |value - exact| <= bound <= tol: ``eval_mzv_bounded`` for one index,
 ``eval_comb_bounded`` for a combination of convergent words of either
 alphabet (an x-word through the inverse block substitution), which certifies
-each word w to tol / ceil(sum |c|) and reports sum |c| * bound_w, and
-``eval_tree_bounded`` for a forest of either alphabet: a y-forest summed
-directly (below), an x-forest through its simple arborification.
+each word w to tol / ceil(sum |c|) and reports sum |c| * bound_w plus the
+derived rounding gamma_{n+1} sum |c v_w| of n words, and ``eval_tree_bounded``
+for a forest of either alphabet: a y-forest summed directly (below), an
+x-forest through its simple arborification.  ``_ROUNDING_SLOP`` in the word
+bound is the one tuned allowance left, until a derived term replaces it.
 
 The naive double truncation survives in ``naive_mzv`` as the independent
 cross-check oracle, with the documented tail bound::
@@ -462,13 +464,21 @@ def eval_comb_bounded(comb: LinComb, tol: float = 1e-9) -> Tuple[float, float]:
     """Value and certified bound of a combination of convergent words of
     either alphabet; the empty word evaluates to 1.
 
-    Each word w is certified to tol / ceil(mass) by eval_mzv_bounded, so the
-    bound sum |c| * bound_w is at most tol.  The value sums in stored order.
+    Each word w is certified to tol / ceil(mass) by eval_mzv_bounded, and the
+    value sums float(c) * v_w in stored order.  The bound adds to sum |c| * bound_w
+    the rounding of float(c), of each product and of the sum; past tol it is refused.
     """
     _check_tol(tol)  # before the split, so that a refusal names the caller's tol
     per = _split_tol(comb, tol)
-    terms = [(float(c), eval_mzv_bounded(_mzv_index(w), per)) for w, c in comb.items()]
-    return sum(c * v for c, (v, _) in terms), sum(abs(c) * b for c, (_, b) in terms)
+    terms = [(float(c), *eval_mzv_bounded(_mzv_index(w), per)) for w, c in comb.items()]
+    n, value = len(terms), sum(c * v for c, v, _ in terms)
+    # a term of value rounds n + 1 times (float(c), the product, n - 1 additions) and |c| <= (1 + gamma_1) |float(c)|;
+    # both float sums below are within 1 - gamma_n of exact, and 1 + gamma_{2n+7} covers them and the bound's roundings
+    rounding = _gamma(n + 1) * sum(abs(c * v) for c, v, _ in terms)
+    bound = (rounding + sum(abs(c) * b for c, _, b in terms)) * (1.0 + _gamma(2 * n + 7))
+    if bound > tol:
+        raise ArithmeticError(f"cannot certify the sum of {n} words to {tol:g}: rounding takes its bound to {bound:g}")
+    return value, bound
 
 
 # the value alone, under both names that callers (and the benchmark's tracer) use

@@ -455,6 +455,24 @@ class TestImportCost:
         proc = subprocess.run([sys.executable, "-S", "-c", script, src], capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
+    @pytest.mark.parametrize("argv, runs, skips", [
+        (["zeta", "y2(y2,y2)"], {"zeta"}, {"verify", "hoffman"}),
+        (["zeta", "x1(x0,x1(x0))"], {"zeta"}, {"verify", "hoffman"}),
+        (["expand", "--contracting", "y3(y1,y2)"], {"arborify"}, {"zeta", "hoffman", "verify"}),
+        (["enumerate", "4", "--decorations", "2"], {"forests"}, {"zeta", "hoffman", "verify"}),
+        (["hoffman", "log", "y1.y2.y3"], {"hoffman"}, {"zeta", "verify"}),
+    ], ids=["zeta-y", "zeta-x", "expand", "enumerate", "hoffman"])
+    def test_verb_loads_only_its_layers(self, argv, runs, skips):
+        # each handler imports the layers it runs, so no verb loads another's
+        script = ("import contextlib, io, sys; sys.path.insert(0, sys.argv[1]); from arborzeta.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()): code = main(sys.argv[2:])\n"
+                  "print(code, *sorted(m[10:] for m in sys.modules if m.startswith('arborzeta.')))")
+        src = str(Path(arborzeta.__file__).parent.parent)
+        proc = subprocess.run([sys.executable, "-S", "-c", script, src, *argv], capture_output=True, text=True, timeout=60)
+        code, *loaded = proc.stdout.split()
+        assert (code, proc.stderr) == ("0", "")
+        assert runs <= set(loaded) and skips.isdisjoint(loaded), loaded
+
 
 class TestEnumerate:
     def test_census_five(self, capsys):
@@ -515,6 +533,117 @@ class TestHoffman:
         assert run(capsys, "hoffman", "sideways", "y1")[0] == 2
 
 
+HELP = {
+    (): """usage: arborzeta [-h] {expand,zeta,verify,enumerate,hoffman} ...
+
+Exact arborified zeta values: expand, evaluate, verify.
+
+positional arguments:
+  {expand,zeta,verify,enumerate,hoffman}
+    expand              arborify a decorated forest into words
+    zeta                exact zeta expansion and certified value
+    verify              run an identity suite and report rows
+    enumerate           list canonical decorated trees of a size
+    hoffman             exp/log isomorphism on one summation word
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("expand",): """usage: arborzeta expand [-h] (--contracting | --simple) forest
+
+positional arguments:
+  forest         forest text, e.g. "y3(y1,y2)" or "e"
+
+options:
+  -h, --help     show this help message and exit
+  --contracting  quasi-shuffle flavor (y-decorations)
+  --simple       shuffle flavor (x-decorations)
+""",
+    ("zeta",): """usage: arborzeta zeta [-h] [--word WORD] [--tol TOL] [forest]
+
+positional arguments:
+  forest       forest text; alternatively use --word
+
+options:
+  -h, --help   show this help message and exit
+  --word WORD  a single word instead of a forest
+  --tol TOL    certified absolute tolerance
+""",
+    ("verify",): """usage: arborzeta verify [-h] [--tol TOL] [--max-weight MAX_WEIGHT]
+                        [--format {text,tsv,json}]
+                        {relations,bmz,hopf,oracle,all}
+
+positional arguments:
+  {relations,bmz,hopf,oracle,all}
+
+options:
+  -h, --help            show this help message and exit
+  --tol TOL
+  --max-weight MAX_WEIGHT
+  --format {text,tsv,json}
+""",
+    ("enumerate",): """usage: arborzeta enumerate [-h] [--decorations DECORATIONS] [--cap CAP] n
+
+positional arguments:
+  n
+
+options:
+  -h, --help            show this help message and exit
+  --decorations DECORATIONS
+                        number of y-decorations (default 1)
+  --cap CAP             largest allowed size
+""",
+    ("hoffman",): """usage: arborzeta hoffman [-h] {exp,log} word
+
+positional arguments:
+  {exp,log}
+  word
+
+options:
+  -h, --help  show this help message and exit
+""",
+}
+TOP_USAGE = "usage: arborzeta [-h] {expand,zeta,verify,enumerate,hoffman} ...\n"
+
+
+class TestParserParity:
+    """The top-level parser and the parsers of the verbs print what one
+    parser with a subparser per verb printed, byte for byte."""
+
+    @pytest.fixture(autouse=True)
+    def _width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+
+    @pytest.mark.parametrize("verb", list(HELP), ids=lambda v: " ".join(v) or "top")
+    def test_help(self, capsys, verb):
+        assert run(capsys, *verb, "--help") == (0, HELP[verb], "")
+
+    def test_short_help(self, capsys):
+        assert run(capsys, "-h") == (0, HELP[()], "")
+
+    @pytest.mark.parametrize("argv, err", [
+        ([], "arborzeta: error: the following arguments are required: verb\n"),
+        (["frobnicate"], "arborzeta: error: argument verb: invalid choice: 'frobnicate' "
+                         "(choose from 'expand', 'zeta', 'verify', 'enumerate', 'hoffman')\n"),
+        (["zeta", "y2", "y3"], "arborzeta: error: unrecognized arguments: y3\n"),
+        (["hoffman", "exp", "y1", "y2", "--bogus"], "arborzeta: error: unrecognized arguments: y2 --bogus\n"),
+    ], ids=["no-verb", "unknown-verb", "extra-positional", "extra-arguments"])
+    def test_top_level_usage_errors(self, capsys, argv, err):
+        assert run(capsys, *argv) == (2, "", TOP_USAGE + err)
+
+    @pytest.mark.parametrize("argv, err", [
+        (["verify", "nosuch"], "arborzeta verify: error: argument suite: invalid choice: 'nosuch' "
+                               "(choose from 'relations', 'bmz', 'hopf', 'oracle', 'all')\n"),
+        (["zeta", "y2", "--tol", "abc"], "arborzeta zeta: error: argument --tol: invalid float value: 'abc'\n"),
+        (["enumerate", "3", "--decorations", "x"],
+         "arborzeta enumerate: error: argument --decorations: invalid int value: 'x'\n"),
+    ], ids=["unknown-suite", "bad-tol", "bad-int"])
+    def test_verb_usage_errors(self, capsys, argv, err):
+        code, out, got = run(capsys, *argv)
+        usage = HELP[(argv[0],)].split("\n\n")[0] + "\n"
+        assert (code, out, got) == (2, "", usage + err)
+
+
 class TestUsage:
     def test_no_verb(self, capsys):
         assert run(capsys)[0] == 2
@@ -523,7 +652,7 @@ class TestUsage:
         assert run(capsys, "frobnicate")[0] == 2
 
     def test_reused_parser_keeps_no_state(self, capsys, monkeypatch):
-        # the parser is built once per process; every call must still print
+        # each parser is built once per process; every call must still print
         # what it prints as the first call of a fresh interpreter
         sequence = [
             ["zeta", "--tol", "abc"],

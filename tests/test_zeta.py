@@ -238,6 +238,41 @@ class TestCombinationBound:
             assert abs(value - reference) <= bound <= tol, comb
 
 
+    def test_rounding_is_in_the_bound(self, monkeypatch):
+        # every word value an exact float with bound 0: all that separates the float
+        # sum from the exact sum of c * v is rounding, and the bound must cover it
+        import arborzeta.zeta as zeta_mod
+
+        monkeypatch.setattr(zeta_mod, "eval_mzv_bounded", lambda e, tol: (math.sqrt(sum(e)) / len(e), 0.0))
+        combs = [
+            LinComb({y_word(2): Fraction(1, 3), y_word(3, 1): Fraction(-2, 7), y_word(5): Fraction(5, 11)}),
+            LinComb({y_word(2, 1, 1): Fraction(10**17 + 1, 3), y_word(4): -1}) * Fraction(1, 10**17),
+            LinComb({y_word(n): Fraction(1, n) for n in range(2, 40)}),
+            LinComb.unit(x_word(0, 1), Fraction(1, 3)),
+        ]
+        errors = []
+        for comb in combs:
+            value, bound = eval_comb_bounded(comb, 1e-9)
+            exact = sum(c * Fraction(zeta_mod.eval_mzv_bounded(_index(w), 0)[0]) for w, c in comb.items())
+            errors.append(abs(Fraction(value) - exact))
+            assert errors[-1] <= Fraction(bound) and 0 < bound <= 1e-9, comb
+        assert any(errors)  # the sums do round
+
+    def test_rounding_past_tol_refused(self, monkeypatch):
+        import arborzeta.zeta as zeta_mod
+
+        monkeypatch.setattr(zeta_mod, "eval_mzv_bounded", lambda e, tol: (1e8 + sum(e), 0.0))
+        comb = LinComb({y_word(2): Fraction(1, 3), y_word(3): Fraction(1, 7)})
+        with pytest.raises(ArithmeticError, match=r"cannot certify the sum of 2 words to 1e-09: "
+                                                  r"rounding takes its bound to \S+$"):
+            eval_comb_bounded(comb, 1e-9)
+
+
+def _index(w):
+    """The MZV index of a convergent word of either alphabet."""
+    return tuple(l.index for l in (s_inverse(w) if is_convergent_x(w) else w).letters)
+
+
 class TestRegularization:
     def test_convergent_words_fixed(self):
         w = y_word(2, 3)
