@@ -31,12 +31,13 @@ recursing on depth:
 Certified values come at three levels, each a pair (value, bound) with
 |value - exact| <= bound <= tol: ``eval_mzv_bounded`` for one index,
 ``eval_comb_bounded`` for a combination of convergent words of either
-alphabet (an x-word through the inverse block substitution), which certifies
-each word w to tol / ceil(sum |c|) and reports sum |c| * bound_w plus the
-derived rounding gamma_{n+1} sum |c v_w| of n words, and ``eval_tree_bounded``
-for a forest of either alphabet: a y-forest summed directly (below), an
-x-forest through its simple arborification.  ``_ROUNDING_SLOP`` in the word
-bound is the one tuned allowance left, until a derived term replaces it.
+alphabet (an x-word through the inverse block substitution), and
+``eval_tree_bounded`` for a forest: a y-forest summed directly (below), an
+x-forest as its simple arborification, each word the y-ladder of its inverse
+block substitution.  A sum of n words asks each for max(tol / ceil(sum |c|),
+1e-12) and is refused only when its bound, sum |c| * bound_w plus the rounding
+gamma_{n+1} sum |c v_w|, exceeds tol.  The word route's ``_ROUNDING_SLOP`` is
+tuned, and eval_mzv_bounded((2,) + (1,) * 94, 1e-9) is 2.7e-9 from zeta(96) = 1.
 
 The naive double truncation survives in ``naive_mzv`` as the independent
 cross-check oracle, with the documented tail bound::
@@ -130,6 +131,7 @@ from .arborify import (
     arborify_y,
     divergence_reason_x,
     divergence_reason_y,
+    ladder,
 )
 from .forests import Forest, Tree, bottom_up, grade, size
 from .lincomb import _TABLE, NEG_INF, TERM_COST, LinComb, ThetaPoly, table_put, trim
@@ -439,15 +441,6 @@ def mzv_truncation_bound(exponents: MzvIndex, N: int) -> float:
 # ---------------------------------------------------------------------------
 # combinations of words
 
-def _split_tol(comb: LinComb, tol: float) -> float:
-    mass = sum(abs(float(c)) for _, c in comb.items())
-    per = tol / max(1.0, math.ceil(mass))
-    if per < 1e-12 <= tol:
-        raise ValueError(f"a combination of coefficient mass {mass:g} evaluates each word to "
-                         f"tol/{math.ceil(mass)} = {per:g}, below the supported 1e-12")
-    return per
-
-
 def _mzv_index(w: Word) -> MzvIndex:
     """The index of a convergent word of either alphabet; an x-word goes
     through the inverse block substitution."""
@@ -460,25 +453,27 @@ def _mzv_index(w: Word) -> MzvIndex:
     return tuple(l.index for l in w.letters)
 
 
-def eval_comb_bounded(comb: LinComb, tol: float = 1e-9) -> Tuple[float, float]:
-    """Value and certified bound of a combination of convergent words of
-    either alphabet; the empty word evaluates to 1.
-
-    Each word w is certified to tol / ceil(mass) by eval_mzv_bounded, and the
-    value sums float(c) * v_w in stored order.  The bound adds to sum |c| * bound_w
-    the rounding of float(c), of each product and of the sum; past tol it is refused.
-    """
-    _check_tol(tol)  # before the split, so that a refusal names the caller's tol
-    per = _split_tol(comb, tol)
-    terms = [(float(c), *eval_mzv_bounded(_mzv_index(w), per)) for w, c in comb.items()]
+def _sum_bounded(comb: LinComb, tol: float, certify: Callable[[Word, float], Tuple[float, float]]) -> tuple:
+    """Value and bound of sum c * v_w in stored order, (v_w, bound_w) = certify(w, max(tol / ceil(mass), 1e-12))
+    and mass = sum |c|.  The bound adds to sum |c| * bound_w the rounding of float(c), of each product and
+    of the sum, and a sum whose bound exceeds tol is refused."""
+    _check_tol(tol)
+    per = max(tol / max(1.0, math.ceil(sum(abs(float(c)) for _, c in comb.items()))), 1e-12)
+    terms = [(float(c), *certify(w, per)) for w, c in comb.items()]
     n, value = len(terms), sum(c * v for c, v, _ in terms)
     # a term of value rounds n + 1 times (float(c), the product, n - 1 additions) and |c| <= (1 + gamma_1) |float(c)|;
     # both float sums below are within 1 - gamma_n of exact, and 1 + gamma_{2n+7} covers them and the bound's roundings
     rounding = _gamma(n + 1) * sum(abs(c * v) for c, v, _ in terms)
     bound = (rounding + sum(abs(c) * b for c, _, b in terms)) * (1.0 + _gamma(2 * n + 7))
     if bound > tol:
-        raise ArithmeticError(f"cannot certify the sum of {n} words to {tol:g}: rounding takes its bound to {bound:g}")
+        raise ArithmeticError(f"cannot certify the sum of {n} words to {tol:g}: its bound is {bound:g}")
     return value, bound
+
+
+def eval_comb_bounded(comb: LinComb, tol: float = 1e-9) -> Tuple[float, float]:
+    """Value and certified bound of a combination of convergent words of either
+    alphabet, each through eval_mzv_bounded; the empty word evaluates to 1."""
+    return _sum_bounded(comb, tol, lambda w, per: eval_mzv_bounded(_mzv_index(w), per))
 
 
 # the value alone, under both names that callers (and the benchmark's tracer) use
@@ -757,7 +752,8 @@ def eval_tree_bounded(f: Union[Forest, Tree], tol: float = 1e-9) -> Tuple[float,
     """Value and certified bound of a convergent forest of either alphabet.
 
     A y-forest is summed directly, at O(K) per subtree whose tail is not yet in
-    the package's table, and an x-forest through its simple arborification.
+    the package's table, and an x-forest as the sum of its simple arborification,
+    each word w the y-ladder of s_inverse(w).
     Raises ValueError for divergent input, naming the vertex to blame, or an
     unsupported tolerance, ArithmeticError when no cutoff certifies tol.
     """
@@ -766,8 +762,8 @@ def eval_tree_bounded(f: Union[Forest, Tree], tol: float = 1e-9) -> Tuple[float,
     reason = (divergence_reason_x if x else divergence_reason_y)(f)
     if reason is not None:
         raise ValueError(reason)
-    if x:  # through the expansion: x-vertex tails have no direct sum yet
-        return eval_comb_bounded(arborify_x(f), tol)
+    if x:  # x-vertex tails have no direct sum yet: each word of the expansion is a y-ladder
+        return _sum_bounded(arborify_x(f), tol, lambda w, per: eval_tree_bounded(ladder(s_inverse(w)), per))
     _check_tol(tol)
     K = _TREE_K0
     while True:

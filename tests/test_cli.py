@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -170,15 +171,52 @@ class TestZeta:
         assert code == 2
         assert out == ""
 
-    def test_split_tolerance_named(self, capsys):
-        # the x-forest's expansion has coefficient mass 3, so each word gets tol/3
-        code, out, err = run(capsys, "zeta", "x1(x0,x1(x0))", "--tol", "1e-12")
-        assert code == 2
-        assert out == ""
-        assert err == (
-            "error: a combination of coefficient mass 3 evaluates each word to "
-            "tol/3 = 3.33333e-13, below the supported 1e-12\n"
-        )
+    def test_sum_refused_by_its_bound(self, capsys):
+        # each of the expansion's 5 ladders is certified to 1e-12, and the sum's bound misses it
+        code, out, err = run(capsys, "zeta", "x1(x0,x0,x0,x0,x1(x0))", "--tol", "1e-12")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot certify the sum of 5 words to 1e-12: its bound is 2.99402e-12\n"
+
+    def test_x_forest_certified_at_the_floor(self, capsys):
+        # the expansion's mass 3 no longer splits 1e-12 below what a word may be asked for
+        code, out, _ = run(capsys, "zeta", "x1(x0,x1(x0))", "--tol", "1e-12")
+        assert code == 0
+        assert out == "2*zeta(3,1) + 1*zeta(2,2)\nvalue = 1.35290404214 (tol = 1e-12)\n"
+
+    @pytest.mark.parametrize("text, printed", [
+        ("x1(x1(x0,x0),x1(x0,x0),x1(x0,x0))", "0.617178600647"),
+        ("x1(x1(x1(x0,x0),x1(x0,x0)),x1(x1(x0,x0),x1(x0,x0)))", "0.0130232209467"),
+    ], ids=["10-vertices", "15-vertices"])
+    def test_large_x_trees_certified(self, capsys, text, printed):
+        # expansion masses 13,440 and 21,964,800: each ladder is certified, then the sum
+        code, out, _ = run(capsys, "zeta", text)
+        assert code == 0
+        assert out.splitlines()[1] == f"value = {printed} (tol = 1e-09)"
+
+    @pytest.mark.parametrize("k", [95, 100])
+    def test_deep_x_words_print_one(self, capsys, k):
+        # zeta(2,{1}^(k-1)) = zeta(k+1) by duality, which is 1 to double precision
+        word = ".".join(["x0"] + ["x1"] * k)
+        clear_table()
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "zeta", "--word", word)
+        elapsed = time.perf_counter() - start
+        assert (code, out.splitlines()[1]) == (0, "value = 1 (tol = 1e-09)")
+        value, bound = eval_tree_bounded(ladder(parse_word(word)), 1e-9)
+        assert abs(value - 1.0) <= bound <= 1e-9
+        assert elapsed < 1.0
+
+    def test_verb_reaches_only_the_tree_kernel(self, capsys, monkeypatch):
+        import arborzeta.zeta as zeta_mod
+
+        def refuse(*args):
+            raise AssertionError("the word route was reached")
+
+        monkeypatch.setattr(zeta_mod, "_mzv_em", refuse)
+        clear_table()  # a word value kept in the table would hide a call
+        for argv in (("y2(y3,y2)",), ("x1(x0,x1(x0))",), ("--word", "y2.y1.y3"), ("--word", "x0.x1.x0.x0.x1")):
+            code, out, _ = run(capsys, "zeta", *argv)
+            assert code == 0 and _value_line(out)[1] > 0, argv
 
     def test_named_tree_certified(self, capsys):
         text = "y2(y2(y2,y2),y2(y2,y2),y2(y2,y2))"
@@ -394,19 +432,23 @@ class TestVerify:
         assert "checks passed" in out
 
     def test_derived_tolerance_named(self, capsys):
-        # a tolerance the gate accepts, refused with the derived tolerance it led to;
+        # a tolerance the gate accepts, refused with the derived tolerance or bound it led to;
         # one the gate refuses stops every suite before any is printed
         for argv, message in [
             (("all", "--tol", "1e-13"), "tolerance below supported precision (min 1e-12)"),
             (("bmz", "--tol", "1e-13"), "tolerance below supported precision (min 1e-12)"),
             (("bmz", "--tol", "1e-12"), "rho evaluates zeta(n) to tol/10 = 1e-13, below the supported 1e-12"),
-            (("oracle", "--tol", "1e-11"), "a combination of coefficient mass 13 evaluates each word to "
-                                           "tol/13 = 7.69231e-13, below the supported 1e-12"),
+            # the sum's own bound decides: each of its 4 words is certified to 1e-12
+            (("oracle", "--tol", "1e-12"), "cannot certify the sum of 4 words to 1e-12: its bound is 2.60016e-12"),
         ]:
             code, out, err = run(capsys, "verify", *argv)
             assert code == 2
             assert out == ""
             assert err == f"error: {message}\n"
+
+    def test_all_certified_at_1e_11(self, capsys):
+        code, out, _ = run(capsys, "verify", "all", "--tol", "1e-11")
+        assert (code, out.splitlines()[-1]) == (0, "120/120 checks passed")
 
     def test_hopf_refuses_a_tolerance_as_every_suite_does(self, capsys):
         # the exact suite reads no tolerance, but a bad one is refused, not passed through

@@ -263,9 +263,20 @@ class TestCombinationBound:
 
         monkeypatch.setattr(zeta_mod, "eval_mzv_bounded", lambda e, tol: (1e8 + sum(e), 0.0))
         comb = LinComb({y_word(2): Fraction(1, 3), y_word(3): Fraction(1, 7)})
-        with pytest.raises(ArithmeticError, match=r"cannot certify the sum of 2 words to 1e-09: "
-                                                  r"rounding takes its bound to \S+$"):
+        with pytest.raises(ArithmeticError, match=r"^cannot certify the sum of 2 words to 1e-09: its bound is \S+$"):
             eval_comb_bounded(comb, 1e-9)
+
+    def test_refused_by_its_bound_not_by_its_mass(self):
+        from arborzeta.words import shuffle
+
+        # mass 10 asks each word for 1e-12 at tol 1e-11, and the sum's bound is what decides
+        comb = shuffle(x_word(0, 1), x_word(0, 0, 1))
+        value, bound = eval_comb_bounded(comb, 1e-11)
+        assert bound <= 1e-11
+        with mpmath.workdps(30):
+            assert abs(value - float(mpmath.zeta(2) * mpmath.zeta(3))) <= bound
+        with pytest.raises(ArithmeticError, match=r"^cannot certify the sum of 3 words to 1e-12: its bound is \S+$"):
+            eval_comb_bounded(comb, 1e-12)
 
 
 def _index(w):
@@ -801,6 +812,18 @@ class TestTreeEvaluator:
                 eval_tree_bounded(t, tol)
             assert str(info.value) == message
 
+    @pytest.mark.parametrize("text, word_tol", [
+        ("x1(x1(x0,x0),x1(x0,x0),x1(x0,x0))", 1e-8),
+        ("x1(x1(x1(x0,x0),x1(x0,x0)),x1(x1(x0,x0),x1(x0,x0)))", 1e-5),
+    ], ids=["10-vertices", "15-vertices"])
+    def test_large_x_trees_against_the_word_route(self, text, word_tol):
+        # expansion masses 13,440 and 21,964,800: the word route's bound, mass times each
+        # word's, certifies them only at a looser tolerance, and the kernel's at 1e-12
+        f = parse_forest(text)
+        v, bound = eval_tree_bounded(f, 1e-12)
+        w, word_bound = eval_comb_bounded(arborify_x(f), word_tol)
+        assert bound <= 1e-12 and abs(v - w) <= bound + word_bound
+
     def test_rounding_beyond_tolerance_refused(self):
         # the rounding term grows with the value and the cutoff, so a forest
         # of value zeta(2)^30 cannot be certified to 1e-12 at any cutoff
@@ -810,9 +833,10 @@ class TestTreeEvaluator:
     def test_divergent_and_wrong_alphabet_rejected(self):
         with pytest.raises(ValueError, match=r"^leaf decorated y1 makes the nested sum divergent \(needs index >= 2\)$"):
             eval_tree_bounded(parse_tree("y2(y1)"), 1e-9)
-        # an x-forest goes through its expansion, and a divergent one is refused before it
+        # an x-forest goes through its expansion's ladders, and a divergent one is refused before it
         t = parse_tree("x1(x0)")
-        assert eval_tree_bounded(t, 1e-9) == eval_comb_bounded(arborify_x(Forest((t,))), 1e-9)
+        (v, bound), (w, word_bound) = eval_tree_bounded(t, 1e-9), eval_comb_bounded(arborify_x(Forest((t,))), 1e-9)
+        assert abs(v - w) <= bound + word_bound
         with pytest.raises(ValueError, match=r"^root decorated x0 makes the value divergent \(root must be x1\)$"):
             eval_tree_bounded(parse_tree("x0(x0)"), 1e-9)
         # the first tree names the alphabet, and a tree of the other one is refused
@@ -824,7 +848,14 @@ class TestTreeEvaluator:
     @given(convergent_x_forests(), st.sampled_from([1e-9, 1e-12]))
     @settings(max_examples=40, deadline=None)
     def test_x_forests_through_their_expansion(self, f, tol):
-        assert _outcome(eval_tree_bounded, f, tol) == _outcome(eval_comb_bounded, arborify_x(f), tol)
+        # the x-side twin of test_agrees_with_word_route: the expansion's words as y-ladders
+        # of the tree kernel against the same words through the word route
+        tree, word = _outcome(eval_tree_bounded, f, tol), _outcome(eval_comb_bounded, arborify_x(f), tol)
+        if isinstance(word[0], type):  # a refusal of the word route certifies nothing to compare with
+            return
+        assert not isinstance(tree[0], type), tree  # on these forests the kernel certifies wherever the words do
+        (v, bound), (w, word_bound) = tree, word
+        assert bound <= tol and abs(v - w) <= bound + word_bound
 
     @given(convergent_y_forests())
     @settings(max_examples=30, deadline=None)
