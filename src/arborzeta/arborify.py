@@ -52,6 +52,11 @@ _FLAVORS = {"x": (None, XLetter, "simple arborification needs integration (x)"),
             "y": (merge_y, YLetter, "contracting arborification needs summation (y)")}
 
 
+def alphabet_of(f: Forest) -> str:
+    """The flavor f's decorations choose, read off its first root: "x" (simple), else "y" (contracting; e too)."""
+    return "x" if f.trees and isinstance(f.trees[0].decoration, XLetter) else "y"
+
+
 def letter_map(f: Forest, alphabet: str) -> dict:
     """arborify_x (alphabet "x") or arborify_y ("y") of f as a map letters -> coefficient."""
     merge, letter_type, needs = _FLAVORS[alphabet]

@@ -5,6 +5,7 @@ of an arborified value, a word's as its ladder's, into ordinary zeta values,
 printed from arborification's letter map with no word objects, plus a certified
 numeric), verify (identity suites as report tables), enumerate (canonical
 decorated trees of a given size), and hoffman (the exp/log isomorphism on one word).
+A forest's decorations choose the flavor: contracting for y-letters, simple for x.
 
 Exit codes: 0 success, 1 verification failure, 2 usage, parse, or
 precondition error, including a tolerance that cannot be certified.
@@ -13,7 +14,7 @@ Each verb has its own parser, built on the first call that names it and
 reused by every later one, so a call makes one argparse pass, into a fresh
 namespace.  The top-level parser of all five verbs is built only for --help,
 a missing or unknown verb, or to report arguments a verb leaves over.  Each
-verb's handler imports the layers it alone runs (zeta, verify, hoffman).
+verb's handler imports the layers it alone runs (forests, arborify, zeta, verify, hoffman).
 (The library's one table of pure results persists, up to its budget; it
 never changes a printed value.)
 """
@@ -25,9 +26,7 @@ import sys
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
-from .arborify import arborify_x, arborify_y, ladder, letter_map
-from .forests import EMPTY_FOREST, Forest, enumerate_trees, parse_forest, print_tree
-from .words import Word, XLetter, YLetter, parse_word, s_inverse
+from .words import Word, YLetter, parse_word, s_inverse
 
 
 def _fail(message: str) -> int:
@@ -39,8 +38,10 @@ def _fail(message: str) -> int:
 # expand
 
 def _cmd_expand(args: argparse.Namespace) -> int:
+    from .arborify import alphabet_of, arborify_x, arborify_y
+    from .forests import parse_forest
     f = parse_forest(args.forest)
-    print(arborify_y(f) if args.contracting else arborify_x(f))
+    print((arborify_x if alphabet_of(f) == "x" else arborify_y)(f))
     return 0
 
 
@@ -60,6 +61,8 @@ def _zeta_line(coeffs: Mapping, alphabet: str) -> str:
 
 
 def _cmd_zeta(args: argparse.Namespace) -> int:
+    from .arborify import alphabet_of, arborify_x, ladder, letter_map
+    from .forests import EMPTY_FOREST, Forest, parse_forest
     from .zeta import zeta_tree_x, zeta_tree_y
     if (args.forest is None) == (args.word is None):
         return _fail("give exactly one of a forest argument or --word")
@@ -68,8 +71,7 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
         f = Forest((ladder(w),)) if w.letters else EMPTY_FOREST
     else:
         f = parse_forest(args.forest)
-    # the parsers guarantee one alphabet per input, so the first root decides
-    alphabet = "x" if f.trees and isinstance(f.trees[0].decoration, XLetter) else "y"
+    alphabet = alphabet_of(f)
     if alphabet == "y":  # summed directly, so the expansion is only printed
         value, coeffs = zeta_tree_y(f, args.tol), letter_map(f, "y")
     else:  # the value puts the expansion in the table, where the line reads it
@@ -90,6 +92,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .forests import enumerate_trees, print_tree
     if args.n < 1:
         return _fail("tree size must be >= 1")
     if args.n > args.cap:
@@ -124,9 +127,6 @@ def _parser(verb: Optional[str]) -> Optional[argparse.ArgumentParser]:
     add = lambda name, help: sub.add_parser(name, help=help) if verb in (None, name) else None
 
     if p := add("expand", help="arborify a decorated forest into words"):
-        flavor = p.add_mutually_exclusive_group(required=True)
-        flavor.add_argument("--contracting", action="store_true", help="quasi-shuffle flavor (y-decorations)")
-        flavor.add_argument("--simple", action="store_true", help="shuffle flavor (x-decorations)")
         p.add_argument("forest", help="forest text, e.g. \"y3(y1,y2)\" or \"e\"")
         p.set_defaults(func=_cmd_expand)
 

@@ -32,12 +32,12 @@ Certified values come at three levels, each a pair (value, bound) with
 |value - exact| <= bound <= tol: ``eval_mzv_bounded`` for one index,
 ``eval_comb_bounded`` for a combination of convergent words of either
 alphabet (an x-word through the inverse block substitution), and
-``eval_tree_bounded`` for a forest: a y-forest summed directly (below), an
-x-forest as its simple arborification, each word the y-ladder of its inverse
-block substitution.  A sum of n words asks each for max(tol / ceil(sum |c|),
-1e-12) and is refused only when its bound, sum |c| * bound_w plus the rounding
-gamma_{n+1} sum |c v_w|, exceeds tol.  The word route's ``_ROUNDING_SLOP`` is
-tuned, and eval_mzv_bounded((2,) + (1,) * 94, 1e-9) is 2.7e-9 from zeta(96) = 1.
+``eval_tree_bounded`` for a forest, refused in its own letters: a y-forest
+summed directly (below), an x-forest as its simple arborification, each word the
+y-ladder of its inverse block substitution.  A sum of n words asks each for
+max(tol / ceil(sum |c|), 1e-12) and is refused only when its bound, sum |c| *
+bound_w plus the rounding gamma_{n+1} sum |c v_w|, exceeds tol.  The word route's
+``_ROUNDING_SLOP`` is tuned: eval_mzv_bounded((2,) + (1,) * 94, 1e-9) is 2.7e-9 from zeta(96) = 1.
 
 The naive double truncation survives in ``naive_mzv`` as the independent
 cross-check oracle, with the documented tail bound::
@@ -126,13 +126,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
-from .arborify import (
-    arborify_x,
-    arborify_y,
-    divergence_reason_x,
-    divergence_reason_y,
-    ladder,
-)
+from .arborify import alphabet_of, arborify_x, arborify_y, divergence_reason_x, divergence_reason_y, ladder
 from .forests import Forest, Tree, bottom_up, grade, size
 from .lincomb import _TABLE, NEG_INF, TERM_COST, LinComb, ThetaPoly, table_put, trim
 from .words import (
@@ -455,9 +449,8 @@ def _mzv_index(w: Word) -> MzvIndex:
 
 def _sum_bounded(comb: LinComb, tol: float, certify: Callable[[Word, float], Tuple[float, float]]) -> tuple:
     """Value and bound of sum c * v_w in stored order, (v_w, bound_w) = certify(w, max(tol / ceil(mass), 1e-12))
-    and mass = sum |c|.  The bound adds to sum |c| * bound_w the rounding of float(c), of each product and
-    of the sum, and a sum whose bound exceeds tol is refused."""
-    _check_tol(tol)
+    and mass = sum |c|, for a tol that passed _check_tol.  The bound adds to sum |c| * bound_w the rounding of
+    float(c), of each product and of the sum, and a sum whose bound exceeds tol is refused."""
     per = max(tol / max(1.0, math.ceil(sum(abs(float(c)) for _, c in comb.items()))), 1e-12)
     terms = [(float(c), *certify(w, per)) for w, c in comb.items()]
     n, value = len(terms), sum(c * v for c, v, _ in terms)
@@ -473,6 +466,7 @@ def _sum_bounded(comb: LinComb, tol: float, certify: Callable[[Word, float], Tup
 def eval_comb_bounded(comb: LinComb, tol: float = 1e-9) -> Tuple[float, float]:
     """Value and certified bound of a combination of convergent words of either
     alphabet, each through eval_mzv_bounded; the empty word evaluates to 1."""
+    _check_tol(tol)
     return _sum_bounded(comb, tol, lambda w, per: eval_mzv_bounded(_mzv_index(w), per))
 
 
@@ -749,27 +743,37 @@ def _add_tail(t: Tree, table: dict, K: int) -> None:
 
 
 def eval_tree_bounded(f: Union[Forest, Tree], tol: float = 1e-9) -> Tuple[float, float]:
-    """Value and certified bound of a convergent forest of either alphabet.
-
-    A y-forest is summed directly, at O(K) per subtree whose tail is not yet in
-    the package's table, and an x-forest as the sum of its simple arborification,
-    each word w the y-ladder of s_inverse(w).
-    Raises ValueError for divergent input, naming the vertex to blame, or an
-    unsupported tolerance, ArithmeticError when no cutoff certifies tol.
-    """
+    """Value and certified bound of a convergent forest of either alphabet: a y-forest summed
+    directly, at O(K) per subtree whose tail is not yet in the package's table, an x-forest as
+    the sum of its simple arborification, each word w the y-ladder of s_inverse(w).  Raises
+    ValueError for divergent input, naming the vertex to blame, or an unsupported tolerance, and
+    ArithmeticError, naming f, when no cutoff certifies tol or a word of f its share of tol."""
     f = Forest((f,)) if isinstance(f, Tree) else f
-    x = bool(f.trees) and isinstance(f.trees[0].decoration, XLetter)
+    x = alphabet_of(f) == "x"
     reason = (divergence_reason_x if x else divergence_reason_y)(f)
     if reason is not None:
         raise ValueError(reason)
-    if x:  # x-vertex tails have no direct sum yet: each word of the expansion is a y-ladder
-        return _sum_bounded(arborify_x(f), tol, lambda w, per: eval_tree_bounded(ladder(s_inverse(w)), per))
     _check_tol(tol)
+
+    def certified(trees: tuple, tol: float) -> Tuple[float, float]:
+        value, bound = _tree_sum(trees, tol)
+        if bound <= tol:
+            return value, bound
+        named = s if len(s := str(f)) <= _NAMED_MAX else f"{s[:_NAMED_MAX]}... ({grade(f)} vertices)"
+        raise ArithmeticError(f"cannot certify the forest {named} to {tol:g}: best bound {bound:g}")
+
+    if x:  # x-vertex tails have no direct sum yet: each word of the expansion is a y-ladder
+        return _sum_bounded(arborify_x(f), tol, lambda w, per: certified((ladder(s_inverse(w)),), per))
+    return certified(f.trees, tol)
+
+
+def _tree_sum(trees: tuple, tol: float) -> Tuple[float, float]:
+    """The product of the y-trees' sums and its bound: the first within tol, else the best reached."""
     K = _TREE_K0
     while True:
         value, eps, M, V = 1.0, 0.0, 0, 0
         try:
-            for t in f.trees:
+            for t in trees:
                 _, _, T, e, m, *_ = _vertex_tail(t, K)
                 eps = eps * (T[0] + e[0]) + value * e[0]
                 value *= T[0]
@@ -782,12 +786,9 @@ def eval_tree_bounded(f: Union[Forest, Tree], tol: float = 1e-9) -> Tuple[float,
         # which adds 2 M_c per level: (2V + 1) M roundings in all
         rounding = _gamma(2 * M) * value
         bound = eps * (1.0 + _gamma(2 * (2 * V + 1) * M)) + rounding
-        if bound <= tol:
-            return value, bound
         # the rounding term grows with K, so once it exceeds tol nothing helps
-        if K >= 64000 or rounding > tol:
-            named = s if len(s := str(f)) <= _NAMED_MAX else f"{s[:_NAMED_MAX]}... ({grade(f)} vertices)"
-            raise ArithmeticError(f"cannot certify the forest {named} to {tol:g}: best bound {bound:g}")
+        if bound <= tol or K >= 64000 or rounding > tol:
+            return value, bound
         K *= 2
 
 

@@ -64,9 +64,9 @@ def _y_words(max_weight, convergent_only=False):
 def test_c1_printed_expansions(capsys):
     t0 = time.perf_counter()
     expected = {
-        ("expand", "--contracting", "y3(y1,y2)"): "1*y1.y2.y3 + 1*y2.y1.y3 + 1*y3.y3",
-        ("expand", "--simple", "x1(x0,x1(x0))"): "2*x0.x0.x1.x1 + 1*x0.x1.x0.x1",
-        ("expand", "--simple", "x1(x0,x0(x0))"): "3*x0.x0.x0.x1",
+        ("expand", "y3(y1,y2)"): "1*y1.y2.y3 + 1*y2.y1.y3 + 1*y3.y3",
+        ("expand", "x1(x0,x1(x0))"): "2*x0.x0.x1.x1 + 1*x0.x1.x0.x1",
+        ("expand", "x1(x0,x0(x0))"): "3*x0.x0.x0.x1",
     }
     ok = True
     for argv, want in expected.items():

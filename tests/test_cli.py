@@ -15,12 +15,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 import arborzeta
 import arborzeta.arborify as arborify_mod
-import arborzeta.cli as cli_mod
 from arborzeta.arborify import arborify_x, arborify_y, ladder, letter_map
 from arborzeta.cli import _zeta_line, main
-from arborzeta.forests import parse_forest, parse_tree, print_tree
+from arborzeta.forests import enumerate_forests, parse_forest, parse_tree, print_tree
 from arborzeta.lincomb import LinComb
-from arborzeta.words import parse_word, quasi_shuffle, s_inverse, s_map, y_word
+from arborzeta.words import X0, X1, YLetter, parse_word, quasi_shuffle, s_inverse, s_map, y_word
 from arborzeta.zeta import eval_comb_bounded, eval_mzv_bounded, eval_tree_bounded
 
 from conftest import clear_table
@@ -34,51 +33,59 @@ def run(capsys, *argv):
 
 class TestExpand:
     def test_contracting_cherry(self, capsys):
-        code, out, _ = run(capsys, "expand", "--contracting", "y3(y1,y2)")
+        code, out, _ = run(capsys, "expand", "y3(y1,y2)")
         assert code == 0
         assert out == "1*y1.y2.y3 + 1*y2.y1.y3 + 1*y3.y3\n"
 
     def test_simple_distinct_branches(self, capsys):
-        code, out, _ = run(capsys, "expand", "--simple", "x1(x0,x1(x0))")
+        code, out, _ = run(capsys, "expand", "x1(x0,x1(x0))")
         assert code == 0
         assert out == "2*x0.x0.x1.x1 + 1*x0.x1.x0.x1\n"
 
     def test_simple_equal_branches(self, capsys):
-        code, out, _ = run(capsys, "expand", "--simple", "x1(x0,x0(x0))")
+        code, out, _ = run(capsys, "expand", "x1(x0,x0(x0))")
         assert code == 0
         assert out == "3*x0.x0.x0.x1\n"
 
     def test_empty_forest(self, capsys):
-        for flavor in ("--simple", "--contracting"):
-            code, out, _ = run(capsys, "expand", flavor, "e")
-            assert code == 0
-            assert out == "1*e\n"
+        code, out, _ = run(capsys, "expand", "e")
+        assert (code, out) == (0, "1*e\n")
+
+    def test_decorations_choose_the_flavor(self, capsys):
+        # every forest of at most 4 vertices over {y1, y2} or {x0, x1} prints its own alphabet's expansion
+        for letters, arborify in (((YLetter(1), YLetter(2)), arborify_y), ((X0, X1), arborify_x)):
+            for n in range(0, 5):
+                for f in enumerate_forests(n, letters):
+                    assert run(capsys, "expand", str(f)) == (0, f"{arborify(f)}\n", ""), str(f)
 
     def test_alphabet_mismatch(self, capsys):
-        code, _, err = run(capsys, "expand", "--simple", "y3(y1,y2)")
-        assert code == 2
-        assert err.startswith("error:")
-        code, _, err = run(capsys, "expand", "--contracting", "x1(x0)")
-        assert code == 2
+        # no option can disagree with the letters, and a forest of both alphabets does not parse
+        code, out, err = run(capsys, "expand", "y3(y1,x0)")
+        assert (code, out) == (2, "")
+        assert err == "error: forest mixes the x and y alphabets (at position 0)\n"
 
     def test_wrong_alphabet_names_the_root(self, capsys):
-        code, _, err = run(capsys, "expand", "--simple", "y2(y3)")
-        assert (code, err) == (2, "error: simple arborification needs integration (x) decorations, found y2\n")
+        # the first root names the alphabet: y2(y3) expands as a y-forest, not refused as an x-forest
+        code, out, err = run(capsys, "expand", "y2(y3)")
+        assert (code, out, err) == (0, "1*y3.y2\n", "")
 
-    @pytest.mark.parametrize("flavor, top, leaf", [("--contracting", "y2", "y2"), ("--simple", "x1", "x0")])
-    def test_deep_chain(self, capsys, flavor, top, leaf):
-        code, out, _ = run(capsys, "expand", flavor, f"{top}(" * 4999 + leaf + ")" * 4999)
+    @pytest.mark.parametrize("top, leaf", [("y2", "y2"), ("x1", "x0")])
+    def test_deep_chain(self, capsys, top, leaf):
+        code, out, _ = run(capsys, "expand", f"{top}(" * 4999 + leaf + ")" * 4999)
         assert code == 0
         assert out == "1*" + ".".join([leaf] + [top] * 4999) + "\n"
 
     def test_parse_error(self, capsys):
-        code, _, err = run(capsys, "expand", "--contracting", "y3(y1")
+        code, _, err = run(capsys, "expand", "y3(y1")
         assert code == 2
         assert err.startswith("error:")
 
-    def test_flavor_required_and_exclusive(self, capsys):
-        assert run(capsys, "expand", "y3(y1,y2)")[0] == 2
-        assert run(capsys, "expand", "--simple", "--contracting", "e")[0] == 2
+    def test_flavor_flags_are_gone(self, capsys):
+        # the decorations choose the flavor, so the verb has no flavor option
+        for flag in ("--contracting", "--simple"):
+            code, out, err = run(capsys, "expand", flag, "y3(y1,y2)")
+            assert (code, out) == (2, "")
+            assert err.endswith(f"error: unrecognized arguments: {flag}\n")
 
 
 def _value_line(out):
@@ -281,6 +288,22 @@ class TestZeta:
         assert err.startswith("error: cannot certify the forest y1(") and len(err.encode()) < 300
         assert "... (1000 vertices) to 1e-12: best bound " in err
 
+    @pytest.mark.parametrize("argv", [("--word", "x0." + ".".join(["x1"] * 14)), ("x1(" * 14 + "x0" + ")" * 14,)],
+                             ids=["word", "forest"])
+    def test_x_refusal_names_the_x_input(self, capsys, argv):
+        # zeta(2,{1}^13) in x-letters is summed as a y-ladder, and refused naming its own x-ladder
+        code, out, err = run(capsys, "zeta", *argv, "--tol", "1e-12")
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot certify the forest {'x1(' * 14}x0{')' * 14} to 1e-12: best bound 1.81459e-12\n"
+        assert "y1(" not in err
+
+    def test_long_x_refusal_names_a_prefix(self, capsys):
+        # a long x-word is named by a prefix of its x-ladder and its vertex count
+        code, out, err = run(capsys, "zeta", "--word", "x0." + ".".join(["x1"] * 999), "--tol", "1e-12")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot certify the forest {'x1(' * 40}...") and "y1(" not in err
+        assert "... (1000 vertices) to 1e-12: best bound " in err
+
     def test_argument_arity(self, capsys):
         assert run(capsys, "zeta")[0] == 2
         assert run(capsys, "zeta", "y2(y2)", "--word", "y2")[0] == 2
@@ -289,8 +312,8 @@ class TestZeta:
         # the expansion itself is counted: the value's arborify_x puts it in the
         # table, and the line's second call only looks it up
         calls, expand = [], arborify_mod.letter_map
-        for module in (cli_mod, arborify_mod):  # every binding of letter_map the verb could reach
-            monkeypatch.setattr(module, "letter_map", lambda f, a: calls.append(f) or expand(f, a))
+        # the verb imports letter_map from arborify when it runs, so this is every binding it could reach
+        monkeypatch.setattr(arborify_mod, "letter_map", lambda f, a: calls.append(f) or expand(f, a))
         clear_table()
         code, out, _ = run(capsys, "zeta", "x1(x0,x1(x0))")
         assert code == 0 and len(calls) == 1
@@ -419,10 +442,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "relations", "--format", "json")
         assert code == 0
         rows = json.loads(out)
-        z2, z3 = eval_mzv_bounded((2,), 1e-9), eval_mzv_bounded((3,), 1e-9)
+        # a product of zeta values is the tree kernel's value of the forest of its factors
+        z3 = eval_mzv_bounded((3,), 1e-9)
+        z2z3, z2z2 = (eval_tree_bounded(parse_forest(text), 1e-9) for text in ("y2;y3", "y2;y2"))
         assert rows[2]["tolerance"] == eval_mzv_bounded((2, 1), 1e-9)[1] + z3[1]
-        z2z3_bound = rows[0]["tolerance"] - eval_comb_bounded(quasi_shuffle(y_word(2), y_word(3)), 1e-9)[1]
-        assert z2z3_bound >= z2[1] * z3[0] + z3[1] * z2[0]
+        assert rows[0]["tolerance"] == eval_comb_bounded(quasi_shuffle(y_word(2), y_word(3)), 1e-9)[1] + z2z3[1]
+        assert (rows[0]["rhs"], rows[1]["rhs"]) == (z2z3[0], z2z3[0])
+        # 2 zeta(2)^2 doubles the forest y2;y2 exactly, and 5 zeta(4) is a one-word combination
+        assert rows[3]["lhs"] == 2.0 * z2z2[0]
+        assert rows[3]["tolerance"] == 2.0 * z2z2[1] + eval_comb_bounded(LinComb.unit(y_word(4), 5), 1e-9)[1]
         for r in rows:
             assert r["passed"] and r["residual"] <= r["tolerance"] < 1e-11, r
 
@@ -500,9 +528,9 @@ class TestImportCost:
     @pytest.mark.parametrize("argv, runs, skips", [
         (["zeta", "y2(y2,y2)"], {"zeta"}, {"verify", "hoffman"}),
         (["zeta", "x1(x0,x1(x0))"], {"zeta"}, {"verify", "hoffman"}),
-        (["expand", "--contracting", "y3(y1,y2)"], {"arborify"}, {"zeta", "hoffman", "verify"}),
-        (["enumerate", "4", "--decorations", "2"], {"forests"}, {"zeta", "hoffman", "verify"}),
-        (["hoffman", "log", "y1.y2.y3"], {"hoffman"}, {"zeta", "verify"}),
+        (["expand", "y3(y1,y2)"], {"arborify"}, {"zeta", "hoffman", "verify"}),
+        (["enumerate", "4", "--decorations", "2"], {"forests"}, {"arborify", "zeta", "hoffman", "verify"}),
+        (["hoffman", "log", "y1.y2.y3"], {"hoffman"}, {"arborify", "forests", "zeta", "verify"}),
     ], ids=["zeta-y", "zeta-x", "expand", "enumerate", "hoffman"])
     def test_verb_loads_only_its_layers(self, argv, runs, skips):
         # each handler imports the layers it runs, so no verb loads another's
@@ -591,15 +619,13 @@ positional arguments:
 options:
   -h, --help            show this help message and exit
 """,
-    ("expand",): """usage: arborzeta expand [-h] (--contracting | --simple) forest
+    ("expand",): """usage: arborzeta expand [-h] forest
 
 positional arguments:
-  forest         forest text, e.g. "y3(y1,y2)" or "e"
+  forest      forest text, e.g. "y3(y1,y2)" or "e"
 
 options:
-  -h, --help     show this help message and exit
-  --contracting  quasi-shuffle flavor (y-decorations)
-  --simple       shuffle flavor (x-decorations)
+  -h, --help  show this help message and exit
 """,
     ("zeta",): """usage: arborzeta zeta [-h] [--word WORD] [--tol TOL] [forest]
 
@@ -714,7 +740,7 @@ class TestUsage:
 
     @pytest.mark.parametrize(
         "argv",
-        [["zeta", "y1(" * 599 + "y2" + ")" * 599], ["expand", "--contracting", "y2(" * 1199 + "y2" + ")" * 1199]],
+        [["zeta", "y1(" * 599 + "y2" + ")" * 599], ["expand", "y2(" * 1199 + "y2" + ")" * 1199]],
         ids=["zeta-600-deep", "expand-1200-deep"],
     )
     def test_deep_nesting_gives_no_traceback(self, argv):
