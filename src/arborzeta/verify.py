@@ -6,7 +6,7 @@ Four suites are exposed through the command line:
   low-weight zeta values: a product of zeta values is the forest of its factors,
   summed by the tree kernel, and a combination of words goes by the word route.
 * ``bmz``: the regularization comparison residual on every summation word up
-  to a weight cap (the empty word included).
+  to a weight cap (the empty word included), within both sides' certified bounds.
 * ``hopf``: exact structural checks (coassociativity, the grafting cocycle,
   the coalgebra-morphism property of both arborification maps, and the
   ladder section) swept over all small decorated forests.
@@ -111,16 +111,14 @@ def suite_bmz(tol: float = 1e-9, max_weight: Optional[int] = None) -> List[Check
     """Residual of the regularization comparison on all words up to a weight.
 
     Reported lhs/rhs are the constant (theta-degree-0) coefficients of the
-    two sides; the residual is the maximum over all theta powers.
+    two sides; residual and tolerance (the sum of both sides' certified bounds)
+    are those of the theta power of least margin, so a row passes iff every power does.
     """
     if max_weight is not None and max_weight < 0:
         raise ValueError(f"max weight must be nonnegative, got {max_weight}")
-    rows = []
-    for w in _y_words_up_to_weight(4 if max_weight is None else max_weight):
-        lhs_poly, rhs_poly, residual = compare_bmz(w, tol)
-        lhs, rhs = lhs_poly.coeff(0, 0.0), rhs_poly.coeff(0, 0.0)
-        rows.append(CheckRow(f"bmz:{w}", lhs, rhs, residual, 10.0 * tol, residual <= 10.0 * tol))
-    return rows
+    sides = ((w, *compare_bmz(w, tol)) for w in _y_words_up_to_weight(4 if max_weight is None else max_weight))
+    return [CheckRow(f"bmz:{w}", lhs.poly.coeff(0, 0.0), rhs.poly.coeff(0, 0.0), residual, bound, residual <= bound)
+            for w, lhs, rhs, residual, bound in sides]
 
 
 # ---------------------------------------------------------------------------

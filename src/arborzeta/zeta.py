@@ -112,8 +112,19 @@ fewer leading y1 letters, so
 terminates by induction on (length, leading count).  The shuffle side is
 identical with x1 in place of y1, and stores its convergent coefficients as
 summation words through the inverse block substitution.  The two characters
-are intertwined by the exponential differential operator ``rho`` built from
-the depth-one values zeta(n), n >= 2.
+are intertwined by rho = A(d/dtheta), A(t) = exp(sum_{n>=2} (-1)^n zeta(n) t^n/n)
+= e^(gamma t) Gamma(1 + t) (Ihara-Kaneko-Zagier), in closed form: rho(theta^m) =
+sum_j a_j m!/(m-j)! theta^(m-j), j a_j = sum_{n=2}^{j} (-1)^n zeta(n) a_{j-n},
+a_0 = 1 and a_1 = 0.  Every numeric theta-coefficient carries a certified bound:
+``eval_reg`` keeps eval_comb_bounded's, and ``rho`` takes each zeta(n) and its
+bound e_n from eval_mzv_bounded((n,), 1e-12).  a_j is a polynomial in the
+(-1)^n zeta(n)/n with nonnegative coefficients, so the recurrence on |zeta(n)| + e_n
+less the one on |zeta(n)| bounds what the e_n move it; a step rounds at most
+j + 1 times and a chain j, j - 2, ... at most j^2 times, which gamma_{4 j^2}
+times the first covers for all three recurrences.  Coefficient k of rho(p) sums
+n terms x c, x = a_j m!/k!, c = p[m], m = k + j; its bound is the sum of m!/k!
+(err_j (|c| + b_m) + |a_j| b_m), for input bounds b_m, and of the rounding
+gamma_{n+2} sum |x c| of the products and their sum, inflated by 1 + gamma_{2n+7}.
 """
 
 from __future__ import annotations
@@ -128,7 +139,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from .arborify import alphabet_of, arborify_x, arborify_y, divergence_reason_x, divergence_reason_y, ladder
 from .forests import Forest, Tree, bottom_up, grade, size
-from .lincomb import _TABLE, NEG_INF, TERM_COST, LinComb, ThetaPoly, table_put, trim
+from .lincomb import _TABLE, TERM_COST, LinComb, ThetaPoly, table_put, trim
 from .words import (
     Word,
     X1,
@@ -525,67 +536,55 @@ def reg_sh(v: Word) -> ThetaPoly:
 
 
 class NumericRegValue(NamedTuple):
-    """Numerically evaluated theta-polynomial plus its evaluation tolerance."""
+    """A numeric theta-polynomial and its certified bounds, an entry also where poly[k] is exactly 0.0."""
 
     poly: ThetaPoly
-    tol: float
+    bound: ThetaPoly
 
     def __str__(self) -> str:
         return self.poly.format(lambda c: f"{c:.12g}")
 
 
 def eval_reg(sym: ThetaPoly, tol: float = 1e-9) -> NumericRegValue:
-    """Replace every convergent-word coefficient by its numerical value."""
-    return NumericRegValue(sym.map_coeffs(lambda comb: zeta_comb_y(comb, tol)), tol)
+    """Each convergent-word coefficient replaced by the certified (value, bound) of eval_comb_bounded."""
+    pairs = [(k, eval_comb_bounded(comb, tol)) for k, comb in sym.items()]
+    return NumericRegValue(ThetaPoly((k, v) for k, (v, _) in pairs), ThetaPoly((k, e) for k, (_, e) in pairs))
 
 
 def rho(val: NumericRegValue) -> NumericRegValue:
-    """The correction operator exp(sum_{n>=2} (-1)^n zeta(n)/n d^n/dtheta^n).
-
-    Acts on numeric theta-polynomials; each application of the generator
-    lowers the degree by at least 2, so the exponential series terminates and
-    rho(p) - p has degree at most deg(p) - 2.  Depth-one values are evaluated
-    at a tenth of the tolerance.
-    """
-    tol = val.tol / 10.0
-    if tol < 1e-12 and val.poly.degree() >= 2:  # only then is any zeta(n) evaluated
-        raise ValueError(f"rho evaluates zeta(n) to tol/10 = {tol:g}, below the supported 1e-12")
-
-    def generator(q: ThetaPoly) -> ThetaPoly:
-        d = q.degree()
-        out = ThetaPoly()
-        if d is NEG_INF:
-            return out
-        for n in range(2, int(d) + 1):
-            sign = 1.0 if n % 2 == 0 else -1.0
-            out = out + q.derive(n).scale(sign * eval_mzv_bounded((n,), tol)[0] / n)
-        return out
-
-    out = val.poly
-    term = val.poly
-    k = 1
-    while True:
-        term = generator(term).scale(1.0 / k)
-        if not term:
-            break
-        out = out + term
-        k += 1
-    return NumericRegValue(out, val.tol)
+    """The correction operator A(d/dtheta) in closed form, each coefficient's bound derived as in the
+    module docstring; rho(p) - p has degree at most deg(p) - 2, and nothing is refused here."""
+    (p, b), d = val, max(val.poly.degree(), val.bound.degree(), 0)
+    z = [eval_mzv_bounded((n,), 1e-12) for n in range(2, d + 1)]
+    runs = []  # a_j, then its majorants on |zeta(n)| and on |zeta(n)| + e_n
+    for s in ([(-1) ** n * v for n, (v, _) in enumerate(z, 2)], [abs(v) for v, _ in z], [abs(v) + e for v, e in z]):
+        c = [1.0, 0.0]
+        for j in range(2, d + 1):
+            c.append(sum(s[n - 2] * c[j - n] for n in range(2, j + 1)) / j)
+        runs.append(c)
+    a, lo, hi = runs
+    # err_j >= |a_j - exact|; the last factor covers its own three roundings and gamma's two
+    err = [(h - l + _gamma(4 * j * j) * h) * (1.0 + _gamma(5)) for j, (l, h) in enumerate(zip(lo, hi))]
+    value, bound = {}, {}
+    for k in range(d + 1):
+        terms = [(a[j] * f, err[j] * f, p.coeff(k + j, 0.0), b.coeff(k + j, 0.0))
+                 for j in range(d - k + 1) for f in (math.perm(k + j, j),)]
+        products, n = [x * c for x, _, c, _ in terms], len(terms)
+        value[k] = sum(products)
+        total = _gamma(n + 2) * sum(map(abs, products)) + sum(e * (abs(c) + bc) + abs(x) * bc for x, e, c, bc in terms)
+        bound[k] = total * (1.0 + _gamma(2 * n + 7))
+    return NumericRegValue(ThetaPoly(value), ThetaPoly(bound))
 
 
-def compare_bmz(w: Word, tol: float = 1e-9) -> Tuple[ThetaPoly, ThetaPoly, float]:
-    """Both sides of the regularization comparison on one summation word.
-
-    Evaluates the shuffle character on the substituted word and the corrected
-    quasi-shuffle character on w, and returns both numeric polynomials and the
-    largest absolute difference between their coefficients of matching theta
-    powers.
-    """
-    lhs = eval_reg(reg_sh(s_map(w)), tol).poly
-    rhs = rho(eval_reg(reg_qsh(w), tol)).poly
-    degrees = {k for k, _ in lhs.items()} | {k for k, _ in rhs.items()}
-    residual = max((abs(lhs.coeff(k, 0.0) - rhs.coeff(k, 0.0)) for k in degrees), default=0.0)
-    return lhs, rhs, residual
+def compare_bmz(w: Word, tol: float = 1e-9) -> Tuple[NumericRegValue, NumericRegValue, float, float]:
+    """Both sides of the regularization comparison on one summation word, certified: the shuffle character
+    on the substituted word and the corrected quasi-shuffle character on w.  Then the residual |lhs - rhs|
+    and the tolerance, the sum of their bounds, at the theta-degree of least margin, so that residual <=
+    tolerance iff the sides agree within their bounds at every degree."""
+    lhs, rhs = eval_reg(reg_sh(s_map(w)), tol), rho(eval_reg(reg_qsh(w), tol))
+    pairs = ((abs(lhs.poly.coeff(k, 0.0) - rhs.poly.coeff(k, 0.0)), lhs.bound.coeff(k, 0.0) + rhs.bound.coeff(k, 0.0))
+             for k in {k for side in (lhs, rhs) for poly in side for k, _ in poly.items()})
+    return (lhs, rhs, *max(pairs, key=lambda rt: rt[0] - rt[1], default=(0.0, 0.0)))
 
 
 def hoffman_reg_relation(w: Word) -> LinComb:

@@ -150,7 +150,7 @@ def test_c5_bmz_and_degree_drop():
         d = rng.randint(0, 8)
         coeffs = {k: rng.uniform(-5, 5) for k in range(d + 1)}
         coeffs[d] = coeffs[d] or 1.0
-        p = NumericRegValue(ThetaPoly(coeffs), 1e-9)
+        p = NumericRegValue(ThetaPoly(coeffs), ThetaPoly())
         diff = rho(p).poly - p.poly
         degree_ok = degree_ok and all(k <= d - 2 for k, _ in diff.items())
     elapsed = time.perf_counter() - t0

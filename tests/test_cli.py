@@ -20,7 +20,7 @@ from arborzeta.cli import _zeta_line, main
 from arborzeta.forests import enumerate_forests, parse_forest, parse_tree, print_tree
 from arborzeta.lincomb import LinComb
 from arborzeta.words import X0, X1, YLetter, parse_word, quasi_shuffle, s_inverse, s_map, y_word
-from arborzeta.zeta import eval_comb_bounded, eval_mzv_bounded, eval_tree_bounded
+from arborzeta.zeta import compare_bmz, eval_comb_bounded, eval_mzv_bounded, eval_tree_bounded
 
 from conftest import clear_table
 
@@ -465,7 +465,9 @@ class TestVerify:
         for argv, message in [
             (("all", "--tol", "1e-13"), "tolerance below supported precision (min 1e-12)"),
             (("bmz", "--tol", "1e-13"), "tolerance below supported precision (min 1e-12)"),
-            (("bmz", "--tol", "1e-12"), "rho evaluates zeta(n) to tol/10 = 1e-13, below the supported 1e-12"),
+            # past weight 4 the word route decides: 6*y2.y1.y1.y1, a shuffle coefficient of y1.y1.y2.y1
+            (("bmz", "--tol", "1e-12", "--max-weight", "7"),
+             "cannot certify the sum of 1 words to 1e-12: its bound is 1.2014e-12"),
             # the sum's own bound decides: each of its 4 words is certified to 1e-12
             (("oracle", "--tol", "1e-12"), "cannot certify the sum of 4 words to 1e-12: its bound is 2.60016e-12"),
         ]:
@@ -473,6 +475,19 @@ class TestVerify:
             assert code == 2
             assert out == ""
             assert err == f"error: {message}\n"
+
+    def test_bmz_certified_at_1e_12(self, capsys):
+        # every row's tolerance is the sum of both sides' certified bounds, far below tol
+        from arborzeta.verify import _y_words_up_to_weight
+
+        code, out, _ = run(capsys, "verify", "bmz", "--tol", "1e-12")
+        assert (code, out.splitlines()[-1]) == (0, "16/16 checks passed")
+        code, out, _ = run(capsys, "verify", "bmz", "--tol", "1e-12", "--format", "json")
+        rows = json.loads(out)
+        for r, w in zip(rows, _y_words_up_to_weight(4)):
+            _, _, residual, tolerance = compare_bmz(w, 1e-12)
+            assert (r["name"], r["residual"], r["tolerance"]) == (f"bmz:{w}", residual, tolerance)
+            assert r["passed"] and r["residual"] <= r["tolerance"] < 1e-12, r
 
     def test_all_certified_at_1e_11(self, capsys):
         code, out, _ = run(capsys, "verify", "all", "--tol", "1e-11")

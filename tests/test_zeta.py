@@ -374,10 +374,13 @@ class TestRegularization:
 
 class TestEvalReg:
     def test_numeric_coefficients(self):
-        val = eval_reg(reg_qsh(y_word(1, 1)), 1e-10)
+        sym = reg_qsh(y_word(1, 1))
+        val = eval_reg(sym, 1e-10)
         assert abs(val.poly.coeff(2, 0.0) - 0.5) < 1e-15
         assert abs(val.poly.coeff(0, 0.0) + 0.5 * eval_mzv_bounded((2,), 1e-10)[0]) < 1e-9
-        assert val.tol == 1e-10
+        # each coefficient keeps the certified pair of its combination, not the tolerance
+        for k, comb in sym.items():
+            assert (val.poly.coeff(k, 0.0), val.bound.coeff(k, 0.0)) == eval_comb_bounded(comb, 1e-10)
 
     def test_plain_constant(self):
         val = eval_reg(ThetaPoly.constant(LinComb.unit(y_word(3))), 1e-9)
@@ -386,14 +389,14 @@ class TestEvalReg:
 
 class TestRho:
     def test_fixes_constants_and_linear(self):
-        one = NumericRegValue(ThetaPoly.constant(1.0), 1e-9)
+        one = NumericRegValue(ThetaPoly.constant(1.0), ThetaPoly())
         assert rho(one).poly == one.poly
-        lin = NumericRegValue(ThetaPoly({1: 2.0, 0: -3.0}), 1e-9)
+        lin = NumericRegValue(ThetaPoly({1: 2.0, 0: -3.0}), ThetaPoly())
         assert rho(lin).poly == lin.poly
 
     def test_quadratic_example(self):
         z2 = eval_mzv_bounded((2,), 1e-10)[0]
-        p = NumericRegValue(ThetaPoly({2: 0.5, 0: -0.5 * z2}), 1e-9)
+        p = NumericRegValue(ThetaPoly({2: 0.5, 0: -0.5 * z2}), ThetaPoly())
         out = rho(p).poly
         assert abs(out.coeff(2, 0.0) - 0.5) < 1e-15
         assert abs(out.coeff(1, 0.0)) < 1e-15
@@ -407,22 +410,50 @@ class TestRho:
             d = rng.randint(0, 8)
             coeffs = {k: rng.uniform(-3, 3) for k in range(d + 1)}
             coeffs[d] = coeffs[d] or 1.0
-            p = NumericRegValue(ThetaPoly(coeffs), 1e-9)
+            p = NumericRegValue(ThetaPoly(coeffs), ThetaPoly())
             diff = rho(p).poly - p.poly
-            # exact: the generator only ever writes degrees <= d - 2
+            # exact: a_1 = 0, so only degrees <= d - 2 move
             assert all(k <= d - 2 for k, _ in diff.items())
             assert rho(p).poly.coeff(d, 0.0) == p.poly.coeff(d, 0.0)
             if d >= 1:
                 assert rho(p).poly.coeff(d - 1, 0.0) == p.poly.coeff(d - 1, 0.0)
 
 
-    def test_derived_tolerance_refused_only_when_used(self):
-        # rho evaluates zeta(n) at tol/10, and only for a polynomial of degree >= 2
-        lin = NumericRegValue(ThetaPoly({1: 2.0, 0: -3.0}), 1e-12)
-        assert rho(lin).poly == lin.poly
-        with pytest.raises(ValueError) as info:
-            rho(NumericRegValue(ThetaPoly({2: 1.0}), 1e-12))
-        assert str(info.value) == "rho evaluates zeta(n) to tol/10 = 1e-13, below the supported 1e-12"
+    def test_coefficients_are_theorem_oracles(self):
+        # rho(theta^m) = sum_j a_j m!/(m-j)! theta^(m-j) with a_2 = zeta(2)/2, a_3 = -zeta(3)/3 and
+        # a_4 = zeta(4)/4 + zeta(2)^2/8, each within the certified bound
+        z2, z3, z4 = (float(mpmath.zeta(n)) for n in (2, 3, 4))
+        a = {0: 1.0, 1: 0.0, 2: z2 / 2, 3: -z3 / 3, 4: z4 / 4 + z2 ** 2 / 8}
+        for m in range(5):
+            out = rho(NumericRegValue(ThetaPoly({m: 1.0}), ThetaPoly()))
+            for j in range(m + 1):
+                exact = a[j] * math.perm(m, j)
+                assert abs(out.poly.coeff(m - j, 0.0) - exact) <= out.bound.coeff(m - j, 0.0) < 1e-11, (m, j)
+
+    @pytest.mark.parametrize("moved", [0.0, 1e-6])
+    def test_closed_form_is_gamma(self, moved, monkeypatch):
+        # A(t) = e^(gamma t) Gamma(1 + t) (Ihara-Kaneko-Zagier): its Taylor coefficients are the a_j,
+        # also when every zeta(n) is moved by the whole of a bound widened to take the move
+        from arborzeta import zeta
+
+        true = zeta.eval_mzv_bounded
+        monkeypatch.setattr(zeta, "eval_mzv_bounded", lambda e, tol: tuple(x + moved for x in true(e, tol)))
+        with mpmath.workdps(40):
+            a = mpmath.taylor(lambda t: mpmath.exp(mpmath.euler * t) * mpmath.gamma(1 + t), 0, 10)
+        out = rho(NumericRegValue(ThetaPoly({10: 1.0}), ThetaPoly()))
+        for j in range(11):
+            exact = a[j] * math.perm(10, j)
+            assert abs(out.poly.coeff(10 - j, 0.0) - exact) <= out.bound.coeff(10 - j, 0.0), j
+
+    def test_input_bounds_propagate_and_nothing_is_refused(self):
+        # a degree-2 polynomial at any bound: rho refuses nothing of its own, and a bound whose
+        # value is exactly 0.0 (theta^1 here) keeps its entry
+        z2 = eval_mzv_bounded((2,), 1e-12)[0]
+        exact = rho(NumericRegValue(ThetaPoly({2: 1.0}), ThetaPoly()))
+        loose = rho(NumericRegValue(ThetaPoly({2: 1.0}), ThetaPoly({2: 1e-12, 1: 1e-12})))
+        assert loose.poly == exact.poly == ThetaPoly({2: 1.0, 0: z2})
+        assert loose.bound.coeff(1) >= 1e-12 and loose.poly.coeff(1) is None
+        assert loose.bound.coeff(0) >= exact.bound.coeff(0) + z2 * 1e-12
 
 
 class TestLogPowerHelpers:
@@ -543,6 +574,34 @@ class TestCheckBmz:
     def test_small_words_tight(self):
         for w in [y_word(1, 1), y_word(1, 2), y_word(2, 1), y_word(2), y_word(1, 1, 1)]:
             assert compare_bmz(w, 1e-10)[2] <= 1e-9, w
+
+    def test_tolerance_is_the_sum_of_both_bounds(self):
+        for parts in [(), (1,), (1, 2), (2, 1), (1, 1, 2), (1, 3), (2, 2)]:
+            lhs, rhs, residual, tolerance = compare_bmz(y_word(*parts), 1e-9)
+            pairs = [(abs(lhs.poly.coeff(k, 0.0) - rhs.poly.coeff(k, 0.0)),
+                      lhs.bound.coeff(k, 0.0) + rhs.bound.coeff(k, 0.0))
+                     for k in range(max(lhs.bound.degree(), rhs.bound.degree()) + 1)]
+            assert (residual, tolerance) in pairs and all(r <= t for r, t in pairs), parts
+            assert residual <= tolerance < 1e-11, parts
+
+    def test_a_side_moved_past_its_bound_fails(self, monkeypatch):
+        # rhs moved by twice the sum of both sides' bounds at theta^0: the row fails, and passes unmoved
+        from arborzeta import zeta
+        from arborzeta.verify import suite_bmz
+
+        lhs, rhs, _, _ = compare_bmz(y_word(1, 2), 1e-9)
+        shift = 2.0 * (lhs.bound.coeff(0) + rhs.bound.coeff(0))
+        assert all(r.passed for r in suite_bmz(1e-9, 3))
+        true_rho = zeta.rho
+
+        def moved(val):
+            out = true_rho(val)
+            return out._replace(poly=out.poly + ThetaPoly.constant(shift))
+
+        monkeypatch.setattr(zeta, "rho", moved)
+        rows = {r.name: r for r in suite_bmz(1e-9, 3)}
+        assert not rows["bmz:y1.y2"].passed
+        assert rows["bmz:y1.y2"].residual > rows["bmz:y1.y2"].tolerance
 
     def test_weight_three_sweep(self):
         for parts in [(3,), (1, 2), (2, 1), (1, 1, 1)]:
