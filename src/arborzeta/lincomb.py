@@ -32,7 +32,7 @@ entries, under one budget of 2^18 cost units: a float costs 1, and a
 per unit about 14 bytes for a tail's floats, 32 for a k^-n list (a list of
 float objects), 17 to 22 for terms and pairs and 26 for subtrees (414 each).
 A call done with the table calls ``trim``, which clears it if it holds more:
-at most about 3.7 MB of tails, 5.7 MB of terms, 6.8 MB of subtrees or 8.5 MB
+at most about 3.8 MB of tails, 5.7 MB of terms, 6.8 MB of subtrees or 8.5 MB
 of k^-n lists.  What it holds never changes a result.
 """
 

@@ -85,16 +85,20 @@ a tree's value is T_root(0) and a forest's value the product over its trees.
   inflated by the relative rounding of its own pass.  K starts at 125 and
   doubles up to 64000; once the rounding term alone exceeds tol the
   tolerance is refused.
-* The cost.  A vertex tail (E_v, err_v, T_v, eps_v) depends only on the
-  subtree and K, so the package's table (see ``lincomb``) keeps, per K, the
-  tails of every subtree and the k^-n tables from one call to the next; a
-  lookup compares trees without recursion, so a subtree of any size is
-  stored.  A tree not in the table is walked from the leaves up, stopping
-  at the subtrees the table holds, so no depth is too deep.  A call costs
-  O(K) per subtree not yet in the table, and the values and bounds do not
-  depend on what it holds.  A decoration y_n with n > _A_MAX + 1 enters the
-  expansion as its majorant K^(_A_MAX + 1 - n) x^-(_A_MAX + 1), so every n
-  costs the same.  Each K also keeps K^-a and the weights _sum_tail(a, 0, K)
+* The cost.  A vertex tail (E_v, err_v, |E_v|, |E_v| + err_v, T_v, eps_v)
+  depends only on the subtree and K, so the package's table (see ``lincomb``)
+  keeps, per K, the tails of every subtree and the k^-n tables from one call
+  to the next; a lookup compares trees without recursion, so a subtree of any
+  size is stored.  A tree not in the table is walked from the leaves up,
+  stopping at the subtrees the table holds, so no depth is too deep.  A call
+  costs O(K) per subtree not yet in the table, and the values and bounds do
+  not depend on what it holds.  A decoration y_n with n > _A_MAX + 1 enters
+  the expansion as its majorant K^(_A_MAX + 1 - n) x^-(_A_MAX + 1), so every n
+  costs the same.  Above K the first child's E_c, |E_c| and err_c enter
+  shifted by that monomial; each later child costs one joint pass for g E_c
+  and P |E_c| and the products D (|E_c| + err_c) and P err_c, on the lists
+  kept with its tail.  Below K each child costs one or two passes of length K,
+  most of the work.  Each K also keeps K^-a and the weights _sum_tail(a, 0, K)
   of the pruned orders a > _A_MAX, in lists that grow on demand.  Each float
   costs one unit of the table's budget, and a pass ends with its trim.
 
@@ -634,6 +638,24 @@ def _ps_mul(p: list, q: list) -> list:
     return out
 
 
+def _ps_shift(q: list, m: int, s: float) -> list:
+    """_ps_mul([0.0] * m + [s], q) for a nonempty q, whose zero entries it leaves +0.0 too."""
+    return [0.0] * m + [s * d + 0.0 for d in q]
+
+
+def _ps_mul_pair(g: list, P: list, E: list, bar: list) -> Tuple[list, list]:
+    """(_ps_mul(g, E), _ps_mul(P, bar)) in one pass, for bar = |E| and g as long as P and 0 wherever
+    P is; the zero products g[a] E[b] it adds where P[a] is not 0 change no sum, none being -0.0."""
+    gE, PE = [0.0] * (len(P) + len(E) - 1), [0.0] * (len(P) + len(E) - 1)
+    terms = [(b, d, bar[b]) for b, d in enumerate(E) if d]
+    for a, (c, ga) in enumerate(zip(P, g)):
+        if c:
+            for b, d, e in terms:
+                gE[a + b] += ga * d
+                PE[a + b] += c * e
+    return gE, PE
+
+
 def _em_tail(kept: list) -> Tuple[list, list]:
     """E = -Phi - g and g^(5) for a summand g of orders a >= 2.  Descending, the
     integral c x^(1-a)/(1-a), -g/2, g'/12 and -g'''/720 of each c x^-a reach
@@ -659,7 +681,7 @@ def _suffix_sums(terms: list, last: float) -> array:
 
 
 def _vertex_tail(t: Tree, K: int) -> tuple:
-    """(E, err, T, eps, M, nE, nerr) for the tail T_t(m) = sum_{k>m} k^-n prod_c T_c(k).
+    """(E, err, |E|, |E| + err, T, eps, M, nE, nerr) for the tail T_t(m) = sum_{k>m} k^-n prod_c T_c(k).
 
     |T_t(x) - E(x)| <= err(x) at every integer x >= K; T[m] is computed for
     m = 0..K with |T_t(m) - T[m]| <= eps[m] up to rounding, and each T[m] is
@@ -690,12 +712,14 @@ def _add_tail(t: Tree, table: dict, K: int) -> None:
     # Orders beyond _A_MAX only enter the bound, so x^-n is stored as its
     # majorant K^(m-n) x^-m, m = min(n, _A_MAX + 1): any n costs O(_A_MAX)
     m = min(n, _A_MAX + 1)
-    g = P = [0.0] * m + [float(K) ** (m - n)]
+    g = P = [0.0] * m + [s := float(K) ** (m - n)]
     D: list = []
-    for E, err, *_ in kids:
-        bar = [abs(c) for c in E]
-        D = _ps_add(_ps_mul(D, _ps_add(bar, err)), _ps_mul(P, err)) if D else _ps_mul(P, err)
-        g, P = _ps_mul(g, E), _ps_mul(P, bar)
+    if kids:  # that monomial times the first child's series is the series shifted
+        E, err, bar, *_ = kids[0]
+        g, D, P = _ps_shift(E, m, s), _ps_shift(err, m, s), _ps_shift(bar, m, s)
+    for E, err, bar, bar_err, *_ in kids[1:]:
+        D = _ps_add(_ps_mul(D, bar_err), _ps_mul(P, err))
+        g, P = _ps_mul_pair(g, P, E, bar)
     kept = g[:_A_MAX + 1]
     # the float product has at most as many roundings per coefficient as the E_c have terms
     D = _ps_add(D, P, _gamma(sum(nE for *_, nE, _ in kids)))
@@ -717,28 +741,32 @@ def _add_tail(t: Tree, table: dict, K: int) -> None:
     if dropped:  # orders beyond _A_MAX (then err_t reaches _A_MAX + 4), whose tail decays like x^-_A_MAX
         err_t[_A_MAX] += dropped * float(K) ** _A_MAX
     # evaluating E_t at K: one power (2 roundings), one product, the sum
-    nE = sum(map(bool, E_t))
-    err_t = _ps_add(err_t, [abs(c) for c in E_t], _gamma(nE + 3))
+    nE, bar = sum(map(bool, E_t)), list(map(abs, E_t))
+    err_t = _ps_add(err_t, bar, _gamma(nE + 3))
 
     # below K: T(m) = T(m+1) + (m+1)^-n prod T_c(m+1) from T(K) = E_t(K), and
     # eps(m) = eps(m+1) + (m+1)^-n (prod(T_c + eps_c) - prod T_c) from err_t(K)
     summand = _inverse_powers(table, n, K)
     defect = None
-    for _, _, T, eps, *_ in kids:
+    for _, _, _, _, T, eps, *_ in kids:
         defect = (list(map(mul, summand, eps[1:])) if defect is None  # first child: d = 0
                   else [d * (tc + ec) + p * ec for d, p, tc, ec in zip(defect, summand, T[1:], eps[1:])])
         summand = list(map(mul, summand, T[1:]))
     pw = table.setdefault("pow", [])  # K^-a from a = 0; err_t is at least as long as E_t
     floats += max(0, len(err_t) - len(pw))
     pw += [K ** -a for a in range(len(pw), len(err_t))]
-    E_K, err_K = (sum(p[a] * pw[a] for a in range(len(p) - 1, -1, -1) if p[a]) for p in (E_t, err_t))
+    E_K = err_K = 0.0  # the highest order first; a zero term leaves these sums, never -0.0, as they are
+    for a in range(len(E_t) - 1, -1, -1):
+        E_K += E_t[a] * pw[a]
+    for a in range(len(err_t) - 1, -1, -1):
+        err_K += err_t[a] * pw[a]
     T_t = _suffix_sums(summand, E_K)
     eps_t = array("d", [err_K]) * (K + 1) if defect is None else _suffix_sums(defect, err_K)
     # M bounds the roundings behind each T[m] (at most K + 2 + len(kids) plus the
     # children's) and, less K, those behind each coefficient of err_t
     M = K + 24 + (nerr := sum(map(bool, err_t))) + sum(m + nE_c + nerr_c + 6 for *_, m, nE_c, nerr_c in kids)
-    table[t] = (E_t, err_t, T_t, eps_t, M, nE, nerr)
-    table_put(("tails", K), table, floats + len(E_t) + len(err_t) + 2 * (K + 1))
+    table[t] = (E_t, err_t, bar, _ps_add(bar, err_t), T_t, eps_t, M, nE, nerr)
+    table_put(("tails", K), table, floats + 2 * (len(E_t) + len(err_t) + K + 1))
 
 
 def eval_tree_bounded(f: Union[Forest, Tree], tol: float = 1e-9) -> Tuple[float, float]:
@@ -773,7 +801,7 @@ def _tree_sum(trees: tuple, tol: float) -> Tuple[float, float]:
         value, eps, M, V = 1.0, 0.0, 0, 0
         try:
             for t in trees:
-                _, _, T, e, m, *_ = _vertex_tail(t, K)
+                _, _, _, _, T, e, m, *_ = _vertex_tail(t, K)
                 eps = eps * (T[0] + e[0]) + value * e[0]
                 value *= T[0]
                 M += m + 4

@@ -29,12 +29,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def table_cost() -> int:
     """The cost of the package's table, recounted from its entries: a float of
     a per-cutoff tail dict (a k^-n list, a list of weights, or a tail's E, err,
-    T and eps) costs 1, and a LinComb term, a (value, bound) pair or a parsed
-    subtree TERM_COST."""
+    |E|, |E| + err, T and eps) costs 1, and a LinComb term, a (value, bound)
+    pair or a parsed subtree TERM_COST."""
     cost = 0
     for (name, _), value in lincomb._TABLE.items():
         if name == "tails":
-            cost += sum(len(v) if isinstance(v, list) else sum(map(len, v[:4])) for v in value.values())
+            cost += sum(len(v) if isinstance(v, list) else sum(map(len, v[:6])) for v in value.values())
         elif name == "tree":
             assert type(value) is Tree, value
             cost += lincomb.TERM_COST

@@ -559,6 +559,32 @@ class TestDenseKernel:
         for k, exact in enumerate(g5):
             assert abs(Fraction(got5[k]) - exact) <= budget * abs(exact), k
 
+    # floats of every binade, subnormals included, and both zeros
+    floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0]))
+    majorants = st.one_of(st.floats(0.0, allow_infinity=False), st.just(0.0))
+
+    @pytest.mark.parametrize("n", [2, 13, 14, 40])
+    @given(st.lists(floats, min_size=1, max_size=20), st.lists(majorants, min_size=1, max_size=20),
+           st.sampled_from([125, 64000]))
+    @settings(max_examples=60, deadline=None)
+    def test_first_child_enters_shifted(self, n, E, err, K):
+        from arborzeta.zeta import _A_MAX, _ps_mul, _ps_shift
+
+        m = min(n, _A_MAX + 1)
+        s = float(K) ** (m - n)  # 1.0 for n <= _A_MAX + 1
+        for q in (E, [abs(c) for c in E], err):
+            assert [c.hex() for c in _ps_shift(q, m, s)] == [c.hex() for c in _ps_mul([0.0] * m + [s], q)]
+
+    @given(st.lists(st.tuples(floats, majorants), min_size=1, max_size=20), st.lists(floats, min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_joint_pass_is_both_products(self, gP, E):
+        from arborzeta.zeta import _ps_mul, _ps_mul_pair
+
+        g, P = [c if p else 0.0 for c, p in gP], [p for _, p in gP]  # g vanishes where P does
+        bar = [abs(d) for d in E]
+        got, want = _ps_mul_pair(g, P, E, bar), (_ps_mul(g, E), _ps_mul(P, bar))
+        assert [[c.hex() for c in s] for s in got] == [[c.hex() for c in s] for s in want]
+
     def test_order_below_two_refused(self):
         from arborzeta.zeta import _vertex_tail
 
@@ -799,7 +825,8 @@ def _outcome(fn, *args):
 
 class TestTreeEvaluator:
     def test_y2_ladders_closed_form(self):
-        for n in range(1, 8):
+        # to 40 deep: single-child chains, each child entering its parent shifted
+        for n in [*range(1, 8), 15, 20, 31, 40]:
             v, bound = eval_tree_bounded(ladder(y_word(*[2] * n)), 1e-12)
             exact = float(mpmath.pi ** (2 * n) / mpmath.factorial(2 * n + 1))
             assert bound <= 1e-12
