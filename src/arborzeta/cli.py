@@ -173,8 +173,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:  # a ParseError is a ValueError
         return _fail(str(exc))
-    except RecursionError as exc:  # the (quasi-)shuffle of a long branch, or near-equal deep siblings
-        return _fail(f"input nested too deeply ({exc})")
+    except RecursionError:  # the (quasi-)shuffle of a long branch, or near-equal deep siblings
+        return _fail("input nested too deeply")
 
 
 if __name__ == "__main__":

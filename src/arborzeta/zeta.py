@@ -70,8 +70,9 @@ a tree's value is T_root(0) and a forest's value the product over its trees.
   products skip zero coefficients, one descending pass applies the monomial
   rules for -Phi - g and g^(5), and values at K sum the highest order first.
 * Below K the exact backward pass T_v(m) = T_v(m+1) + (m+1)^(-n) prod
-  T_c(m+1) runs from the seed T_v(K) = E_v(K), with one list of k^(-n) per n,
-  which the word route's exact pass reads too.
+  T_c(m+1) runs from the seed T_v(K) = E_v(K).  T_v and its majorant are
+  plain lists in that summation order, entry j at m = K - j, and so is the one
+  list of k^(-n) per n, in descending k, which the word route reads reversed.
 * The bound.  Above K a decaying majorant err_v >= |T_v - E_v| collects the
   Euler-Maclaurin remainder 2*zeta(5)/(2*pi)^5 * integral of |g^(5)|, the
   pruned orders, the coefficient rounding of the expansions and the child
@@ -98,9 +99,10 @@ a tree's value is T_root(0) and a forest's value the product over its trees.
   shifted by that monomial; each later child costs one joint pass for g E_c
   and P |E_c| and the products D (|E_c| + err_c) and P err_c, on the lists
   kept with its tail.  Below K each child costs one or two passes of length K,
-  most of the work.  Each K also keeps K^-a and the weights _sum_tail(a, 0, K)
-  of the pruned orders a > _A_MAX, in lists that grow on demand.  Each float
-  costs one unit of the table's budget, and a pass ends with its trim.
+  most of the work, with no slice, and each running sum one accumulate.  Each
+  K also keeps K^-a and the weights _sum_tail(a, 0, K) of the pruned orders
+  a > _A_MAX, in lists that grow on demand.  Each float costs one unit of the
+  table's budget, and a pass ends with its trim.
 
 Regularization
 --------------
@@ -134,12 +136,11 @@ gamma_{n+2} sum |x c| of the products and their sum, inflated by 1 + gamma_{2n+7
 from __future__ import annotations
 
 import math
-from array import array
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
-from operator import mul
-from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
+from operator import add, mul
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple, Union
 
 from .arborify import alphabet_of, arborify_x, arborify_y, divergence_reason_x, divergence_reason_y, ladder
 from .forests import Forest, Tree, bottom_up, grade, size
@@ -178,6 +179,12 @@ def _check_tol(tol: float) -> None:
     if tol < 1e-12:
         raise ValueError("tolerance below supported precision (min 1e-12)" if tol > 0
                          else f"tolerance must be positive, got {tol:g}")
+
+
+def _sum(terms: Iterable[float]) -> float:
+    """The terms added in iteration order, one rounding each, as every bound here assumes
+    (sum() compensates float sums from Python 3.12 on); 0 for no terms, as sum() gives."""
+    return reduce(add, terms, 0)
 
 
 def _lp_put(dst: _LogPow, key: Tuple[int, int], v: float) -> None:
@@ -226,7 +233,7 @@ def _lp_antideriv(p: _LogPow) -> _LogPow:
 
 def _lp_eval(p: _LogPow, x: float) -> float:
     lx = math.log(x)
-    return sum(c * x ** (-a) * lx ** b for (a, b), c in p.items())
+    return _sum(c * x ** (-a) * lx ** b for (a, b), c in p.items())
 
 
 def _int_tail(a: int, b: int, K: float) -> float:
@@ -284,7 +291,7 @@ def _em_remainder(g: _LogPow, K: int) -> float:
     g5 = g
     for _ in range(5):
         g5 = _lp_deriv(g5)
-    return _EM_REMAINDER * sum(abs(c) * _int_tail(a, b, K) for (a, b), c in g5.items())
+    return _EM_REMAINDER * _sum(abs(c) * _int_tail(a, b, K) for (a, b), c in g5.items())
 
 
 def _stray_terms(err: _LogPow, n: int, K: int) -> Tuple[_LogPow, Optional[float]]:
@@ -310,11 +317,11 @@ def _stray_terms(err: _LogPow, n: int, K: int) -> Tuple[_LogPow, Optional[float]
 
 
 def _inverse_powers(table: dict, n: int, K: int) -> list:
-    """table[n], the list of k^-n for k = 1..K in the table's dict for K, which
+    """table[n], the list of k^-n for k = K..1 in the table's dict for K, which
     both evaluators read; built and charged one unit per float on first use."""
     got = table.get(n)
     if got is None:
-        got = table[n] = [float(k) ** -n for k in range(1, K + 1)]
+        got = table[n] = [float(k) ** -n for k in range(K, 0, -1)]
         table_put(("tails", K), table, K)
     return got
 
@@ -326,7 +333,7 @@ def _exact_sums(exponents: MzvIndex, K: int) -> list:
     run, table = [1.0] * (K - 1), _TABLE.get(("tails", K)) or table_put(("tails", K), {}, 0)
     for j in range(len(exponents), 0, -1):
         out, s, c = [0.0], 0.0, 0.0
-        for x in map(mul, run, _inverse_powers(table, exponents[j - 1], K)):
+        for x in map(mul, run, reversed(_inverse_powers(table, exponents[j - 1], K))):
             y = x - c
             t = s + y
             c = (t - s) - y
@@ -468,11 +475,11 @@ def _sum_bounded(comb: LinComb, tol: float, certify: Callable[[Word, float], Tup
     float(c), of each product and of the sum, and a sum whose bound exceeds tol is refused."""
     per = max(tol / max(1.0, math.ceil(sum(abs(float(c)) for _, c in comb.items()))), 1e-12)
     terms = [(float(c), *certify(w, per)) for w, c in comb.items()]
-    n, value = len(terms), sum(c * v for c, v, _ in terms)
+    n, value = len(terms), _sum(c * v for c, v, _ in terms)
     # a term of value rounds n + 1 times (float(c), the product, n - 1 additions) and |c| <= (1 + gamma_1) |float(c)|;
     # both float sums below are within 1 - gamma_n of exact, and 1 + gamma_{2n+7} covers them and the bound's roundings
-    rounding = _gamma(n + 1) * sum(abs(c * v) for c, v, _ in terms)
-    bound = (rounding + sum(abs(c) * b for c, _, b in terms)) * (1.0 + _gamma(2 * n + 7))
+    rounding = _gamma(n + 1) * _sum(abs(c * v) for c, v, _ in terms)
+    bound = (rounding + _sum(abs(c) * b for c, _, b in terms)) * (1.0 + _gamma(2 * n + 7))
     if bound > tol:
         raise ArithmeticError(f"cannot certify the sum of {n} words to {tol:g}: its bound is {bound:g}")
     return value, bound
@@ -564,7 +571,7 @@ def rho(val: NumericRegValue) -> NumericRegValue:
     for s in ([(-1) ** n * v for n, (v, _) in enumerate(z, 2)], [abs(v) for v, _ in z], [abs(v) + e for v, e in z]):
         c = [1.0, 0.0]
         for j in range(2, d + 1):
-            c.append(sum(s[n - 2] * c[j - n] for n in range(2, j + 1)) / j)
+            c.append(_sum(s[n - 2] * c[j - n] for n in range(2, j + 1)) / j)
         runs.append(c)
     a, lo, hi = runs
     # err_j >= |a_j - exact|; the last factor covers its own three roundings and gamma's two
@@ -574,8 +581,8 @@ def rho(val: NumericRegValue) -> NumericRegValue:
         terms = [(a[j] * f, err[j] * f, p.coeff(k + j, 0.0), b.coeff(k + j, 0.0))
                  for j in range(d - k + 1) for f in (math.perm(k + j, j),)]
         products, n = [x * c for x, _, c, _ in terms], len(terms)
-        value[k] = sum(products)
-        total = _gamma(n + 2) * sum(map(abs, products)) + sum(e * (abs(c) + bc) + abs(x) * bc for x, e, c, bc in terms)
+        value[k] = _sum(products)
+        total = _gamma(n + 2) * _sum(map(abs, products)) + _sum(e * (abs(c) + bc) + abs(x) * bc for x, e, c, bc in terms)
         bound[k] = total * (1.0 + _gamma(2 * n + 7))
     return NumericRegValue(ThetaPoly(value), ThetaPoly(bound))
 
@@ -673,19 +680,12 @@ def _em_tail(kept: list) -> Tuple[list, list]:
     return _ps_add(E, kept, -1.0), g5
 
 
-def _suffix_sums(terms: list, last: float) -> array:
-    """[last + sum(terms[m:]) for m = 0..len(terms)], each summed from the end."""
-    out = list(accumulate(reversed(terms), initial=last))
-    out.reverse()
-    return array("d", out)
-
-
 def _vertex_tail(t: Tree, K: int) -> tuple:
     """(E, err, |E|, |E| + err, T, eps, M, nE, nerr) for the tail T_t(m) = sum_{k>m} k^-n prod_c T_c(k).
 
-    |T_t(x) - E(x)| <= err(x) at every integer x >= K; T[m] is computed for
-    m = 0..K with |T_t(m) - T[m]| <= eps[m] up to rounding, and each T[m] is
-    within a relative gamma_M of its exact-arithmetic value; nE and nerr count
+    |T_t(x) - E(x)| <= err(x) at every integer x >= K; T[j] is computed for
+    m = K - j, j = 0..K, with |T_t(m) - T[j]| <= eps[j] up to rounding, and each
+    T[j] is within a relative gamma_M of its exact-arithmetic value; nE and nerr count
     the nonzero coefficients of E and err, for the parents.  A tail not yet in
     the table's dict for K is added there with those of its subtrees, bottom-up.
     """
@@ -728,7 +728,7 @@ def _add_tail(t: Tree, table: dict, K: int) -> None:
     pruned = table.setdefault("pruned", [])  # _sum_tail(a, 0, K) from a = _A_MAX + 1
     floats = max(0, len(g) - _A_MAX - 1 - len(pruned))
     pruned += [_sum_tail(a, 0, K) for a in range(_A_MAX + 1 + len(pruned), len(g))]
-    dropped = sum(abs(c) * w for c, w in zip(g[_A_MAX + 1:], pruned) if c)
+    dropped = _sum(abs(c) * w for c, w in zip(g[_A_MAX + 1:], pruned) if c)
     # sum_{k>x} g(k) = -Phi(x) - g(x) + remainder, with Phi as in the word evaluator
     E_t, g5 = _em_tail(kept)
     # x -> integral from x to infinity of |h| bounds sum_{k>x} |h(k)| at every
@@ -746,12 +746,13 @@ def _add_tail(t: Tree, table: dict, K: int) -> None:
 
     # below K: T(m) = T(m+1) + (m+1)^-n prod T_c(m+1) from T(K) = E_t(K), and
     # eps(m) = eps(m+1) + (m+1)^-n (prod(T_c + eps_c) - prod T_c) from err_t(K)
+    # in summation order, k = K..1 against m = K..0, so map and zip stop at k = 1
     summand = _inverse_powers(table, n, K)
     defect = None
     for _, _, _, _, T, eps, *_ in kids:
-        defect = (list(map(mul, summand, eps[1:])) if defect is None  # first child: d = 0
-                  else [d * (tc + ec) + p * ec for d, p, tc, ec in zip(defect, summand, T[1:], eps[1:])])
-        summand = list(map(mul, summand, T[1:]))
+        defect = (list(map(mul, summand, eps)) if defect is None  # first child: d = 0
+                  else [d * (tc + ec) + p * ec for d, p, tc, ec in zip(defect, summand, T, eps)])
+        summand = list(map(mul, summand, T))
     pw = table.setdefault("pow", [])  # K^-a from a = 0; err_t is at least as long as E_t
     floats += max(0, len(err_t) - len(pw))
     pw += [K ** -a for a in range(len(pw), len(err_t))]
@@ -760,9 +761,9 @@ def _add_tail(t: Tree, table: dict, K: int) -> None:
         E_K += E_t[a] * pw[a]
     for a in range(len(err_t) - 1, -1, -1):
         err_K += err_t[a] * pw[a]
-    T_t = _suffix_sums(summand, E_K)
-    eps_t = array("d", [err_K]) * (K + 1) if defect is None else _suffix_sums(defect, err_K)
-    # M bounds the roundings behind each T[m] (at most K + 2 + len(kids) plus the
+    T_t = list(accumulate(summand, initial=E_K))
+    eps_t = [err_K] * (K + 1) if defect is None else list(accumulate(defect, initial=err_K))
+    # M bounds the roundings behind each entry of T (at most K + 2 + len(kids) plus the
     # children's) and, less K, those behind each coefficient of err_t
     M = K + 24 + (nerr := sum(map(bool, err_t))) + sum(m + nE_c + nerr_c + 6 for *_, m, nE_c, nerr_c in kids)
     table[t] = (E_t, err_t, bar, _ps_add(bar, err_t), T_t, eps_t, M, nE, nerr)
@@ -796,14 +797,14 @@ def eval_tree_bounded(f: Union[Forest, Tree], tol: float = 1e-9) -> Tuple[float,
 
 def _tree_sum(trees: tuple, tol: float) -> Tuple[float, float]:
     """The product of the y-trees' sums and its bound: the first within tol, else the best reached."""
-    K = _TREE_K0
+    K, best = _TREE_K0, (0.0, math.inf)
     while True:
         value, eps, M, V = 1.0, 0.0, 0, 0
         try:
             for t in trees:
                 _, _, _, _, T, e, m, *_ = _vertex_tail(t, K)
-                eps = eps * (T[0] + e[0]) + value * e[0]
-                value *= T[0]
+                eps = eps * (T[-1] + e[-1]) + value * e[-1]
+                value *= T[-1]
                 M += m + 4
                 V += size(t)
         finally:
@@ -813,9 +814,13 @@ def _tree_sum(trees: tuple, tol: float) -> Tuple[float, float]:
         # which adds 2 M_c per level: (2V + 1) M roundings in all
         rounding = _gamma(2 * M) * value
         bound = eps * (1.0 + _gamma(2 * (2 * V + 1) * M)) + rounding
-        # the rounding term grows with K, so once it exceeds tol nothing helps
-        if bound <= tol or K >= 64000 or rounding > tol:
+        if bound <= tol:
             return value, bound
+        if bound < best[1]:
+            best = value, bound
+        # the rounding term grows with K, so once it exceeds tol nothing helps
+        if K >= 64000 or rounding > tol:
+            return best
         K *= 2
 
 
@@ -873,4 +878,4 @@ def tree_truncation_bound(t: Union[Forest, Tree], N: int) -> float:
     """
     if isinstance(t, Tree):
         t = Forest((t,))
-    return sum(abs(float(c)) * mzv_truncation_bound(_mzv_index(w), N) for w, c in arborify_y(t).items())
+    return _sum(abs(float(c)) * mzv_truncation_bound(_mzv_index(w), N) for w, c in arborify_y(t).items())

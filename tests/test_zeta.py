@@ -21,7 +21,7 @@ from arborzeta import lincomb
 from arborzeta.hoffman import compositions
 from arborzeta.lincomb import LinComb, ThetaPoly
 from arborzeta.words import Word, is_convergent_x, s_inverse, s_map, x_word, y_word
-from arborzeta.forests import Forest, make_tree, parse_forest, parse_tree, vertex
+from arborzeta.forests import Forest, bottom_up, make_tree, parse_forest, parse_tree, vertex
 from arborzeta.arborify import arborify_x, arborify_y, ladder
 from arborzeta.words import X0, X1, YLetter
 from arborzeta.zeta import (
@@ -1106,8 +1106,8 @@ class TestSharedPowerLists:
         table = lincomb._TABLE["tails", 1000]
         lists = {n: table[n] for n in (1, 2)}
         assert sorted(k for k in table if isinstance(k, int)) == [1, 2]
-        for n, got in lists.items():
-            assert got == [float(k) ** -n for k in range(1, 1001)]
+        for n, got in lists.items():  # in summation order, descending k
+            assert got == [float(k) ** -n for k in range(1000, 0, -1)]
         assert lincomb._table_cost == table_cost() == 2 * 1000 + lincomb.TERM_COST
         # the tree kernel at the same cutoff reads the same list objects
         monkeypatch.setattr(zeta_mod, "_TREE_K0", 1000)
@@ -1128,6 +1128,70 @@ class TestSharedPowerLists:
         # k^-1000 underflows to 0 for k >= 3
         e = (2, 1000, 1)
         assert [x.hex() for x in _exact_sums(e, 1000)] == [x.hex() for x in _ascending_sums(e, 1000)]
+        clear_table()
+
+
+def _below_cutoff(t, K):
+    """The kernel's pass below K as a plain loop over m = K..0: T(m - 1) = T(m) + m^-n prod T_c(m) and
+    eps(m - 1) = eps(m) + m^-n (prod(T_c + eps_c) - prod T_c), a child at a time as the kernel takes
+    them, seeded with the kernel's T(K) and eps(K) and read with its children's tails at m."""
+    from arborzeta.zeta import _vertex_tail
+
+    *_, T, eps, _, _, _ = _vertex_tail(t, K)
+    kids = [_vertex_tail(c, K)[4:6] for c in t.children]
+    T_ref, eps_ref = [T[0]], [eps[0]]
+    for m in range(K, 0, -1):
+        p, d = float(m) ** -t.decoration.index, None
+        for Tc, ec in kids:
+            tc, e = Tc[K - m], ec[K - m]
+            d = p * e if d is None else d * (tc + e) + p * e
+            p *= tc
+        T_ref.append(T_ref[-1] + p)
+        eps_ref.append(eps_ref[-1] if d is None else eps_ref[-1] + d)
+    return [x.hex() for x in T_ref], [x.hex() for x in eps_ref], [x.hex() for x in T], [x.hex() for x in eps]
+
+
+class TestSummationOrder:
+    """A tail's T and eps are lists in summation order, entry j at m = K - j, and
+    every float sum that becomes a value or a bound adds its terms in order."""
+
+    def test_below_cutoff_pass_matches_a_plain_loop(self):
+        binary = "y2"
+        for _ in range(3):  # 15 vertices
+            binary = f"y2({binary},{binary})"
+        trees = [parse_tree(_chain(7)), parse_tree("y2(y3(y2(y3(y2))))"), parse_tree("y2(" + ",".join(["y2"] * 8) + ")"),
+                 parse_tree("y3(y2,y3,y2(y2,y3))"), parse_tree(binary), parse_tree("y5")]
+        for K in (125, 250):
+            clear_table()
+            for t in trees:
+                for s in bottom_up((t,)):
+                    T_ref, eps_ref, T, eps = _below_cutoff(s, K)
+                    assert len(T) == len(eps) == K + 1, (s, K)
+                    assert T == T_ref and eps == eps_ref, (s, K)
+        clear_table()
+
+    def test_float_sums_are_sequential(self):
+        from arborzeta.zeta import _sum
+
+        # a compensated sum (sum() from Python 3.12 on) gives 2.0 here
+        assert _sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+        assert _sum(iter([0.1] * 10)) == 0.9999999999999999
+        assert repr(_sum([])) == repr(sum([])) == "0" and repr(_sum([-0.0])) == "0.0"  # as sum() gives
+
+    def test_refusal_names_the_best_bound(self, monkeypatch):
+        import arborzeta.zeta as zeta_mod
+
+        # zeta(2,{1}^13): tol 0 stops each search at its first cutoff, which gives that cutoff's pair
+        trees = (ladder(y_word(2, *[1] * 13)),)
+        pairs = []
+        for K in (125, 250, 500, 1000):
+            monkeypatch.setattr(zeta_mod, "_TREE_K0", K)
+            pairs.append(zeta_mod._tree_sum(trees, 0.0))
+        monkeypatch.undo()
+        best = min(pairs, key=lambda vb: vb[1])
+        assert best == pairs[1] != pairs[2]  # K = 250 reaches a smaller bound than K = 500
+        with pytest.raises(ArithmeticError, match=f"best bound {best[1]:g}$"):
+            eval_tree_bounded(trees[0], 1e-12)
         clear_table()
 
 
