@@ -23,17 +23,18 @@ empty word or the empty forest.
 
 ``_TABLE`` is the package's one cache, of pure results keyed by (name,
 argument): the images of the ``tabled`` basis maps (the coproduct, both
-arborifications, deconcatenation), the tree kernel's vertex tails and the
-k^-n lists of both evaluators in one dict per cutoff K under ("tails", K),
-word values under ("eval_mzv_bounded", (index, tol)), and the parsed subtrees
-under ("tree", (decoration, children)).  Only this module enters or clears
-entries, under one budget of 2^18 cost units: a float costs 1, and a
-``LinComb`` term, a (value, bound) pair or a subtree 16.  Tracemalloc measures
-per unit about 32 bytes for the floats of a tail or a k^-n list (plain lists
-of float objects), 17 to 22 for terms and pairs and 26 for subtrees (414 each).
-A call done with the table calls ``trim``, which clears it if it holds more:
-at most about 8.4 MB of tails, 5.7 MB of terms, 6.8 MB of subtrees or 8.5 MB
-of k^-n lists.  What it holds never changes a result.
+arborifications, deconcatenation), the tree kernel's vertex tails and its
+one list of K^-a, with the k^-n lists of both evaluators, in one dict per
+cutoff K under ("tails", K), word values under ("eval_mzv_bounded", (index,
+tol)), and the parsed subtrees under ("tree", (decoration, children)).  Only
+this module enters or clears entries, under one budget of 2^18 cost units: a
+float costs 1, and a ``LinComb`` term, a (value, bound) pair or a subtree 16.
+Tracemalloc measures per unit about 32 bytes for the floats of a tail or a
+k^-n list (plain lists of float objects), 17 to 22 for terms and pairs and 26
+for subtrees (414 each).  A call done with the table calls ``trim``, which
+clears it if it holds more: at most about 8.4 MB of tails, 5.7 MB of terms,
+6.8 MB of subtrees or 8.5 MB of k^-n lists.  What it holds never changes a
+result.
 """
 
 from __future__ import annotations

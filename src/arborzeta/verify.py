@@ -208,7 +208,7 @@ SUITES: Dict[str, Callable[..., List[CheckRow]]] = {
     "oracle": suite_oracle,
 }
 
-SUITE_NAMES: Tuple[str, ...] = ("relations", "bmz", "hopf", "oracle", "all")
+SUITE_NAMES: Tuple[str, ...] = (*SUITES, "all")
 
 
 def run_suite(name: str, tol: float = 1e-9, max_weight: Optional[int] = None) -> List[CheckRow]:

@@ -100,9 +100,10 @@ a tree's value is T_root(0) and a forest's value the product over its trees.
   and P |E_c| and the products D (|E_c| + err_c) and P err_c, on the lists
   kept with its tail.  Below K each child costs one or two passes of length K,
   most of the work, with no slice, and each running sum one accumulate.  Each
-  K also keeps K^-a and the weights _sum_tail(a, 0, K) of the pruned orders
-  a > _A_MAX, in lists that grow on demand.  Each float costs one unit of the
-  table's budget, and a pass ends with its trim.
+  K also keeps one list of K^-a, grown on demand, from which the weight
+  _sum_tail(a, 0, K) = K^-a + K^(1-a)/(a-1) of a pruned order a > _A_MAX is
+  read.  Each float costs one unit of the table's budget, and a pass ends with
+  its trim.
 
 Regularization
 --------------
@@ -138,7 +139,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from operator import add, mul
 from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple, Union
 
@@ -725,24 +726,24 @@ def _add_tail(t: Tree, table: dict, K: int) -> None:
     D = _ps_add(D, P, _gamma(sum(nE for *_, nE, _ in kids)))
     if any(kept[:2]) or any(D[:2]):
         raise AssertionError("a tree tail needs summands decaying like x^-2")
-    pruned = table.setdefault("pruned", [])  # _sum_tail(a, 0, K) from a = _A_MAX + 1
-    floats = max(0, len(g) - _A_MAX - 1 - len(pruned))
-    pruned += [_sum_tail(a, 0, K) for a in range(_A_MAX + 1 + len(pruned), len(g))]
-    dropped = _sum(abs(c) * w for c, w in zip(g[_A_MAX + 1:], pruned) if c)
     # sum_{k>x} g(k) = -Phi(x) - g(x) + remainder, with Phi as in the word evaluator
     E_t, g5 = _em_tail(kept)
-    # x -> integral from x to infinity of |h| bounds sum_{k>x} |h(k)| at every
-    # integer x >= 1, since each k^-a is at most its integral over [k-1, k]
-    err_t = [0.0] + [abs(c) / (a - 1) for a, c in enumerate(D[2:], 2)]
-    err_t = _ps_add(err_t, [0.0] + [abs(c) / (a - 1) for a, c in enumerate(g5[2:], 2)], _EM_REMAINDER)
-    # E_t has at most 9 roundings per contribution, and the contributions of
-    # c x^-a total at most 2|c| x^(1-a) for x >= K >= 16
-    err_t = _ps_add(err_t, [2.0 * abs(c) for c in kept[1:]], _gamma(9))
-    if dropped:  # orders beyond _A_MAX (then err_t reaches _A_MAX + 4), whose tail decays like x^-_A_MAX
-        err_t[_A_MAX] += dropped * float(K) ** _A_MAX
-    # evaluating E_t at K: one power (2 roundings), one product, the sum
     nE, bar = sum(map(bool, E_t)), list(map(abs, E_t))
-    err_t = _ps_add(err_t, bar, _gamma(nE + 3))
+    pw = table.setdefault("pow", [])  # K^-a from a = 0, as long as err_t, which is at least as long as g
+    floats = max(0, (L := max(len(D), len(g5)) - 1) - len(pw))
+    pw += [K ** -a for a in range(len(pw), L)]
+    # the pruned orders decay like x^-_A_MAX, each weighed by _sum_tail(a, 0, K) = K^-a + K^(1-a)/(a-1) bit for bit
+    dropped = _sum(abs(c) * (pw[a] + pw[a - 1] * (1.0 / (a - 1)))
+                   for a, c in enumerate(g[_A_MAX + 1:], _A_MAX + 1) if c) * float(K) ** _A_MAX
+    # err_t[0] = 0, as D[1], g5[1], kept[1] and E_t[0] are; err_t[a] adds, in this order (each term
+    # >= +0.0, so a zero changes no sum): |D| and the remainder's |g5| at order a + 1 over a, as the
+    # integral from x to infinity of |h| bounds sum_{k>x} |h(k)| at every integer x >= 1; E_t's
+    # rounding, at most 9 per contribution, those of c x^-(a+1) totalling at most 2|c| x^-a for
+    # x >= K >= 16; the pruned orders at a = _A_MAX; evaluating E_t at K: one power (2 roundings),
+    # one product, the sum
+    g9, gE, orders = _gamma(9), _gamma(nE + 3), zip_longest(D[2:], g5[2:], kept[2:], bar[1:], fillvalue=0.0)
+    err_t = [0.0] + [abs(d) / a + _EM_REMAINDER * (abs(h) / a) + g9 * (2.0 * abs(c)) + (dropped if a == _A_MAX else 0.0)
+                     + gE * e for a, (d, h, c, e) in enumerate(orders, 1)]
 
     # below K: T(m) = T(m+1) + (m+1)^-n prod T_c(m+1) from T(K) = E_t(K), and
     # eps(m) = eps(m+1) + (m+1)^-n (prod(T_c + eps_c) - prod T_c) from err_t(K)
@@ -753,9 +754,6 @@ def _add_tail(t: Tree, table: dict, K: int) -> None:
         defect = (list(map(mul, summand, eps)) if defect is None  # first child: d = 0
                   else [d * (tc + ec) + p * ec for d, p, tc, ec in zip(defect, summand, T, eps)])
         summand = list(map(mul, summand, T))
-    pw = table.setdefault("pow", [])  # K^-a from a = 0; err_t is at least as long as E_t
-    floats += max(0, len(err_t) - len(pw))
-    pw += [K ** -a for a in range(len(pw), len(err_t))]
     E_K = err_K = 0.0  # the highest order first; a zero term leaves these sums, never -0.0, as they are
     for a in range(len(E_t) - 1, -1, -1):
         E_K += E_t[a] * pw[a]

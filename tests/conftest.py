@@ -28,7 +28,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 def table_cost() -> int:
     """The cost of the package's table, recounted from its entries: a float of
-    a per-cutoff tail dict (a k^-n list, a list of weights, or a tail's E, err,
+    a per-cutoff tail dict (a k^-n list, the K^-a list, or a tail's E, err,
     |E|, |E| + err, T and eps) costs 1, and a LinComb term, a (value, bound)
     pair or a parsed subtree TERM_COST."""
     cost = 0

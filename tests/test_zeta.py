@@ -1027,7 +1027,7 @@ class TestTailTable:
 
 
 class TestPerCutoffTables:
-    """The dict for K holds K^-a under "pow" and the weights of the pruned orders under "pruned"."""
+    """The dict for K holds one list of K^-a under "pow", from which each pruned order's weight is read."""
 
     def test_tables_are_exact(self):
         import arborzeta.zeta as zeta_mod
@@ -1038,10 +1038,16 @@ class TestPerCutoffTables:
         assert _cutoffs() == [125, 250]
         for K in _cutoffs():
             table = lincomb._TABLE["tails", K]
-            pw, pruned = table["pow"], table["pruned"]
-            assert len(pw) > 16 and pruned
+            pw = table["pow"]
+            assert "pruned" not in table and len(pw) > 16
             assert pw == [K ** -a for a in range(len(pw))]
-            assert pruned == [zeta_mod._sum_tail(zeta_mod._A_MAX + 1 + i, 0, K) for i in range(len(pruned))]
+            # the weight _sum_tail(a, 0, K) of a pruned order a, bit for bit
+            for a in range(zeta_mod._A_MAX + 1, len(pw)):
+                assert (pw[a] + pw[a - 1] * (1.0 / (a - 1))).hex() == zeta_mod._sum_tail(a, 0, K).hex(), (K, a)
+        # and so at every cutoff the kernel tries, for orders far past any list's length here
+        for K in (125 * 2 ** j for j in range(10)):
+            for a in range(zeta_mod._A_MAX + 1, 200):
+                assert (K ** -a + K ** (1 - a) * (1.0 / (a - 1))).hex() == zeta_mod._sum_tail(a, 0, K).hex(), (K, a)
         clear_table()
 
     def test_cold_and_warm_tables(self):
@@ -1062,15 +1068,98 @@ class TestPerCutoffTables:
         clear_table()
         eval_tree_bounded(tree, 1e-9)
         stored = lincomb._table_cost
-        table = lincomb._TABLE["tails", 125]
-        weights = len(table["pow"]) + len(table["pruned"])
+        weights = len(lincomb._TABLE["tails", 125]["pow"])
         assert stored == table_cost() and weights > 0
-        # a budget the tails and k^-n lists alone fit in is exceeded by the weights
+        # a budget the tails and k^-n lists alone fit in is exceeded by the K^-a list
         for budget, cleared in ((stored, False), (stored - weights, True)):
             monkeypatch.setattr(lincomb, "_TABLE_BUDGET", budget)
             clear_table()
             eval_tree_bounded(tree, 1e-9)
             assert (lincomb._table_cost == 0) == cleared
+        clear_table()
+
+    def test_kernel_needs_no_word_route_helper(self, monkeypatch):
+        import arborzeta.zeta as zeta_mod
+
+        # each input has summands past _A_MAX: eight expansions multiplied, decorations entering
+        # as their majorants, and the ladders of an x-tree's words
+        inputs = [("y2(" + ",".join(["y2"] * 8) + ")", 1e-9), ("x1(x0,x0,x0,x0,x0,x0)", 1e-9)]
+        inputs += [(f"y{n}(y2,y{n}(y{n}))", tol) for n in range(13, 31) for tol in (1e-9, 1e-12)]
+
+        def cold_hexes():
+            out = []
+            for text, tol in inputs:
+                clear_table()
+                out.append([x.hex() for x in eval_tree_bounded(parse_forest(text), tol)])
+            return out
+
+        def refuse(*args):
+            raise RuntimeError("the tree kernel called a helper of the word route")
+
+        expected = cold_hexes()
+        for name in ("_sum_tail", "_max_term", "_int_tail"):
+            monkeypatch.setattr(zeta_mod, name, refuse)
+        assert cold_hexes() == expected
+        clear_table()
+
+
+def _four_pass_err_t(t, table, K):
+    """err_t of t's tail at K, from its children's tails in table, as the kernel assembled it in
+    four _ps_add passes over temporary lists and a fix-up for the pruned orders, weighed by
+    _sum_tail; also that assembly with the fix-up after the last pass, and, to show what the
+    tail covers, the pruned orders' total, D and the kept orders of g."""
+    import arborzeta.zeta as z
+
+    n, kids = t.decoration.index, [table[c] for c in t.children]
+    m = min(n, z._A_MAX + 1)
+    g = P = [0.0] * m + [s := float(K) ** (m - n)]
+    D = []
+    if kids:
+        E, err, bar, *_ = kids[0]
+        g, D, P = z._ps_shift(E, m, s), z._ps_shift(err, m, s), z._ps_shift(bar, m, s)
+    for E, err, bar, bar_err, *_ in kids[1:]:
+        D = z._ps_add(z._ps_mul(D, bar_err), z._ps_mul(P, err))
+        g, P = z._ps_mul_pair(g, P, E, bar)
+    kept = g[:z._A_MAX + 1]
+    D = z._ps_add(D, P, z._gamma(sum(nE for *_, nE, _ in kids)))
+    dropped = z._sum(abs(c) * z._sum_tail(a, 0, K) for a, c in enumerate(g[z._A_MAX + 1:], z._A_MAX + 1) if c)
+    E_t, g5 = z._em_tail(kept)
+    err_t = [0.0] + [abs(c) / (a - 1) for a, c in enumerate(D[2:], 2)]
+    err_t = z._ps_add(err_t, [0.0] + [abs(c) / (a - 1) for a, c in enumerate(g5[2:], 2)], z._EM_REMAINDER)
+    err_t = z._ps_add(err_t, [2.0 * abs(c) for c in kept[1:]], z._gamma(9))
+    bar, scale = list(map(abs, E_t)), z._gamma(sum(map(bool, E_t)) + 3)
+    swapped = z._ps_add(err_t, bar, scale)
+    if dropped:
+        err_t[z._A_MAX] += dropped * float(K) ** z._A_MAX
+        swapped[z._A_MAX] += dropped * float(K) ** z._A_MAX
+    return z._ps_add(err_t, bar, scale), swapped, dropped, D, kept
+
+
+class TestErrTail:
+    def test_one_pass_matches_four_passes(self):
+        from arborzeta.zeta import _A_MAX, _vertex_tail
+
+        binary = "y2"
+        for _ in range(3):  # 15 vertices
+            binary = f"y2({binary},{binary})"
+        texts = ["y2(" + ",".join(["y2"] * 8) + ")", _chain(30), binary, "y3(y2,y3,y2(y2,y3))"]
+        texts += [f"y{n}(y2,y{n}(y{n}))" for n in range(13, 31)]
+        covered = {"pruned orders": 0, "zero coefficients": 0, "long D": 0, "order matters": 0}
+        for K in (125, 250):
+            clear_table()
+            for text in texts:
+                t = parse_tree(text)
+                _vertex_tail(t, K)
+                table = lincomb._TABLE["tails", K]
+                for s in bottom_up((t,)):
+                    ref, swapped, dropped, D, kept = _four_pass_err_t(s, table, K)
+                    err_t = [x.hex() for x in table[s][1]]
+                    assert err_t == [x.hex() for x in ref], (s, K)
+                    covered["pruned orders"] += dropped > 0
+                    covered["zero coefficients"] += 0.0 in kept[2:]
+                    covered["long D"] += len(D) > 2 * _A_MAX
+                    covered["order matters"] += err_t != [x.hex() for x in swapped]
+        assert all(covered.values()), covered
         clear_table()
 
 
