@@ -34,22 +34,22 @@ from .words import (
     X1,
     as_comb,
     interleave_sum,
-    merge_y,
+    merge_code,
     s_map,
 )
 
 
 def _product(maps: list, merge) -> dict:
-    # the product of the trees' maps letters -> coefficient; the empty forest
+    # the product of the trees' maps code string -> coefficient; the empty forest
     # gives the unit word, any other forest's product starts from its first tree
-    total = maps[0] if maps else {(): 1}
+    total = maps[0] if maps else {"": 1}
     for m in maps[1:]:
         total = interleave_sum(total, m, merge)
     return total
 
 
 _FLAVORS = {"x": (None, XLetter, "simple arborification needs integration (x)"),
-            "y": (merge_y, YLetter, "contracting arborification needs summation (y)")}
+            "y": (merge_code, YLetter, "contracting arborification needs summation (y)")}
 
 
 def alphabet_of(f: Forest) -> str:
@@ -58,7 +58,7 @@ def alphabet_of(f: Forest) -> str:
 
 
 def letter_map(f: Forest, alphabet: str) -> dict:
-    """arborify_x (alphabet "x") or arborify_y ("y") of f as a map letters -> coefficient."""
+    """arborify_x (alphabet "x") or arborify_y ("y") of f as a map word code string -> coefficient."""
     merge, letter_type, needs = _FLAVORS[alphabet]
     order = bottom_up(f.trees)
     for t in reversed(order):  # roots first: a forest of the other alphabet is named by its last root
@@ -71,7 +71,8 @@ def letter_map(f: Forest, alphabet: str) -> dict:
     for t in order:
         kids = maps[len(maps) - len(t.children):]
         del maps[len(maps) - len(t.children):]
-        maps.append({ls + (t.decoration,): c for ls, c in _product(kids, merge).items()})
+        d = t.decoration._code
+        maps.append({ls + d: c for ls, c in _product(kids, merge).items()})
     return _product(maps, merge)
 
 

@@ -2,9 +2,9 @@
 
 Verbs: expand (arborification of a forest into words), zeta (exact expansion
 of an arborified value, a word's as its ladder's, into ordinary zeta values,
-printed from arborification's letter map with no word objects, plus a certified
-numeric), verify (identity suites as report tables), enumerate (canonical
-decorated trees of a given size), and hoffman (the exp/log isomorphism on one word).
+printed from arborification's map of letter-code strings, with no word objects,
+plus a certified numeric), verify (identity suites as report tables), enumerate
+(canonical decorated trees of a given size), and hoffman (exp/log on one word).
 A forest's decorations choose the flavor: contracting for y-letters, simple for x.
 
 Exit codes: 0 success, 1 verification failure, 2 usage, parse, or
@@ -26,7 +26,7 @@ import sys
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
-from .words import Word, YLetter, parse_word, s_inverse
+from .words import YLetter, decode, encode, parse_word, s_inverse
 
 
 def _fail(message: str) -> int:
@@ -48,16 +48,16 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # zeta
 
-def _zeta_line(coeffs: Mapping, alphabet: str) -> str:
-    # coeffs: letters -> coefficient.  Rows in the order of the x-words: y_n is x0^(n-1) x1, so
-    # x-words compare as the tuples of negated indices do, and s_map is a bijection, so no ties
-    if alphabet == "x":
-        coeffs = {s_inverse(Word(ls)).letters: c for ls, c in coeffs.items()}
-    letters = set().union(*coeffs)
-    neg = {l: -l.index for l in letters}.__getitem__
-    name = {l: str(l.index) for l in letters}.__getitem__
-    rows = sorted((tuple(map(neg, ls)), ls, c) for ls, c in coeffs.items() if c)
-    return " + ".join(f"{c}*zeta({','.join(map(name, ls))})" for _, ls, c in rows)
+def _zeta_line(coeffs: Mapping) -> str:
+    # coeffs: y-word code string -> coefficient.  Rows in the order of the x-words: y_n is
+    # x0^(n-1) x1, so x-words compare as the strings of letter ranks by descending index do
+    # (a prefix first, as for tuples); the ranks are distinct, so each word keeps its own row
+    codes = "".join(set("".join(coeffs)))
+    letters = sorted(zip(decode(codes).letters, codes), key=lambda lc: -lc[0].index)
+    rank = {ord(code): i for i, (_, code) in enumerate(letters)}
+    name = [f"{l.index}," for l, _ in letters]  # by rank
+    ranked = {ls.translate(rank): c for ls, c in coeffs.items() if c}
+    return " + ".join(f"{ranked[r]}*zeta({r.translate(name)[:-1]})" for r in sorted(ranked))
 
 
 def _cmd_zeta(args: argparse.Namespace) -> int:
@@ -71,12 +71,11 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
         f = Forest((ladder(w),)) if w.letters else EMPTY_FOREST
     else:
         f = parse_forest(args.forest)
-    alphabet = alphabet_of(f)
-    if alphabet == "y":  # summed directly, so the expansion is only printed
+    if alphabet_of(f) == "y":  # summed directly, so the expansion is only printed
         value, coeffs = zeta_tree_y(f, args.tol), letter_map(f, "y")
     else:  # the value puts the expansion in the table, where the line reads it
-        value, coeffs = zeta_tree_x(f, args.tol), {w.letters: c for w, c in arborify_x(f).items()}
-    print(_zeta_line(coeffs, alphabet))
+        value, coeffs = zeta_tree_x(f, args.tol), {encode(s_inverse(w)): c for w, c in arborify_x(f).items()}
+    print(_zeta_line(coeffs))
     print(f"value = {value:.12g} (tol = {args.tol:g})")
     return 0
 

@@ -26,7 +26,7 @@ from itertools import accumulate
 from typing import Tuple
 
 from .lincomb import LinComb
-from .words import Word, as_comb, merge_y, y_letter
+from .words import Word, merge_y, y_letter
 
 
 def compositions(k: int) -> list:
@@ -79,7 +79,7 @@ def _composition_sum(terms, which: int) -> LinComb:
         for ids, g in table[which]:
             ls = tuple([merged[i] for i in ids])
             out[ls] = out.get(ls, 0) + m * g
-    return as_comb({ls: Fraction(v, den) for ls, v in out.items() if v})
+    return LinComb({Word(ls): Fraction(v, den) for ls, v in out.items() if v})
 
 
 def exp_word(w: Word) -> LinComb:

@@ -20,6 +20,10 @@ letter compares and hashes by identity and costs no Python call to hash.  A
 letter value must be an int (not a bool) in the letter's range; ``y_letter``
 calls the constructor only for an index not yet interned.  A ``Word``
 stores the hash of its letter tuple and compares that hash before the letters.
+Each new letter also gets a one-character code, ``chr`` of its place in the
+append-only list ``_BY_CODE``, so one process holds at most 1,114,112 (0x110000)
+distinct letters.  The (quasi-)shuffle works on words encoded as strings of codes
+(``encode``, ``decode``), and the products decode once per output word.
 
 Serialization: letters print as ``x0``, ``x1``, ``y1``, ``y2``, ...; a word
 is the dot-joined sequence of its letters (``x0.x1.x1``) and the empty word
@@ -43,17 +47,21 @@ class _Letter(Immutable):
     """A letter, interned: one object per value, so equality is identity, the
     hash is ``object``'s, and a copy or a pickle comes back as the same object."""
 
-    __slots__ = ("_str",)
+    __slots__ = ("_str", "_code")
 
     def __new__(cls, n: int):
         letter = cls._interned.get(n) if type(n) is int else None
         if letter is None:
             if isinstance(n, bool) or not isinstance(n, int) or not cls._least <= n <= cls._most:
                 raise ValueError(f"{cls._rule}, got {n}")
+            if len(_BY_CODE) > 0x10FFFF:
+                raise ValueError(f"no code left for {cls._prefix}{n}: a process holds at most 1,114,112 letters")
             letter = object.__new__(cls)
             object.__setattr__(letter, cls._field, int(n))
             object.__setattr__(letter, "_str", f"{cls._prefix}{int(n)}")
-            letter = cls._interned.setdefault(int(n), letter)
+            object.__setattr__(letter, "_code", chr(len(_BY_CODE)))
+            _BY_CODE.append(letter)
+            cls._interned[int(n)] = letter
         return letter
 
     def __reduce__(self):
@@ -89,6 +97,7 @@ class YLetter(_Letter):
     _rule = "y-letter index must be a positive integer"
 
 
+_BY_CODE: list = []  # the letter of each code c at _BY_CODE[ord(c)], in the order the letters were made
 X0 = XLetter(0)
 X1 = XLetter(1)
 _Y_LETTERS = YLetter._interned
@@ -174,10 +183,24 @@ def merge_y(a: YLetter, b: YLetter) -> YLetter:
     return y_letter(a.index + b.index)
 
 
+def merge_code(a: str, b: str) -> str:
+    """merge_y on letter codes."""
+    return y_letter(_BY_CODE[ord(a)].index + _BY_CODE[ord(b)].index)._code
+
+
+def encode(w: Word) -> str:
+    """The string of w's letter codes."""
+    return "".join([l._code for l in w.letters])
+
+
+def decode(code: str) -> Word:
+    """The word whose letter codes are the characters of code."""
+    return Word(tuple(map(_BY_CODE.__getitem__, map(ord, code))))
+
+
 @lru_cache(maxsize=1 << 12)  # a round of any bench/ workload fills under 900 entries
-def _interleave(u: Tuple[Letter, ...], v: Tuple[Letter, ...],
-                merge: Optional[Callable[[Letter, Letter], Letter]]) -> Mapping:
-    # Recursive expansion into a read-only map letter tuple -> count; merge=None gives the
+def _interleave(u: str, v: str, merge: Optional[Callable[[str, str], str]]) -> Mapping:
+    # Recursive expansion into a read-only map code string -> count; merge=None gives the
     # plain shuffle, otherwise a third branch contracts the leading letters under merge.
     if not u or not v:
         return MappingProxyType({u + v: 1})
@@ -187,41 +210,42 @@ def _interleave(u: Tuple[Letter, ...], v: Tuple[Letter, ...],
     out: dict = {}
     for letter, counts in branches:
         for ls, c in counts.items():
-            ls = (letter,) + ls
+            ls = letter + ls
             out[ls] = out.get(ls, 0) + c
     return MappingProxyType(out)
 
 
-def interleave_sum(a: Mapping, b: Mapping, merge: Optional[Callable[[Letter, Letter], Letter]]) -> dict:
-    """(Quasi-)shuffle of two maps letters -> coefficient; zero sums are kept."""
+def interleave_sum(a: Mapping, b: Mapping, merge: Optional[Callable[[str, str], str]]) -> dict:
+    """(Quasi-)shuffle of two maps code string -> coefficient; zero sums are kept."""
     out: dict = {}
     for u, cu in a.items():
         for v, cv in b.items():
+            m = cu * cv
             for ls, d in _interleave(u, v, merge).items():
-                out[ls] = out.get(ls, 0) + cu * cv * d
+                out[ls] = out.get(ls, 0) + m * d
     return out
 
 
 def as_comb(coeffs: Mapping) -> LinComb:
-    """The LinComb of a map letters -> coefficient: each word built once, zeros dropped."""
-    return LinComb({Word(ls): c for ls, c in coeffs.items() if c})
+    """The LinComb of a map code string -> coefficient: each word decoded once, zeros dropped."""
+    return LinComb({decode(ls): c for ls, c in coeffs.items() if c})
 
 
 def shuffle(u: Word, v: Word) -> LinComb:
     """Shuffle product: sum over all interleavings of u and v."""
-    return as_comb(_interleave(u.letters, v.letters, None))
+    return as_comb(_interleave(encode(u), encode(v), None))
 
 
 def quasi_shuffle(u: Word, v: Word) -> LinComb:
     """Quasi-shuffle product on summation words: letters merge by adding indices."""
-    return as_comb(_interleave(u.letters, v.letters, merge_y))
+    return as_comb(_interleave(encode(u), encode(v), merge_code))
 
 
-def product_comb(a: LinComb, b: LinComb,
-                 merge: Optional[Callable[[Letter, Letter], Letter]] = None) -> LinComb:
-    """Bilinear extension of shuffle (merge=None) or quasi-shuffle to combinations."""
-    by_letters = [{w.letters: c for w, c in x.items()} for x in (a, b)]
-    return as_comb(interleave_sum(*by_letters, merge))
+def product_comb(a: LinComb, b: LinComb, merge: Optional[Callable] = None) -> LinComb:
+    """Bilinear extension of shuffle (merge=None) or quasi-shuffle (merge_y) to
+    combinations; any other merge acts on letter codes."""
+    by_code = [{encode(w): c for w, c in x.items()} for x in (a, b)]
+    return as_comb(interleave_sum(*by_code, merge_code if merge is merge_y else merge))
 
 
 @tabled

@@ -15,7 +15,7 @@ import pytest
 from conftest import table_cost
 from arborzeta import lincomb
 from arborzeta.lincomb import LinComb
-from arborzeta.words import Word, X0, X1, XLetter, YLetter, merge_y, s_map, x_word, y_word
+from arborzeta.words import Word, X0, X1, XLetter, YLetter, decode, merge_y, s_map, x_word, y_word
 from arborzeta.forests import (
     Forest,
     Tree,
@@ -198,7 +198,7 @@ class TestLetterMap:
     def test_wraps_both_flavors(self):
         for text, arb, alphabet in (("y3(y1,y2);y2", arborify_y, "y"), ("x1(x0,x1(x0))", arborify_x, "x")):
             f = parse_forest(text)
-            assert LinComb({Word(ls): c for ls, c in letter_map(f, alphabet).items()}) == arb(f)
+            assert LinComb({decode(code): c for code, c in letter_map(f, alphabet).items()}) == arb(f)
 
     def test_shared_subtrees(self):
         # parse_forest builds equal subtrees as one object: twins, a root that

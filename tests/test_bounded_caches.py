@@ -17,10 +17,11 @@ from conftest import clear_table, table_cost
 
 # every module-level table that fills as the package works, and the name of its budget
 BUDGETED = {"lincomb._TABLE": "_TABLE_BUDGET"}
-# tables that never change after import; the letter intern table holds one
-# entry per y-letter ever made, which interning needs, and is no cache
+# tables that never change after import; the letter intern tables hold one
+# entry per y-letter ever made (and the code list one per letter), which
+# interning needs, and are no caches
 FIXED = {"arborify._FLAVORS", "verify.SUITES"}
-INTERNED = {"words._Y_LETTERS"}
+INTERNED = {"words._Y_LETTERS", "words._BY_CODE"}
 
 
 def _functools_caches():

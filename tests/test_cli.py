@@ -19,7 +19,7 @@ from arborzeta.arborify import arborify_x, arborify_y, ladder, letter_map
 from arborzeta.cli import _zeta_line, main
 from arborzeta.forests import enumerate_forests, parse_forest, parse_tree, print_tree
 from arborzeta.lincomb import LinComb
-from arborzeta.words import X0, X1, YLetter, parse_word, quasi_shuffle, s_inverse, s_map, y_word
+from arborzeta.words import X0, X1, YLetter, encode, parse_word, quasi_shuffle, s_inverse, s_map, y_word
 from arborzeta.zeta import compare_bmz, eval_comb_bounded, eval_mzv_bounded, eval_tree_bounded
 
 from conftest import clear_table
@@ -126,6 +126,15 @@ class TestZeta:
         code, out, _ = run(capsys, "zeta", f"y{index}")
         assert (code, out) == (0, f"1*zeta({index})\nvalue = 1 (tol = 1e-09)\n")
 
+    def test_huge_decoration_in_a_product(self, capsys):
+        # the merged letter's index is past every character code; rows in x-word order
+        code, out, _ = run(capsys, "zeta", "y99999999999999999999;y2")
+        assert code == 0
+        line, value, _ = _value_line(out)
+        assert line == ("1*zeta(100000000000000000001) + 1*zeta(99999999999999999999,2)"
+                        " + 1*zeta(2,99999999999999999999)")
+        assert abs(value - 1.6449340668482264) < 1e-8
+
     def test_plain_word(self, capsys):
         code, out, _ = run(capsys, "zeta", "--word", "y2.y3")
         assert code == 0
@@ -230,7 +239,7 @@ class TestZeta:
         code, out, _ = run(capsys, "zeta", text, "--tol", "1e-7")
         assert code == 0
         line, value, tol = _value_line(out)
-        assert line == _zeta_line(letter_map(parse_forest(text), "y"), "y")
+        assert line == _zeta_line(letter_map(parse_forest(text), "y"))
         terms = line.split(" + ")
         assert len(terms) == 212
         assert sum(int(term.split("*")[0]) for term in terms) == 184683
@@ -324,8 +333,8 @@ class TestZeta:
         assert err == "error: root decorated x0 makes the value divergent (root must be x1)\n"
 
 
-def _letters(comb):
-    return {w.letters: c for w, c in comb.items()}
+def _codes(comb):
+    return {encode(w): c for w, c in comb.items()}
 
 
 def _zeta_line_by_strings(comb, alphabet):
@@ -335,21 +344,34 @@ def _zeta_line_by_strings(comb, alphabet):
     return " + ".join(f"{c}*zeta({','.join(str(l.index) for l in w.letters)})" for w, (_, c) in zip(words, rows))
 
 
-y_combs = st.dictionaries(
-    st.lists(st.integers(1, 12), max_size=5).map(lambda ix: y_word(*ix)),
-    st.integers(-50, 50).filter(bool) | st.fractions(-5, 5).filter(lambda c: c.denominator > 1),
-    max_size=12,
-).map(LinComb)
+def _zeta_line_by_tuples(comb):
+    """The expansion line of a y-combination sorted by the tuples of negated indices,
+    the order of the x-words for indices too large to spell out an x-word."""
+    rows = sorted(comb.items(), key=lambda t: tuple(-l.index for l in t[0].letters))
+    return " + ".join(f"{c}*zeta({','.join(str(l.index) for l in w.letters)})" for w, c in rows)
+
+
+def _y_combs(indices):
+    return st.dictionaries(
+        st.lists(indices, max_size=5).map(lambda ix: y_word(*ix)),
+        st.integers(-50, 50).filter(bool) | st.fractions(-5, 5).filter(lambda c: c.denominator > 1),
+        max_size=12,
+    ).map(LinComb)
 
 
 class TestZetaLineOrder:
-    @given(y_combs)
+    @given(_y_combs(st.integers(1, 12)))
     @settings(max_examples=150, deadline=None)
     def test_matches_x_word_string_order(self, comb):
-        assert _zeta_line(_letters(comb), "y") == _zeta_line_by_strings(comb, "y")
+        assert _zeta_line(_codes(comb)) == _zeta_line_by_strings(comb, "y")
         x_comb = comb.map_basis(s_map)
-        assert _zeta_line(_letters(x_comb), "x") == _zeta_line_by_strings(x_comb, "x")
-        assert _zeta_line(_letters(x_comb), "x") == _zeta_line(_letters(comb), "y")
+        assert _zeta_line({encode(s_inverse(w)): c for w, c in x_comb.items()}) == _zeta_line_by_strings(x_comb, "x")
+
+    @given(_y_combs(st.integers(1, 12) | st.integers(0x10FFFE, 0x110002) | st.integers(1 << 64, 1 << 70)))
+    @settings(max_examples=150, deadline=None)
+    def test_huge_indices_match_negated_index_order(self, comb):
+        # an index at or past 0x110000 is no character code, yet its letter has one
+        assert _zeta_line(_codes(comb)) == _zeta_line_by_tuples(comb)
 
 
 @st.composite

@@ -7,12 +7,14 @@ without the recursion used by the implementation.
 
 import copy
 import itertools
+import math
 import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arborzeta import words
 from arborzeta.lincomb import LinComb, TensorPair, bilinear
 from arborzeta.words import (
     EMPTY_WORD,
@@ -24,6 +26,8 @@ from arborzeta.words import (
     YLetter,
     concat,
     deconcat,
+    decode,
+    encode,
     is_convergent_x,
     is_convergent_y,
     merge_y,
@@ -298,6 +302,50 @@ class TestInternedLetters:
         with pytest.raises(AttributeError):
             del X0.value
         assert YLetter(2).index == 2 and X0.value == 0
+
+
+@st.composite
+def word_pairs(draw):
+    """(alphabet, u, v): two words of one alphabet, y-indices also past the last character code."""
+    if draw(st.booleans()):
+        return ("x", *(x_word(*draw(st.lists(st.integers(0, 1), max_size=4))) for _ in "uv"))
+    indices = st.integers(1, 6) | st.integers(0x10FFFF, 0x110001) | st.integers(1 << 64, 1 << 66)
+    return ("y", *(y_word(*draw(st.lists(indices, max_size=4))) for _ in "uv"))
+
+
+def _mass(comb):
+    return sum(c for _, c in comb.items())
+
+
+class TestLetterCodes:
+    """Each letter's one-character code, and the products that run on code strings:
+    against the oracles above and the counting theorems, with indices past every code."""
+
+    @given(word_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_product_masses_and_round_trip(self, pair):
+        alphabet, u, v = pair
+        p, q = len(u), len(v)
+        assert decode(encode(u)) == u and decode(encode(v)) == v
+        assert shuffle(u, v) == shuffle_oracle(u, v)
+        assert _mass(shuffle(u, v)) == math.comb(p + q, p)
+        if alphabet == "y":  # the Delannoy number: k contracted pairs
+            delannoy = sum(math.comb(p, k) * math.comb(q, k) * 2 ** k for k in range(min(p, q) + 1))
+            assert quasi_shuffle(u, v) == quasi_shuffle_oracle(u, v)
+            assert _mass(quasi_shuffle(u, v)) == delannoy
+
+    def test_the_code_limit_is_refused_by_name(self, monkeypatch):
+        class Full(list):  # every code taken, without a million letters
+            def __len__(self):
+                return 0x110000
+
+        monkeypatch.setattr(words, "_BY_CODE", Full(words._BY_CODE))
+        assert y_letter(2) is YLetter(2)  # a letter made before keeps its code
+        fresh = 10 ** 30 + 7
+        with pytest.raises(ValueError, match="^no code left for y1000000000000000000000000000007: "
+                                             "a process holds at most 1,114,112 letters$"):
+            YLetter(fresh)
+        assert fresh not in words._Y_LETTERS
 
 
 class TestBlockSubstitution:
