@@ -14,7 +14,9 @@ Each verb has its own parser, built on the first call that names it and
 reused by every later one, so a call makes one argparse pass, into a fresh
 namespace.  The top-level parser of all five verbs is built only for --help,
 a missing or unknown verb, or to report arguments a verb leaves over.  Each
-verb's handler imports the layers it alone runs (forests, arborify, zeta, verify, hoffman).
+verb's handler imports the modules of the layers it alone runs (forests, arborify, zeta,
+verify, hoffman) as module objects.  No verb imports ``fractions`` itself: the exact
+layer loads it at its first division, so only hoffman and verify bmz load it.
 (The library's one table of pure results persists, up to its budget; it
 never changes a printed value.)
 """
@@ -38,10 +40,9 @@ def _fail(message: str) -> int:
 # expand
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    from .arborify import alphabet_of, arborify_x, arborify_y
-    from .forests import parse_forest
-    f = parse_forest(args.forest)
-    print((arborify_x if alphabet_of(f) == "x" else arborify_y)(f))
+    from . import arborify, forests
+    f = forests.parse_forest(args.forest)
+    print((arborify.arborify_x if arborify.alphabet_of(f) == "x" else arborify.arborify_y)(f))
     return 0
 
 
@@ -61,20 +62,19 @@ def _zeta_line(coeffs: Mapping) -> str:
 
 
 def _cmd_zeta(args: argparse.Namespace) -> int:
-    from .arborify import alphabet_of, arborify_x, ladder, letter_map
-    from .forests import EMPTY_FOREST, Forest, parse_forest
-    from .zeta import zeta_tree_x, zeta_tree_y
+    from . import arborify, forests, zeta
     if (args.forest is None) == (args.word is None):
         return _fail("give exactly one of a forest argument or --word")
     if args.word is not None:  # a word is its ladder, whose arborification is the word
         w = parse_word(args.word)
-        f = Forest((ladder(w),)) if w.letters else EMPTY_FOREST
+        f = forests.Forest((arborify.ladder(w),)) if w.letters else forests.EMPTY_FOREST
     else:
-        f = parse_forest(args.forest)
-    if alphabet_of(f) == "y":  # summed directly, so the expansion is only printed
-        value, coeffs = zeta_tree_y(f, args.tol), letter_map(f, "y")
+        f = forests.parse_forest(args.forest)
+    if arborify.alphabet_of(f) == "y":  # summed directly, so the expansion is only printed
+        value, coeffs = zeta.zeta_tree_y(f, args.tol), arborify.letter_map(f, "y")
     else:  # the value puts the expansion in the table, where the line reads it
-        value, coeffs = zeta_tree_x(f, args.tol), {encode(s_inverse(w)): c for w, c in arborify_x(f).items()}
+        value = zeta.zeta_tree_x(f, args.tol)
+        coeffs = {encode(s_inverse(w)): c for w, c in arborify.arborify_x(f).items()}
     print(_zeta_line(coeffs))
     print(f"value = {value:.12g} (tol = {args.tol:g})")
     return 0
@@ -84,14 +84,14 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
 # verify / enumerate / hoffman
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import all_passed, format_rows, run_suite
-    rows = run_suite(args.suite, tol=args.tol, max_weight=args.max_weight)
-    print(format_rows(rows, args.format))
-    return 0 if all_passed(rows) else 1
+    from . import verify
+    rows = verify.run_suite(args.suite, tol=args.tol, max_weight=args.max_weight)
+    print(verify.format_rows(rows, args.format))
+    return 0 if verify.all_passed(rows) else 1
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    from .forests import enumerate_trees, print_tree
+    from . import forests
     if args.n < 1:
         return _fail("tree size must be >= 1")
     if args.n > args.cap:
@@ -99,16 +99,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.decorations < 1:
         return _fail("need at least one decoration")
     letters = tuple(YLetter(i) for i in range(1, args.decorations + 1))
-    trees = enumerate_trees(args.n, letters)
+    trees = forests.enumerate_trees(args.n, letters)
     noun = "tree" if len(trees) == 1 else "trees"
     print(f"{len(trees)} {noun}")
-    print("\n".join(map(print_tree, trees)))
+    print("\n".join(map(forests.print_tree, trees)))
     return 0
 
 
 def _cmd_hoffman(args: argparse.Namespace) -> int:
-    from .hoffman import exp_word, log_word
-    print((exp_word if args.direction == "exp" else log_word)(parse_word(args.word)))
+    from . import hoffman
+    print((hoffman.exp_word if args.direction == "exp" else hoffman.log_word)(parse_word(args.word)))
     return 0
 
 
@@ -136,8 +136,8 @@ def _parser(verb: Optional[str]) -> Optional[argparse.ArgumentParser]:
         p.set_defaults(func=_cmd_zeta)
 
     if p := add("verify", help="run an identity suite and report rows"):
-        from .verify import SUITE_NAMES
-        p.add_argument("suite", choices=SUITE_NAMES)
+        from . import verify
+        p.add_argument("suite", choices=verify.SUITE_NAMES)
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--max-weight", type=int, default=None)
         p.add_argument("--format", choices=("text", "tsv", "json"), default="text")

@@ -45,12 +45,13 @@ The census (``enumerate_trees``, ``enumerate_forests``) builds every smaller
 size exactly once per call, bottom-up: the trees with m vertices are the
 canonical forests with m - 1 vertices grafted under each decoration, which
 come out in canonical order with no sorting, and the forests with m vertices
-extend each tree by a smaller forest of trees no smaller than it.  A forest
-is one record, its trees, their keys and the index of its first tree, shared
-by every decoration: ``_fill``, which fills every ``Tree(...)``, stores the
-key (m, rank, the record's keys) with no loop over the children.  The
-decorations must be distinct and come from one alphabet, since the canonical
-key ranks a decoration by its value alone.
+extend each tree by a smaller forest of trees no smaller than it.  The forests
+of one size are three parallel lists, of their trees, of those trees' keys and
+of the index of each one's first tree, shared by every decoration: ``_fill``,
+which fills every ``Tree(...)``, stores the key (m, rank, the forest's keys)
+with no loop over the children.  The decorations must be distinct and come
+from one alphabet, since the canonical key ranks a decoration by its value
+alone.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from functools import partial, reduce
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterable, Sequence, Tuple
 
 from .lincomb import _TABLE, TERM_COST, Immutable, LinComb, TensorPair, bilinear, slot_setters, table_put, tabled, trim
@@ -245,23 +246,25 @@ def enumerate_trees(n: int, decorations: Sequence[Letter]) -> list:
     set, sorted by the canonical key and free of duplicates."""
     if n == 0:
         return []
-    return _graft(*_census(n - 1, decorations), n)
+    decos, forests, keys = _census(n - 1, decorations)
+    return _graft(decos, forests[n - 1], keys[n - 1], n)
 
 
 def enumerate_forests(n: int, decorations: Sequence[Letter]) -> list:
     """All canonical forests with exactly n vertices, in canonical order."""
-    return [Forest(f) for f, *_ in _census(n, decorations)[1][n]]
+    return list(map(Forest, _census(n, decorations)[1][n]))
 
 
-def _graft(decos: list, records: list, m: int) -> list:
-    """The trees with m vertices: each decoration over each record in records[m - 1]."""
-    return [_fill(Tree.__new__(Tree), d, f, (m, r, keys))
-            for d in decos for r in (letter_rank(d),) for f, keys, _ in records[m - 1]]
+def _graft(decos: list, forests: list, keys: list, m: int) -> list:
+    """The trees with m vertices: each decoration over each forest with m - 1 vertices,
+    given as its trees and their keys."""
+    return [_fill(Tree.__new__(Tree), d, f, (m, r, k))
+            for d in decos for r in (letter_rank(d),) for f, k in zip(forests, keys)]
 
 
-def _census(n: int, decorations: Sequence[Letter]) -> Tuple[list, list]:
-    """The decorations sorted by rank, and for m = 0..n the records of the canonical
-    forests with m vertices, in canonical order (see above)."""
+def _census(n: int, decorations: Sequence[Letter]) -> Tuple[list, list, list]:
+    """The decorations sorted by rank, and for m = 0..n the canonical forests with m
+    vertices, in canonical order (see above): each forest's trees, and their keys."""
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     decos = sorted(decorations, key=letter_rank)
@@ -269,15 +272,21 @@ def _census(n: int, decorations: Sequence[Letter]) -> Tuple[list, list]:
         names = ", ".join(map(str, decorations))
         raise ValueError(f"decorations must be distinct letters of one alphabet, got {names}")
     trees: list = []  # every tree built so far, in canonical order
-    records = [[((), (), float("inf"))]]  # per forest: its trees, their keys, the index of its first tree
+    # three parallel lists per level: each forest's trees, their keys, the index of its first tree
+    forests, keys, firsts = [[()]], [[()]], [[float("inf")]]
     for m in range(1, n + 1):
-        trees += _graft(decos, records, m)
-        level = []
+        trees += _graft(decos, forests[m - 1], keys[m - 1], m)
+        fs, ks, ix = [], [], []
         for i, t in enumerate(trees):  # t, then a smaller forest of trees no smaller than t
-            rest = records[m - t.key[0]]
-            level += [((t,) + f, (t.key,) + keys, i) for f, keys, _ in rest[bisect_left(rest, i, key=itemgetter(2)):]]
-        records.append(level)
-    return decos, records
+            j = m - t.key[0]
+            start = bisect_left(firsts[j], i)
+            fs += [(t,) + f for f in forests[j][start:]]
+            ks += [(t.key,) + k for k in keys[j][start:]]
+            ix += [i] * (len(firsts[j]) - start)
+        forests.append(fs)
+        keys.append(ks)
+        firsts.append(ix)
+    return decos, forests, keys
 
 
 def print_tree(t: Tree) -> str:

@@ -20,7 +20,6 @@ integer), with one division per output word; block indices come from prefix sums
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate
 from typing import Tuple
@@ -66,6 +65,7 @@ def _coefficients(k: int) -> tuple:
 def _composition_sum(terms, which: int) -> LinComb:
     # sum of c * coefficient * I[w] over the terms (w, c), read twice, and the
     # compositions of len(w), for which = 1 (exp) or 2 (log), over one denominator
+    import fractions  # loaded at the first division, not with the package
     den = math.lcm(*(math.factorial(len(w.letters)) * c.denominator for w, c in terms))
     out: dict = {}
     for w, c in terms:
@@ -79,7 +79,7 @@ def _composition_sum(terms, which: int) -> LinComb:
         for ids, g in table[which]:
             ls = tuple([merged[i] for i in ids])
             out[ls] = out.get(ls, 0) + m * g
-    return LinComb({Word(ls): Fraction(v, den) for ls, v in out.items() if v})
+    return LinComb({Word(ls): fractions.Fraction(v, den) for ls, v in out.items() if v})
 
 
 def exp_word(w: Word) -> LinComb:

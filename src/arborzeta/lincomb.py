@@ -13,13 +13,15 @@ the (quasi-)shuffle, deconcatenation and the coproducts only ever produce
 integers, so the exact layer runs on machine integers; a ``Fraction`` appears
 only where a division happens (Hoffman's exp/log, the regularization
 elimination), and every sum or product that comes out integral is stored as
-an ``int`` again.  Floats enter only when a value is explicitly evaluated
-numerically.  Terms are kept in insertion order, which is deterministic, and
-``items()`` returns them in that order; only printing orders basis elements
-by the lexicographic order of their string serialization.  This module alone
-reads or writes the stored terms.  The zero combination (empty support) is
-distinct from the unit basis element of any algebra built on top, such as the
-empty word or the empty forest.
+an ``int`` again.  So ``fractions`` is imported at the first division, by the
+code that divides, and never by a command that does not divide.  Floats
+enter only when a value is explicitly evaluated numerically.  Terms are kept
+in insertion order, which is deterministic, and ``items()`` returns them in
+that order; only printing orders basis elements by the lexicographic order
+of their string serialization.  This module alone reads or writes the stored
+terms.  The zero combination (empty support) is distinct from the unit basis
+element of any algebra built on top, such as the empty word or the empty
+forest.
 
 ``_TABLE`` is the package's one cache, of pure results keyed by (name,
 argument): the images of the ``tabled`` basis maps (the coproduct, both
@@ -39,11 +41,14 @@ result.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from functools import wraps
-from typing import Callable, Iterable, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Tuple, Union
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Scalar = Union[int, "Fraction"]
 
 NEG_INF = float("-inf")
 
@@ -52,7 +57,9 @@ def _coerce(c: Scalar) -> Scalar:
     """The stored form of an exact scalar: an int, or a non-integral Fraction."""
     if type(c) is int:
         return c
-    if isinstance(c, (int, Fraction)):  # bool and other int subclasses too
+    # no Fraction exists before fractions is loaded, so its class is looked up, not imported
+    fractions = sys.modules.get("fractions")
+    if isinstance(c, int) or (fractions and isinstance(c, fractions.Fraction)):  # bool, int subclasses
         return c.numerator if c.denominator == 1 else c
     raise TypeError(f"expected an exact rational coefficient, got {type(c).__name__}")
 

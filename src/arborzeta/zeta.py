@@ -137,7 +137,6 @@ gamma_{n+2} sum |x c| of the products and their sum, inflated by 1 + gamma_{2n+7
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, zip_longest
 from operator import add, mul
@@ -513,11 +512,12 @@ def _eliminate(w: Word, prod: LinComb, reg: Callable[[Word], ThetaPoly]) -> Thet
     """reg(w) = (theta * reg(v) - reg(prod - a*w)) / a, where prod is the
     product of the divergent letter with v = w minus its first letter and a
     is the coefficient of w in prod."""
+    import fractions  # loaded at the first division, not with the package
     a = prod.coeff(w)
     acc = reg(Word(w.letters[1:])).shift(1)
     for u, c in (prod - LinComb.unit(w, a)).items():
         acc = acc - reg(u).scale(c)
-    return acc.scale(Fraction(1, int(a)))
+    return acc.scale(fractions.Fraction(1, int(a)))
 
 
 @lru_cache(maxsize=1 << 10)  # all 256 words of weight <= 8 fill 256 entries

@@ -556,8 +556,10 @@ class TestVerify:
 class TestImportCost:
     def test_cli_import_loads_no_heavy_modules(self):
         # dataclasses pulls in inspect, ast, dis and tokenize; json is needed only for --format json
+        # fractions (with decimal and numbers) is loaded only where the exact layer divides
         script = ("import sys; sys.path.insert(0, sys.argv[1]); import arborzeta.cli; "
-                  "print(*(m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules))")
+                  "print(*(m for m in ('dataclasses', 'inspect', 'json', 'fractions', 'decimal', 'numbers') "
+                  "if m in sys.modules))")
         src = str(Path(arborzeta.__file__).parent.parent)
         proc = subprocess.run([sys.executable, "-S", "-c", script, src], capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
@@ -579,6 +581,23 @@ class TestImportCost:
         code, *loaded = proc.stdout.split()
         assert (code, proc.stderr) == ("0", "")
         assert runs <= set(loaded) and skips.isdisjoint(loaded), loaded
+
+    @pytest.mark.parametrize("argv, divides", [
+        (["zeta", "y2(y2,y2)"], False),
+        (["zeta", "x1(x0,x1(x0))"], False),
+        (["expand", "y3(y1,y2)"], False),
+        (["enumerate", "4", "--decorations", "2"], False),
+        (["hoffman", "log", "y1.y2.y3"], True),
+    ], ids=["zeta-y", "zeta-x", "expand", "enumerate", "hoffman"])
+    def test_verb_loads_fractions_only_if_it_divides(self, argv, divides):
+        # arborification, the products and the tree sums stay in ints; exp/log divide
+        script = ("import contextlib, io, sys; sys.path.insert(0, sys.argv[1]); from arborzeta.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()): code = main(sys.argv[2:])\n"
+                  "print(code, *(m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules))")
+        src = str(Path(arborzeta.__file__).parent.parent)
+        proc = subprocess.run([sys.executable, "-S", "-c", script, src, *argv], capture_output=True, text=True, timeout=60)
+        expected = "0 fractions decimal numbers" if divides else "0"
+        assert (proc.stdout.strip(), proc.stderr) == (expected, "")
 
 
 class TestEnumerate:

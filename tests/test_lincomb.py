@@ -1,6 +1,8 @@
 """Coefficient substrate: linear combinations and theta-polynomials."""
 
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -270,6 +272,39 @@ class TestStoredForm:
         for out, ref in cases:
             assert dict(out.items()) == ref
             assert stored_form(out)
+
+
+COERCE_SCRIPT = """\
+import sys; sys.path.insert(0, sys.argv[1])
+from decimal import Decimal
+from arborzeta.lincomb import _coerce
+class Count(int): pass
+def show(v): return f"{type(v).__name__} {v}"
+def refusal(v):
+    try: _coerce(v)
+    except TypeError as exc: return str(exc)
+print(show(_coerce(True)), show(_coerce(Count(7))), refusal(1.5), refusal(Decimal("1.5")), sep="\\n")
+print("fractions" in sys.modules)
+from fractions import Fraction
+third = Fraction(1, 3)
+print(show(_coerce(Fraction(4, 2))), _coerce(third) is third, sep="\\n")
+"""
+
+
+def test_coerce_contract_before_and_after_fractions_loads():
+    # no Fraction exists before fractions is loaded, and _coerce must not load it
+    src = str(Path(lincomb.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-S", "-c", COERCE_SCRIPT, src], capture_output=True, text=True, timeout=60)
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines() == [
+        "int 1",
+        "int 7",
+        "expected an exact rational coefficient, got float",
+        "expected an exact rational coefficient, got Decimal",
+        "False",
+        "int 2",
+        "True",
+    ]
 
 
 class TestTensorPair:
