@@ -1,24 +1,23 @@
 """Command-line surface.
 
-Verbs: expand (arborification of a forest into words), zeta (exact expansion
-of an arborified value, a word's as its ladder's, into ordinary zeta values,
-printed from arborification's map of letter-code strings, with no word objects,
+Verbs: expand (a forest's arborification into words), zeta (its exact expansion
+into zeta values, printed from arborification's map of letter-code strings,
 plus a certified numeric), verify (identity suites as report tables), enumerate
-(canonical decorated trees of a given size), and hoffman (exp/log on one word).
-A forest's decorations choose the flavor: contracting for y-letters, simple for x.
+(canonical decorated trees of a size), and hoffman (exp/log on one word).  The
+input decides what no option does: a forest's decorations choose the flavor, a
+zeta text with a '.' is a word (as its ladder), and enumerate counts its trees.
 
 Exit codes: 0 success, 1 verification failure, 2 usage, parse, or
 precondition error, including a tolerance that cannot be certified.
 
-Each verb has its own parser, built on the first call that names it and
-reused by every later one, so a call makes one argparse pass, into a fresh
-namespace.  The top-level parser of all five verbs is built only for --help,
-a missing or unknown verb, or to report arguments a verb leaves over.  Each
-verb's handler imports the modules of the layers it alone runs (forests, arborify, zeta,
-verify, hoffman) as module objects.  No verb imports ``fractions`` itself: the exact
-layer loads it at its first division, so only hoffman and verify bmz load it.
-(The library's one table of pure results persists, up to its budget; it
-never changes a printed value.)
+Each verb has its own parser, built on the first call that names it and reused
+by every later one, so a call makes one argparse pass into a fresh namespace;
+the top-level parser of all five verbs is built only for --help, a missing or
+unknown verb, or to report arguments a verb leaves over.  Each handler imports
+the layers it alone runs (forests, arborify, zeta, verify, hoffman) as module
+objects, and none imports ``fractions``: the exact layer loads it at its first
+division, so only hoffman and verify bmz load it.  (The library's one table of
+pure results persists, up to its budget; it never changes a printed value.)
 """
 
 from __future__ import annotations
@@ -29,6 +28,8 @@ from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 from .words import YLetter, decode, encode, parse_word, s_inverse
+
+CENSUS_LIMIT = 1_000_000  # the most trees enumerate lists; below the 1,114,112 letter codes
 
 
 def _fail(message: str) -> int:
@@ -63,13 +64,8 @@ def _zeta_line(coeffs: Mapping) -> str:
 
 def _cmd_zeta(args: argparse.Namespace) -> int:
     from . import arborify, forests, zeta
-    if (args.forest is None) == (args.word is None):
-        return _fail("give exactly one of a forest argument or --word")
-    if args.word is not None:  # a word is its ladder, whose arborification is the word
-        w = parse_word(args.word)
-        f = forests.Forest((arborify.ladder(w),)) if w.letters else forests.EMPTY_FOREST
-    else:
-        f = forests.parse_forest(args.forest)
+    word = "." in args.text  # a one-letter word and e read the same as a forest
+    f = forests.Forest((arborify.ladder(parse_word(args.text)),)) if word else forests.parse_forest(args.text)
     if arborify.alphabet_of(f) == "y":  # summed directly, so the expansion is only printed
         value, coeffs = zeta.zeta_tree_y(f, args.tol), arborify.letter_map(f, "y")
     else:  # the value puts the expansion in the table, where the line reads it
@@ -92,12 +88,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     from . import forests
-    if args.n < 1:
-        return _fail("tree size must be >= 1")
-    if args.n > args.cap:
-        return _fail(f"size {args.n} exceeds the cap {args.cap}; raise it with --cap")
-    if args.decorations < 1:
-        return _fail("need at least one decoration")
+    if args.n < 1 or args.decorations < 1:
+        return _fail("the tree size and the number of decorations must be >= 1")
+    for m, count in enumerate(forests.census_sizes(args.n, args.decorations), 1):
+        if count > CENSUS_LIMIT:  # the census grows with the size, so a(n) >= a(m)
+            return _fail(f"the census has {'' if m == args.n else 'at least '}{count} trees, more than {CENSUS_LIMIT}")
     letters = tuple(YLetter(i) for i in range(1, args.decorations + 1))
     trees = forests.enumerate_trees(args.n, letters)
     noun = "tree" if len(trees) == 1 else "trees"
@@ -130,8 +125,7 @@ def _parser(verb: Optional[str]) -> Optional[argparse.ArgumentParser]:
         p.set_defaults(func=_cmd_expand)
 
     if p := add("zeta", help="exact zeta expansion and certified value"):
-        p.add_argument("forest", nargs="?", help="forest text; alternatively use --word")
-        p.add_argument("--word", help="a single word instead of a forest")
+        p.add_argument("text", help="forest \"y3(y1,y2)\" or word \"y2.y3\" (as its ladder)")
         p.add_argument("--tol", type=float, default=1e-9, help="certified absolute tolerance")
         p.set_defaults(func=_cmd_zeta)
 
@@ -144,9 +138,8 @@ def _parser(verb: Optional[str]) -> Optional[argparse.ArgumentParser]:
         p.set_defaults(func=_cmd_verify)
 
     if p := add("enumerate", help="list canonical decorated trees of a size"):
-        p.add_argument("n", type=int)
+        p.add_argument("n", type=int, help=f"number of vertices (refused past {CENSUS_LIMIT} trees)")
         p.add_argument("--decorations", type=int, default=1, help="number of y-decorations (default 1)")
-        p.add_argument("--cap", type=int, default=8, help="largest allowed size")
         p.set_defaults(func=_cmd_enumerate)
 
     if p := add("hoffman", help="exp/log isomorphism on one summation word"):

@@ -60,7 +60,7 @@ import re
 from bisect import bisect_left
 from functools import partial, reduce
 from operator import attrgetter
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 from .lincomb import _TABLE, TERM_COST, Immutable, LinComb, TensorPair, bilinear, slot_setters, table_put, tabled, trim
 from .words import LETTER_TOKEN, Letter, ParseError, letter_error, letter_of, letter_rank, letter_weight
@@ -253,6 +253,15 @@ def enumerate_trees(n: int, decorations: Sequence[Letter]) -> list:
 def enumerate_forests(n: int, decorations: Sequence[Letter]) -> list:
     """All canonical forests with exactly n vertices, in canonical order."""
     return list(map(Forest, _census(n, decorations)[1][n]))
+
+
+def census_sizes(n: int, d: int) -> Iterator[int]:
+    """The number of trees with m = 1..n vertices decorated from d letters (OEIS A000081
+    for d = 1, A038055 for d = 2): a(1) = d, a(m+1) = (1/m) sum_k (sum_(j|k) j a(j)) a(m-k+1)."""
+    a = [0, d]
+    for m in range(1, n + 1):
+        yield a[m]
+        a.append(sum(sum(j * a[j] for j in range(1, k + 1) if k % j == 0) * a[m - k + 1] for k in range(1, m + 1)) // m)
 
 
 def _graft(decos: list, forests: list, keys: list, m: int) -> list:

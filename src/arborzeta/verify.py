@@ -178,16 +178,19 @@ def suite_hopf(tol: float = 1e-9) -> List[CheckRow]:
 # ---------------------------------------------------------------------------
 # brute-force oracle
 
-def suite_oracle(tol: float = 1e-9, N: int = 5000) -> List[CheckRow]:
-    """Three routes to a tree value: truncated sums against the tree-native
-    evaluator, and the tree-native evaluator against the word expansion."""
+ORACLE_N = 5000  # the largest vertex value of the oracle's truncated tree sums
+
+
+def suite_oracle(tol: float = 1e-9) -> List[CheckRow]:
+    """Three routes to a tree value: truncated sums, with every vertex value at most
+    ORACLE_N, against the tree-native evaluator, and it against the word expansion."""
     rows = []
     decorations = (YLetter(2), YLetter(3))
     for n in range(1, 4):
         for t in enumerate_trees(n, decorations):
-            lhs = brute_tree_sum(t, N)
+            lhs = brute_tree_sum(t, ORACLE_N)
             rhs, tree_bound = eval_tree_bounded(t, tol)
-            bound = tree_truncation_bound(t, N) + tree_bound + brute_rounding_bound(t, N, lhs)
+            bound = tree_truncation_bound(t, ORACLE_N) + tree_bound + brute_rounding_bound(t, ORACLE_N, lhs)
             rows.append(_row(f"oracle:{print_tree(t)}", lhs, rhs, bound))
     for n in range(1, 5):
         for t in enumerate_trees(n, decorations):

@@ -190,7 +190,7 @@ def test_c7_hopf_suite():
 
 def test_c8_oracle_equivalence():
     t0 = time.perf_counter()
-    rows = suite_oracle(tol=1e-9, N=5000)
+    rows = suite_oracle(tol=1e-9)
     elapsed = time.perf_counter() - t0
     ok = all_passed(rows) and len(rows) >= 10
     record(

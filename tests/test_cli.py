@@ -136,31 +136,31 @@ class TestZeta:
         assert abs(value - 1.6449340668482264) < 1e-8
 
     def test_plain_word(self, capsys):
-        code, out, _ = run(capsys, "zeta", "--word", "y2.y3")
+        code, out, _ = run(capsys, "zeta", "y2.y3")
         assert code == 0
         line, value, _ = _value_line(out)
         assert line == "1*zeta(2,3)"
         assert abs(value - eval_mzv_bounded((2, 3), 1e-10)[0]) < 1e-8
 
     def test_x_word(self, capsys):
-        code, out, _ = run(capsys, "zeta", "--word", "x0.x0.x1")
+        code, out, _ = run(capsys, "zeta", "x0.x0.x1")
         assert code == 0
         line, value, _ = _value_line(out)
         assert line == "1*zeta(3)"
         assert abs(value - 1.2020569031595942) < 1e-8
 
     def test_custom_tolerance_echoed(self, capsys):
-        code, out, _ = run(capsys, "zeta", "--word", "y2", "--tol", "1e-6")
+        code, out, _ = run(capsys, "zeta", "y2", "--tol", "1e-6")
         assert code == 0
         assert "(tol = 1e-06)" in out
 
     def test_non_finite_tolerance(self, capsys):
-        code, _, err = run(capsys, "zeta", "--word", "y2", "--tol", "nan")
+        code, _, err = run(capsys, "zeta", "y2", "--tol", "nan")
         assert code == 2
         assert err.startswith("error:")
 
     def test_refused_tolerance_prints_nothing(self, capsys):
-        code, out, err = run(capsys, "zeta", "--word", "y2", "--tol", "1e-13")
+        code, out, err = run(capsys, "zeta", "y2", "--tol", "1e-13")
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
@@ -179,7 +179,7 @@ class TestZeta:
             assert err == f"error: {message}\n"
         # the x-forest's expansion has coefficient mass 3: the caller's tol is
         # named, not the tol/3 each word would get; so is a word's and a suite's
-        for argv in (("zeta", "x1(x0,x1(x0))"), ("zeta", "--word", "y2"), ("verify", "all")):
+        for argv in (("zeta", "x1(x0,x1(x0))"), ("zeta", "y2"), ("verify", "all")):
             code, out, err = run(capsys, *argv, "--tol", "-1")
             assert (code, out, err) == (2, "", "error: tolerance must be positive, got -1\n")
         # a boolean never reaches the evaluator: the option parser refuses it
@@ -215,7 +215,7 @@ class TestZeta:
         word = ".".join(["x0"] + ["x1"] * k)
         clear_table()
         start = time.perf_counter()
-        code, out, _ = run(capsys, "zeta", "--word", word)
+        code, out, _ = run(capsys, "zeta", word)
         elapsed = time.perf_counter() - start
         assert (code, out.splitlines()[1]) == (0, "value = 1 (tol = 1e-09)")
         value, bound = eval_tree_bounded(ladder(parse_word(word)), 1e-9)
@@ -230,7 +230,7 @@ class TestZeta:
 
         monkeypatch.setattr(zeta_mod, "_mzv_em", refuse)
         clear_table()  # a word value kept in the table would hide a call
-        for argv in (("y2(y3,y2)",), ("x1(x0,x1(x0))",), ("--word", "y2.y1.y3"), ("--word", "x0.x1.x0.x0.x1")):
+        for argv in (("y2(y3,y2)",), ("x1(x0,x1(x0))",), ("y2.y1.y3",), ("x0.x1.x0.x0.x1",)):
             code, out, _ = run(capsys, "zeta", *argv)
             assert code == 0 and _value_line(out)[1] > 0, argv
 
@@ -258,20 +258,20 @@ class TestZeta:
         assert "y1" in err and "divergent" in err
 
     def test_divergent_words(self, capsys):
-        code, _, err = run(capsys, "zeta", "--word", "y1.y2")
+        code, _, err = run(capsys, "zeta", "y1.y2")
         assert code == 2
         assert "divergent" in err
-        assert run(capsys, "zeta", "--word", "x1.x0")[0] == 2
+        assert run(capsys, "zeta", "x1.x0")[0] == 2
 
     def test_deep_words_are_ladders(self, capsys):
         # zeta(2,{1}^n) = zeta(n+2) by duality, which is 1 to double precision for these n
-        code, out, _ = run(capsys, "zeta", "--word", ".".join(["y2"] + ["y1"] * 94), "--tol", "1e-9")
+        code, out, _ = run(capsys, "zeta", ".".join(["y2"] + ["y1"] * 94), "--tol", "1e-9")
         assert code == 0 and abs(_value_line(out)[1] - 1.0) <= 1e-9
-        assert run(capsys, "zeta", "--word", ".".join(["y2"] + ["y1"] * 149))[0] == 0
+        assert run(capsys, "zeta", ".".join(["y2"] + ["y1"] * 149))[0] == 0
 
     def test_long_word_prints_one(self, capsys):
         # zeta(2,{1}^149) = zeta(151), which is 1 to double precision
-        code, out, _ = run(capsys, "zeta", "--word", ".".join(["y2"] + ["y1"] * 149))
+        code, out, _ = run(capsys, "zeta", ".".join(["y2"] + ["y1"] * 149))
         assert (code, out.splitlines()[1]) == (0, "value = 1 (tol = 1e-09)")
 
     def test_near_equal_deep_siblings_refused(self, capsys):
@@ -284,20 +284,20 @@ class TestZeta:
     def test_deep_word_refused_honestly(self, capsys):
         # zeta(2,{1}^13) = zeta(15): the tree bound misses 1e-12, and 1e-11 is certified
         word = ".".join(["y2"] + ["y1"] * 13)
-        code, out, err = run(capsys, "zeta", "--word", word, "--tol", "1e-12")
+        code, out, err = run(capsys, "zeta", word, "--tol", "1e-12")
         assert (code, out) == (2, "")
         assert err == f"error: cannot certify the forest {'y1(' * 13}y2{')' * 13} to 1e-12: best bound 1.07331e-12\n"
-        code, out, _ = run(capsys, "zeta", "--word", word, "--tol", "1e-11")
+        code, out, _ = run(capsys, "zeta", word, "--tol", "1e-11")
         assert code == 0 and abs(_value_line(out)[1] - 1.000030588236307) <= 1e-11 + 1e-12
 
     def test_long_refusal_names_a_prefix(self, capsys):
         # a forest whose text is long is named by a prefix and its vertex count
-        code, out, err = run(capsys, "zeta", "--word", "y2." + ".".join(["y1"] * 999), "--tol", "1e-12")
+        code, out, err = run(capsys, "zeta", "y2." + ".".join(["y1"] * 999), "--tol", "1e-12")
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot certify the forest y1(") and len(err.encode()) < 300
         assert "... (1000 vertices) to 1e-12: best bound " in err
 
-    @pytest.mark.parametrize("argv", [("--word", "x0." + ".".join(["x1"] * 14)), ("x1(" * 14 + "x0" + ")" * 14,)],
+    @pytest.mark.parametrize("argv", [("x0." + ".".join(["x1"] * 14),), ("x1(" * 14 + "x0" + ")" * 14,)],
                              ids=["word", "forest"])
     def test_x_refusal_names_the_x_input(self, capsys, argv):
         # zeta(2,{1}^13) in x-letters is summed as a y-ladder, and refused naming its own x-ladder
@@ -308,14 +308,14 @@ class TestZeta:
 
     def test_long_x_refusal_names_a_prefix(self, capsys):
         # a long x-word is named by a prefix of its x-ladder and its vertex count
-        code, out, err = run(capsys, "zeta", "--word", "x0." + ".".join(["x1"] * 999), "--tol", "1e-12")
+        code, out, err = run(capsys, "zeta", "x0." + ".".join(["x1"] * 999), "--tol", "1e-12")
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot certify the forest {'x1(' * 40}...") and "y1(" not in err
         assert "... (1000 vertices) to 1e-12: best bound " in err
 
     def test_argument_arity(self, capsys):
         assert run(capsys, "zeta")[0] == 2
-        assert run(capsys, "zeta", "y2(y2)", "--word", "y2")[0] == 2
+        assert run(capsys, "zeta", "--word", "y2.y3")[0] == 2  # the text decides; no option does
 
     def test_x_forest_expanded_once(self, capsys, monkeypatch):
         # the expansion itself is counted: the value's arborify_x puts it in the
@@ -432,7 +432,22 @@ class TestZetaWordIsItsLadder:
     def test_same_output_as_the_ladder(self, text, tol):
         w = parse_word(text)
         forest = print_tree(ladder(w)) if w.letters else "e"
-        assert _zeta_out("--word", text, "--tol", tol) == _zeta_out(forest, "--tol", tol)
+        assert _zeta_out(text, "--tol", tol) == _zeta_out(forest, "--tol", tol)
+
+    @pytest.mark.parametrize("text, tol, code, out, err", [
+        ("y2.y3", "1e-9", 0, "1*zeta(2,3)\nvalue = 0.711566197551 (tol = 1e-09)\n", ""),
+        (".".join(["y2"] + ["y1"] * 94), "1e-9", 0, f"1*zeta(2{',1' * 94})\nvalue = 1 (tol = 1e-09)\n", ""),
+        (".".join(["x0"] + ["x1"] * 95), "1e-9", 0, f"1*zeta(2{',1' * 94})\nvalue = 1 (tol = 1e-09)\n", ""),
+        ("e", "1e-9", 0, "1*zeta()\nvalue = 1 (tol = 1e-09)\n", ""),
+        ("y2", "1e-9", 0, "1*zeta(2)\nvalue = 1.64493406685 (tol = 1e-09)\n", ""),
+        (".".join(["y2"] + ["y1"] * 13), "1e-12", 2, "",
+         f"error: cannot certify the forest {'y1(' * 13}y2{')' * 13} to 1e-12: best bound 1.07331e-12\n"),
+        (".".join(["x0"] + ["x1"] * 14), "1e-12", 2, "",
+         f"error: cannot certify the forest {'x1(' * 14}x0{')' * 14} to 1e-12: best bound 1.07331e-12\n"),
+    ], ids=["y2.y3", "y-zeta(2,1^94)", "x-zeta(2,1^94)", "e", "y2", "y-refused", "x-refused"])
+    def test_prints_what_the_word_option_printed(self, text, tol, code, out, err):
+        # each output was recorded from `zeta --word TEXT` before the text alone decided
+        assert _zeta_out(text, "--tol", tol) == (code, out, err)
 
 
 class TestVerify:
@@ -625,13 +640,40 @@ class TestEnumerate:
         for line in out.strip().splitlines()[1:]:
             assert print_tree(parse_tree(line)) == line
 
-    def test_cap(self, capsys):
-        assert run(capsys, "enumerate", "9")[0] == 2
-        assert run(capsys, "enumerate", "9", "--cap", "9")[0] == 0
+    def test_census_limit(self, capsys):
+        # the count of trees, computed from the size and the decorations, decides; no size cap does
+        code, out, _ = run(capsys, "enumerate", "12")
+        lines = out.splitlines()
+        assert (code, lines[0], len(lines)) == (0, "4766 trees", 4767)
+        for argv, count in [(("8", "--decorations", "4"), "4027360"),
+                            (("1000000000",), "at least 1721159"),  # A000081 at 18 vertices
+                            (("1", "--decorations", "1000001"), "1000001")]:
+            message = f"error: the census has {count} trees, more than 1000000\n"
+            assert run(capsys, "enumerate", *argv) == (2, "", message)
+        assert run(capsys, "enumerate", "--cap", "9", "9")[0] == 2  # no such option
+
+    @pytest.mark.parametrize("argv, count", [
+        (["1", "--decorations", "2000000"], "2000000"),
+        (["8", "--decorations", "5"], "at least 2052450"),  # 23,176,650 trees of size 8; 2,052,450 of size 7
+    ], ids=["letters", "trees"])
+    def test_refused_before_any_letter_is_made(self, argv, count):
+        # a fresh process, so the letter table holds only what importing the package made
+        script = ("import contextlib, io, sys, time; sys.path.insert(0, sys.argv[1])\n"
+                  "from arborzeta import cli, forests, words\n"
+                  "before, start = len(words._BY_CODE), time.perf_counter()\n"
+                  "with contextlib.redirect_stderr(io.StringIO()) as err: code = cli.main(['enumerate', *sys.argv[2:]])\n"
+                  "print(code, time.perf_counter() - start, len(words._BY_CODE) - before, err.getvalue(), end='')")
+        src = str(Path(arborzeta.__file__).parent.parent)
+        proc = subprocess.run([sys.executable, "-S", "-c", script, src, *argv], capture_output=True, text=True, timeout=60)
+        code, elapsed, made, message = proc.stdout.split(" ", 3)
+        assert (code, made, proc.stderr) == ("2", "0", "")
+        assert float(elapsed) < 1.0
+        assert message == f"error: the census has {count} trees, more than 1000000\n"
 
     def test_bad_arguments(self, capsys):
-        assert run(capsys, "enumerate", "0")[0] == 2
-        assert run(capsys, "enumerate", "3", "--decorations", "0")[0] == 2
+        message = "error: the tree size and the number of decorations must be >= 1\n"
+        assert run(capsys, "enumerate", "0") == (2, "", message)
+        assert run(capsys, "enumerate", "3", "--decorations", "0") == (2, "", message)
 
 
 class TestHoffman:
@@ -683,15 +725,14 @@ positional arguments:
 options:
   -h, --help  show this help message and exit
 """,
-    ("zeta",): """usage: arborzeta zeta [-h] [--word WORD] [--tol TOL] [forest]
+    ("zeta",): """usage: arborzeta zeta [-h] [--tol TOL] text
 
 positional arguments:
-  forest       forest text; alternatively use --word
+  text        forest "y3(y1,y2)" or word "y2.y3" (as its ladder)
 
 options:
-  -h, --help   show this help message and exit
-  --word WORD  a single word instead of a forest
-  --tol TOL    certified absolute tolerance
+  -h, --help  show this help message and exit
+  --tol TOL   certified absolute tolerance
 """,
     ("verify",): """usage: arborzeta verify [-h] [--tol TOL] [--max-weight MAX_WEIGHT]
                         [--format {text,tsv,json}]
@@ -706,16 +747,15 @@ options:
   --max-weight MAX_WEIGHT
   --format {text,tsv,json}
 """,
-    ("enumerate",): """usage: arborzeta enumerate [-h] [--decorations DECORATIONS] [--cap CAP] n
+    ("enumerate",): """usage: arborzeta enumerate [-h] [--decorations DECORATIONS] n
 
 positional arguments:
-  n
+  n                     number of vertices (refused past 1000000 trees)
 
 options:
   -h, --help            show this help message and exit
   --decorations DECORATIONS
                         number of y-decorations (default 1)
-  --cap CAP             largest allowed size
 """,
     ("hoffman",): """usage: arborzeta hoffman [-h] {exp,log} word
 
@@ -780,7 +820,7 @@ class TestUsage:
         # what it prints as the first call of a fresh interpreter
         sequence = [
             ["zeta", "--tol", "abc"],
-            ["zeta", "--word", "y2"],
+            ["zeta", "y2.y3"],
             ["zeta", "y2(y2)"],
             [],
             ["enumerate", "3"],

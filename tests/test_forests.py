@@ -27,6 +27,7 @@ from arborzeta.forests import (
     _pair_product,
     bottom_up,
     bplus,
+    census_sizes,
     coproduct,
     counit,
     enumerate_forests,
@@ -193,6 +194,17 @@ class TestEnumeration:
         counts = [len(enumerate_trees(n, (Y1, Y2))) for n in range(1, 7)]
         assert counts == [2, 4, 14, 52, 214, 916]
         assert [len(enumerate_trees(n, (X1, X0))) for n in range(1, 5)] == [2, 4, 14, 52]
+
+    @pytest.mark.parametrize("d, n", [(1, 8), (2, 8), (3, 7)])
+    def test_census_sizes_count_the_census(self, d, n):
+        letters = tuple(YLetter(i) for i in range(1, d + 1))
+        assert list(census_sizes(n, d)) == [len(enumerate_trees(m, letters)) for m in range(1, n + 1)]
+
+    def test_census_sizes_match_oeis(self):
+        a000081 = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973, 87811, 235381, 634847, 1721159]
+        a038055 = [2, 4, 14, 52, 214, 916, 4116, 18996, 89894, 433196, 2119904, 10503612]
+        for d, prefix in ((1, a000081), (2, a038055)):
+            assert list(census_sizes(len(prefix), d)) == prefix
 
     def test_forest_counts_shift_tree_counts(self):
         # grafting everything under a fresh root is a bijection between
