@@ -34,9 +34,10 @@ Certified values come at three levels, each a pair (value, bound) with
 alphabet (an x-word through the inverse block substitution), and
 ``eval_tree_bounded`` for a forest, refused in its own letters: a y-forest
 summed directly (below), an x-forest as its simple arborification, each word the
-y-ladder of its inverse block substitution.  A sum of n words asks each for
-max(tol / ceil(sum |c|), 1e-12) and is refused only when its bound, sum |c| *
-bound_w plus the rounding gamma_{n+1} sum |c v_w|, exceeds tol.  The word route's
+y-ladder of its inverse block substitution.  There is no floor on tol: a call is
+refused only when the bound it reaches exceeds tol, the tree kernel's best, the
+word route's at its last cutoff, or a sum's, sum |c| bound_w plus the rounding
+gamma_{n+1} sum |c v_w| for n words each asked for max(tol / ceil(sum |c|), 1e-12).  The word route's
 ``_ROUNDING_SLOP`` is tuned: eval_mzv_bounded((2,) + (1,) * 94, 1e-9) is 2.7e-9 from zeta(96) = 1.
 
 The naive double truncation survives in ``naive_mzv`` as the independent
@@ -123,12 +124,13 @@ are intertwined by rho = A(d/dtheta), A(t) = exp(sum_{n>=2} (-1)^n zeta(n) t^n/n
 = e^(gamma t) Gamma(1 + t) (Ihara-Kaneko-Zagier), in closed form: rho(theta^m) =
 sum_j a_j m!/(m-j)! theta^(m-j), j a_j = sum_{n=2}^{j} (-1)^n zeta(n) a_{j-n},
 a_0 = 1 and a_1 = 0.  Every numeric theta-coefficient carries a certified bound:
-``eval_reg`` keeps eval_comb_bounded's, and ``rho`` takes each zeta(n) and its
-bound e_n from eval_mzv_bounded((n,), 1e-12).  a_j is a polynomial in the
-(-1)^n zeta(n)/n with nonnegative coefficients, so the recurrence on |zeta(n)| + e_n
-less the one on |zeta(n)| bounds what the e_n move it; a step rounds at most
-j + 1 times and a chain j, j - 2, ... at most j^2 times, which gamma_{4 j^2}
-times the first covers for all three recurrences.  Coefficient k of rho(p) sums
+``eval_reg`` keeps eval_comb_bounded's, and ``rho``, which has no tol, takes each
+zeta(n) and its bound e_n from eval_mzv_bounded((n,), 1e-12), a share the word
+route reaches at every n.  a_j is a polynomial in the (-1)^n zeta(n)/n with
+nonnegative coefficients, so the recurrence on |zeta(n)| + e_n less the one on
+|zeta(n)| bounds what the e_n move it; a step rounds at most j + 1 times and a
+chain j, j - 2, ... at most j^2 times, which gamma_{4 j^2} times the first covers
+for all three recurrences.  Coefficient k of rho(p) sums
 n terms x c, x = a_j m!/k!, c = p[m], m = k + j; its bound is the sum of m!/k!
 (err_j (|c| + b_m) + |a_j| b_m), for input bounds b_m, and of the rounding
 gamma_{n+2} sum |x c| of the products and their sum, inflated by 1 + gamma_{2n+7}.
@@ -173,12 +175,12 @@ _NAMED_MAX = 120         # a refusal names a forest whose text is longer by a pr
 
 
 def _check_tol(tol: float) -> None:
-    """Refuse a tolerance that is a bool, not a finite number, not positive, or below 1e-12."""
+    """Refuse a tolerance that is a bool, not a finite number, or not positive.  There is no
+    floor: a positive tol is certified or refused by the bound the evaluator reaches for it."""
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not math.isfinite(tol):
         raise ValueError(f"tolerance must be a finite number, got {tol!r}")
-    if tol < 1e-12:
-        raise ValueError("tolerance below supported precision (min 1e-12)" if tol > 0
-                         else f"tolerance must be positive, got {tol:g}")
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol:g}")
 
 
 def _sum(terms: Iterable[float]) -> float:
@@ -393,9 +395,7 @@ def eval_mzv_bounded(exponents: MzvIndex, tol: float = 1e-9) -> Tuple[float, flo
         if bound <= tol:
             break
         if K >= 64000:
-            raise ArithmeticError(
-                f"cannot certify zeta{exponents} to {tol:g}: best bound {bound:g}"
-            )
+            raise ArithmeticError(f"cannot certify zeta({','.join(map(str, exponents))}) to {tol:g}: best bound {bound:g}")
         K *= 2
     table_put(key, (value, bound), TERM_COST)
     trim()
@@ -471,25 +471,25 @@ def _mzv_index(w: Word) -> MzvIndex:
 
 def _sum_bounded(comb: LinComb, tol: float, certify: Callable[[Word, float], Tuple[float, float]]) -> tuple:
     """Value and bound of sum c * v_w in stored order, (v_w, bound_w) = certify(w, max(tol / ceil(mass), 1e-12))
-    and mass = sum |c|, for a tol that passed _check_tol.  The bound adds to sum |c| * bound_w the rounding of
-    float(c), of each product and of the sum, and a sum whose bound exceeds tol is refused."""
+    and mass = sum |c|, the caller refusing a bound above tol: sum |c| * bound_w, and the rounding of float(c),
+    of each product and of the sum.  A share stops at 1e-12 as the word route never certifies below its slop."""
     per = max(tol / max(1.0, math.ceil(sum(abs(float(c)) for _, c in comb.items()))), 1e-12)
     terms = [(float(c), *certify(w, per)) for w, c in comb.items()]
     n, value = len(terms), _sum(c * v for c, v, _ in terms)
     # a term of value rounds n + 1 times (float(c), the product, n - 1 additions) and |c| <= (1 + gamma_1) |float(c)|;
     # both float sums below are within 1 - gamma_n of exact, and 1 + gamma_{2n+7} covers them and the bound's roundings
     rounding = _gamma(n + 1) * _sum(abs(c * v) for c, v, _ in terms)
-    bound = (rounding + _sum(abs(c) * b for c, _, b in terms)) * (1.0 + _gamma(2 * n + 7))
-    if bound > tol:
-        raise ArithmeticError(f"cannot certify the sum of {n} words to {tol:g}: its bound is {bound:g}")
-    return value, bound
+    return value, (rounding + _sum(abs(c) * b for c, _, b in terms)) * (1.0 + _gamma(2 * n + 7))
 
 
 def eval_comb_bounded(comb: LinComb, tol: float = 1e-9) -> Tuple[float, float]:
     """Value and certified bound of a combination of convergent words of either
     alphabet, each through eval_mzv_bounded; the empty word evaluates to 1."""
     _check_tol(tol)
-    return _sum_bounded(comb, tol, lambda w, per: eval_mzv_bounded(_mzv_index(w), per))
+    value, bound = _sum_bounded(comb, tol, lambda w, per: eval_mzv_bounded(_mzv_index(w), per))
+    if bound > tol:
+        raise ArithmeticError(f"cannot certify the sum of {len(comb)} words to {tol:g}: its bound is {bound:g}")
+    return value, bound
 
 
 # the value alone, under both names that callers (and the benchmark's tracer) use
@@ -773,7 +773,7 @@ def eval_tree_bounded(f: Union[Forest, Tree], tol: float = 1e-9) -> Tuple[float,
     directly, at O(K) per subtree whose tail is not yet in the package's table, an x-forest as
     the sum of its simple arborification, each word w the y-ladder of s_inverse(w).  Raises
     ValueError for divergent input, naming the vertex to blame, or an unsupported tolerance, and
-    ArithmeticError, naming f, when no cutoff certifies tol or a word of f its share of tol."""
+    ArithmeticError, naming f, when no cutoff certifies tol, a word of f its share, or their sum tol."""
     f = Forest((f,)) if isinstance(f, Tree) else f
     x = alphabet_of(f) == "x"
     reason = (divergence_reason_x if x else divergence_reason_y)(f)
@@ -781,16 +781,16 @@ def eval_tree_bounded(f: Union[Forest, Tree], tol: float = 1e-9) -> Tuple[float,
         raise ValueError(reason)
     _check_tol(tol)
 
-    def certified(trees: tuple, tol: float) -> Tuple[float, float]:
-        value, bound = _tree_sum(trees, tol)
-        if bound <= tol:
-            return value, bound
+    def certified(value_bound: Tuple[float, float], tol: float) -> Tuple[float, float]:
+        if value_bound[1] <= tol:
+            return value_bound
         named = s if len(s := str(f)) <= _NAMED_MAX else f"{s[:_NAMED_MAX]}... ({grade(f)} vertices)"
-        raise ArithmeticError(f"cannot certify the forest {named} to {tol:g}: best bound {bound:g}")
+        raise ArithmeticError(f"cannot certify the forest {named} to {tol:g}: best bound {value_bound[1]:g}")
 
     if x:  # x-vertex tails have no direct sum yet: each word of the expansion is a y-ladder
-        return _sum_bounded(arborify_x(f), tol, lambda w, per: certified((ladder(s_inverse(w)),), per))
-    return certified(f.trees, tol)
+        per_word = lambda w, per: certified(_tree_sum((ladder(s_inverse(w)),), per), per)
+        return certified(_sum_bounded(arborify_x(f), tol, per_word), tol)
+    return certified(_tree_sum(f.trees, tol), tol)
 
 
 def _tree_sum(trees: tuple, tol: float) -> Tuple[float, float]:

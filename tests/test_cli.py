@@ -160,38 +160,65 @@ class TestZeta:
         assert err.startswith("error:")
 
     def test_refused_tolerance_prints_nothing(self, capsys):
-        code, out, err = run(capsys, "zeta", "y2", "--tol", "1e-13")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:")
+        # no floor: the kernel's best bound for zeta(2) decides, and the line is not printed
+        code, out, err = run(capsys, "zeta", "y2", "--tol", "1e-15")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot certify the forest y2 to 1e-15: best bound 6.46521e-14\n"
 
     def test_forest_tolerance_gate(self, capsys):
         for tol, message in [
             ("nan", "tolerance must be a finite number, got nan"),
             ("inf", "tolerance must be a finite number, got inf"),
-            ("1e-13", "tolerance below supported precision (min 1e-12)"),
+            ("-inf", "tolerance must be a finite number, got -inf"),
             ("0", "tolerance must be positive, got 0"),
             ("-1", "tolerance must be positive, got -1"),
+            ("-1e-9", "tolerance must be positive, got -1e-09"),
         ]:
-            code, out, err = run(capsys, "zeta", "y2(y2)", "--tol", tol)
+            code, out, err = run(capsys, "zeta", "y2(y2)", f"--tol={tol}")
             assert code == 2
             assert out == ""
             assert err == f"error: {message}\n"
+        # past the gate the bound decides: 1e-13 is certified, 1e-15 refused by the best bound
+        code, out, _ = run(capsys, "zeta", "y2(y2)", "--tol", "1e-13")
+        assert (code, out) == (0, "1*zeta(2,2)\nvalue = 0.811742425283 (tol = 1e-13)\n")
+        code, out, err = run(capsys, "zeta", "y2(y2)", "--tol", "1e-15")
+        assert (code, out, err) == (2, "", "error: cannot certify the forest y2(y2) to 1e-15: best bound 7.13817e-14\n")
         # the x-forest's expansion has coefficient mass 3: the caller's tol is
         # named, not the tol/3 each word would get; so is a word's and a suite's
         for argv in (("zeta", "x1(x0,x1(x0))"), ("zeta", "y2"), ("verify", "all")):
             code, out, err = run(capsys, *argv, "--tol", "-1")
             assert (code, out, err) == (2, "", "error: tolerance must be positive, got -1\n")
-        # a boolean never reaches the evaluator: the option parser refuses it
-        code, out, _ = run(capsys, "zeta", "y2(y2)", "--tol", "True")
-        assert code == 2
-        assert out == ""
+        # a boolean or a non-number never reaches the evaluator: the option parser refuses it
+        for tol in ("True", "abc"):
+            code, out, _ = run(capsys, "zeta", "y2(y2)", "--tol", tol)
+            assert (code, out) == (2, "")
 
     def test_sum_refused_by_its_bound(self, capsys):
-        # each of the expansion's 5 ladders is certified to 1e-12, and the sum's bound misses it
+        # each of the expansion's 5 ladders is certified to 1e-12, and the sum's bound misses it;
+        # the refusal names the forest, as a y-forest's does
         code, out, err = run(capsys, "zeta", "x1(x0,x0,x0,x0,x1(x0))", "--tol", "1e-12")
         assert (code, out) == (2, "")
-        assert err == "error: cannot certify the sum of 5 words to 1e-12: its bound is 2.99402e-12\n"
+        assert err == "error: cannot certify the forest x1(x0,x0,x0,x0,x1(x0)) to 1e-12: best bound 2.99402e-12\n"
+        code, out, err = run(capsys, "zeta", "x1(x0,x1(x0))", "--tol", "1e-13")
+        assert (code, out, err) == (2, "", "error: cannot certify the forest x1(x0,x1(x0)) to 1e-13: best bound 1.13742e-13\n")
+
+    def test_ladder_certified_below_1e_12(self, capsys):
+        # no floor on tol: the depth-10 y2-ladder, pi^20/21!, as the CI step reads it
+        code, out, _ = run(capsys, "zeta", ".".join(["y2"] * 10), "--tol", "1e-20")
+        assert (code, out.splitlines()[1]) == (0, "value = 1.71653847498e-10 (tol = 1e-20)")
+
+    @pytest.mark.parametrize("argv", [
+        ("zeta", "y2"), ("zeta", "y2.y3"), ("zeta", "x1(x0,x1(x0))"), ("verify", "all"),
+    ], ids=["y2", "y2.y3", "x-forest", "verify-all"])
+    @pytest.mark.parametrize("tol", ["5e-324", "1e-300"])
+    def test_tiny_tolerance_refused_not_run_long(self, argv, tol):
+        # a tolerance no bound reaches ends at once with the best bound, in a fresh process
+        src = str(Path(arborzeta.__file__).parent.parent)
+        script = "import sys; sys.path.insert(0, sys.argv[1]); from arborzeta.cli import main; sys.exit(main(sys.argv[2:]))"
+        proc = subprocess.run([sys.executable, "-S", "-c", script, src, *argv, "--tol", tol],
+                              capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert re.fullmatch(r"error: cannot certify the forest \S+ to \S+: best bound \S+\n", proc.stderr), proc.stderr
 
     def test_x_forest_certified_at_the_floor(self, capsys):
         # the expansion's mass 3 no longer splits 1e-12 below what a word may be asked for
@@ -497,11 +524,11 @@ class TestVerify:
         assert "checks passed" in out
 
     def test_derived_tolerance_named(self, capsys):
-        # a tolerance the gate accepts, refused with the derived tolerance or bound it led to;
-        # one the gate refuses stops every suite before any is printed
+        # a tolerance the gate accepts, refused with the derived tolerance or bound it led to
         for argv, message in [
-            (("all", "--tol", "1e-13"), "tolerance below supported precision (min 1e-12)"),
-            (("bmz", "--tol", "1e-13"), "tolerance below supported precision (min 1e-12)"),
+            # no floor: the first evaluation whose bound misses tol names it
+            (("all", "--tol", "1e-13"), "cannot certify the forest y2;y3 to 1e-13: best bound 1.47359e-13"),
+            (("bmz", "--tol", "1e-13"), "cannot certify the sum of 1 words to 1e-13: its bound is 1.00183e-13"),
             # past weight 4 the word route decides: 6*y2.y1.y1.y1, a shuffle coefficient of y1.y1.y2.y1
             (("bmz", "--tol", "1e-12", "--max-weight", "7"),
              "cannot certify the sum of 1 words to 1e-12: its bound is 1.2014e-12"),
@@ -533,11 +560,22 @@ class TestVerify:
     def test_hopf_refuses_a_tolerance_as_every_suite_does(self, capsys):
         # the exact suite reads no tolerance, but a bad one is refused, not passed through
         for tol, message in [("-1", "tolerance must be positive, got -1"),
+                             ("0", "tolerance must be positive, got 0"),
+                             ("-1e-9", "tolerance must be positive, got -1e-09"),
                              ("nan", "tolerance must be a finite number, got nan"),
-                             ("1e-13", "tolerance below supported precision (min 1e-12)")]:
+                             ("inf", "tolerance must be a finite number, got inf"),
+                             ("-inf", "tolerance must be a finite number, got -inf")]:
             for suite in ("hopf", "all"):
-                code, out, err = run(capsys, "verify", suite, "--tol", tol)
+                code, out, err = run(capsys, "verify", suite, f"--tol={tol}")
                 assert (code, out, err) == (2, "", f"error: {message}\n"), (suite, tol)
+        for tol in ("True", "abc"):  # the option parser refuses these
+            code, out, _ = run(capsys, "verify", "all", "--tol", tol)
+            assert (code, out) == (2, "")
+        # a tiny positive tol passes the gate: hopf reads none, and all is refused by a bound
+        code, out, _ = run(capsys, "verify", "hopf", "--tol", "1e-13")
+        assert (code, out.splitlines()[-1]) == (0, "8/8 checks passed")
+        code, out, err = run(capsys, "verify", "all", "--tol", "1e-13")
+        assert (code, out, err) == (2, "", "error: cannot certify the forest y2;y3 to 1e-13: best bound 1.47359e-13\n")
 
     def test_negative_max_weight_refused(self, capsys):
         for suite in ("bmz", "all"):

@@ -9,6 +9,9 @@ sum must equal the truncated word expansion exactly.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -152,9 +155,38 @@ class TestEvalMzv:
             eval_mzv_bounded((1, 2), 1e-9)
 
     def test_tiny_tolerance_rejected(self):
-        for tol in (1e-13, math.nan, math.inf, True):
-            with pytest.raises(ValueError):
-                eval_mzv_bounded((2,), tol)
+        # the gate refuses only what is not a positive finite number, at the word and the sum
+        for tol, message in [
+            (True, "tolerance must be a finite number, got True"),
+            (math.nan, "tolerance must be a finite number, got nan"),
+            (math.inf, "tolerance must be a finite number, got inf"),
+            (-math.inf, "tolerance must be a finite number, got -inf"),
+            ("1e-9", "tolerance must be a finite number, got '1e-9'"),
+            (0, "tolerance must be positive, got 0"),
+            (-1e-9, "tolerance must be positive, got -1e-09"),
+        ]:
+            for fn, arg in ((eval_mzv_bounded, (2,)), (eval_comb_bounded, LinComb.unit(y_word(2)))):
+                with pytest.raises(ValueError) as info:
+                    fn(arg, tol)
+                assert str(info.value) == message
+        # a tiny tol passes the gate, and the word route's bound, never below its slop, refuses it
+        with pytest.raises(ArithmeticError, match=r"^cannot certify zeta\(2\) to 1e-13: best bound 2e-13$"):
+            eval_mzv_bounded((2,), 1e-13)
+
+    def test_refusal_prints_the_index_as_the_zeta_line(self):
+        for index, named in [((2,), "zeta(2)"), ((2, 1, 1, 1, 1), "zeta(2,1,1,1,1)")]:
+            with pytest.raises(ArithmeticError) as info:
+                eval_mzv_bounded(index, 1e-15)
+            assert str(info.value) == f"cannot certify {named} to 1e-15: best bound 2e-13"
+
+    def test_tiny_tolerance_refused_not_run_long(self):
+        # every cutoff up to the last is tried, in well under the timeout
+        script = ("import sys; sys.path.insert(0, sys.argv[1]); from arborzeta.zeta import eval_mzv_bounded\n"
+                  "try: eval_mzv_bounded((3,) + (1,) * 19, 5e-324)\nexcept ArithmeticError as exc: print(exc)")
+        src = os.path.dirname(os.path.dirname(lincomb.__file__))
+        proc = subprocess.run([sys.executable, "-S", "-c", script, src], capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"cannot certify zeta(3{',1' * 19}) to 4.94066e-324: best bound 2e-13\n"
 
     def test_bad_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -832,6 +864,13 @@ class TestTreeEvaluator:
             assert bound <= 1e-12
             assert abs(v - exact) <= bound + 1e-16 * exact, n
 
+    @pytest.mark.parametrize("n, tol", [(10, 1e-20), (20, 1e-40), (31, 1e-60), (40, 1e-80)])
+    def test_y2_ladders_below_1e_12(self, n, tol):
+        # no floor on tol: the kernel's own bound certifies these, checked against the theorem
+        v, bound = eval_tree_bounded(ladder(y_word(*[2] * n)), tol)
+        with mpmath.workdps(40):
+            assert bound <= tol and abs(mpmath.mpf(v) - mpmath.pi ** (2 * n) / mpmath.factorial(2 * n + 1)) <= bound
+
     def test_31_ladders_closed_form(self):
         for n in range(1, 4):
             v, bound = eval_tree_bounded(ladder(y_word(*[3, 1] * n)), 1e-12)
@@ -889,14 +928,21 @@ class TestTreeEvaluator:
         for tol, message in [
             (math.nan, "tolerance must be a finite number, got nan"),
             (math.inf, "tolerance must be a finite number, got inf"),
+            (-math.inf, "tolerance must be a finite number, got -inf"),
             (True, "tolerance must be a finite number, got True"),
-            (1e-13, "tolerance below supported precision (min 1e-12)"),
+            ("1e-9", "tolerance must be a finite number, got '1e-9'"),
             (0, "tolerance must be positive, got 0"),
             (-1, "tolerance must be positive, got -1"),
+            (-1e-9, "tolerance must be positive, got -1e-09"),
         ]:
             with pytest.raises(ValueError) as info:
                 eval_tree_bounded(t, tol)
             assert str(info.value) == message
+        # there is no floor: the kernel's own bound certifies 1e-13 and refuses 1e-15
+        v, bound = eval_tree_bounded(t, 1e-13)
+        assert bound <= 1e-13 and abs(v - float(mpmath.pi ** 4 / 120)) <= bound + 1e-16
+        with pytest.raises(ArithmeticError, match=r"^cannot certify the forest y2\(y2\) to 1e-15: best bound 7.13817e-14$"):
+            eval_tree_bounded(t, 1e-15)
 
     @pytest.mark.parametrize("text, word_tol", [
         ("x1(x1(x0,x0),x1(x0,x0),x1(x0,x0))", 1e-8),
